@@ -63,6 +63,8 @@ class Status {
 
   std::string ToString() const;
 
+  friend bool operator==(const Status&, const Status&) = default;
+
  private:
   StatusCode code_;
   std::string message_;

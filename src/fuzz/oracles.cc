@@ -1,7 +1,6 @@
 #include "fuzz/oracles.h"
 
 #include <map>
-#include <memory>
 #include <sstream>
 
 #include "analysis/blocking.h"
@@ -20,14 +19,6 @@ Tick ResolveHorizon(const Scenario& scenario, const OracleOptions& options) {
   if (scenario.horizon > 0) return scenario.horizon;
   const Tick hyper = scenario.set.Hyperperiod();
   return hyper > 0 && hyper < kNoTick / 2 ? 2 * hyper : 0;
-}
-
-std::unique_ptr<Protocol> MakeOracleProtocol(ProtocolKind kind,
-                                             const OracleOptions& options) {
-  if (kind == ProtocolKind::kPcpDa) {
-    return std::make_unique<PcpDa>(options.pcp_da);
-  }
-  return MakeProtocol(kind);
 }
 
 std::vector<ProtocolKind> ResolveKinds(const OracleOptions& options) {
@@ -54,26 +45,33 @@ std::string RenderTick(const TickRecord& record) {
   return out;
 }
 
-/// Every observable byte of one run, for the nondeterminism oracle: any
-/// divergence between two same-seed runs shows up as a digest diff.
-std::string RenderDigest(const Scenario& scenario, const SimResult& result) {
-  std::ostringstream out;
-  out << "status: " << result.status.ToString() << "\n";
-  out << "audit: " << result.audit.DebugString() << "\n";
-  out << "[metrics]\n" << result.metrics.DebugString(scenario.set) << "\n";
-  out << "[events]\n" << result.trace.DebugString() << "\n";
-  out << "[ticks]\n";
-  for (const TickRecord& record : result.trace.ticks()) {
-    out << RenderTick(record) << "\n";
-  }
-  out << "[history]\n" << result.history.DebugString() << "\n";
-  return out.str();
-}
-
 std::size_t FirstDivergence(const std::string& a, const std::string& b) {
   std::size_t at = 0;
   while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
   return at;
+}
+
+/// True when every member RenderRunDigest reads is equal. The defaulted
+/// comparisons cover a superset of the rendered fields (lock_decisions,
+/// trace capacity, pending history ops, ...), so equal runs always render
+/// equal digests; a difference only in an unrendered field falls through
+/// to the digest comparison, which then reports nothing.
+bool SameObservables(const SimResult& a, const SimResult& b) {
+  return a.status == b.status && a.audit == b.audit &&
+         a.metrics == b.metrics && a.trace == b.trace &&
+         a.history == b.history;
+}
+
+/// The restart- and blocking-blind analysis AnalysisDefect::kOptimisticRta
+/// feeds the response-time analysis.
+BlockingAnalysis Optimistic(BlockingAnalysis analysis) {
+  analysis.bounded = true;
+  for (SpecBlocking& sb : analysis.per_spec) {
+    sb.worst_blocking = 0;
+    sb.bounded = true;
+    sb.restart_sources.clear();
+  }
+  return analysis;
 }
 
 class OracleRunner {
@@ -104,10 +102,11 @@ class OracleRunner {
         released_by_protocol[ToString(kind)] =
             result.metrics.TotalReleased();
       }
-      if (options_.check_determinism) {
+      if (options_.check_determinism &&
+          !SameObservables(result, results[k * repeats + 1])) {
         const SimResult& again = results[k * repeats + 1];
-        const std::string first = RenderDigest(scenario_, result);
-        const std::string second = RenderDigest(scenario_, again);
+        const std::string first = RenderRunDigest(scenario_.set, result);
+        const std::string second = RenderRunDigest(scenario_.set, again);
         if (first != second) {
           const std::size_t at = FirstDivergence(first, second);
           Fail("determinism", ToString(kind),
@@ -144,9 +143,7 @@ class OracleRunner {
   void CheckOne(ProtocolKind kind, Tick horizon, const SimResult& result,
                 bool fault_free) {
     const char* name = ToString(kind);
-    const bool ceiling =
-        MakeOracleProtocol(kind, options_)->ceiling_rule() !=
-        CeilingRule::kNone;
+    const bool ceiling = TraitsOf(kind).ceiling_rule != CeilingRule::kNone;
 
     // (a) the per-tick invariant auditor accepted every tick.
     if (!result.audit.ok()) {
@@ -196,20 +193,23 @@ class OracleRunner {
                      "injected faults",
                      static_cast<long long>(metrics.TotalRestarts())));
     }
-    if (fault_free && TraitsOf(kind).analyzable()) {
-      CheckBlockingBound(kind, metrics);
+    if (fault_free) {
+      const BlockingAnalysis analysis = ComputeBlocking(scenario_.set, kind);
+      if (TraitsOf(kind).analyzable()) {
+        CheckBlockingBound(kind, analysis, metrics);
+      }
+      CheckSchedSoundness(kind, analysis, metrics);
     }
-    if (fault_free) CheckSchedSoundness(kind, metrics);
     CheckMetricsSane(name, horizon, metrics);
   }
 
-  void CheckBlockingBound(ProtocolKind kind, const RunMetrics& metrics) {
+  void CheckBlockingBound(ProtocolKind kind,
+                          const BlockingAnalysis& analysis,
+                          const RunMetrics& metrics) {
     // Every protocol whose traits report a finite bound (all but
     // 2PL-PI); for PCP-DA the guard ablation can only loosen behavior
     // the other oracles see, so the bound stays meaningful under the
     // test hook.
-    const BlockingAnalysis analysis =
-        ComputeBlocking(scenario_.set, kind);
     const bool zeroed =
         options_.analysis_defect == AnalysisDefect::kZeroBlockingBound;
     for (SpecId i = 0;
@@ -231,18 +231,13 @@ class OracleRunner {
   /// A deadline miss in a fault-free simulation run refutes a
   /// kSchedulable claim — the analysis must never be optimistic.
   /// kUnknown/kUnschedulable claims assert nothing about the run.
-  void CheckSchedSoundness(ProtocolKind kind, const RunMetrics& metrics) {
-    BlockingAnalysis analysis = ComputeBlocking(scenario_.set, kind);
-    if (options_.analysis_defect == AnalysisDefect::kOptimisticRta) {
-      analysis.bounded = true;
-      for (SpecBlocking& sb : analysis.per_spec) {
-        sb.worst_blocking = 0;
-        sb.bounded = true;
-        sb.restart_sources.clear();
-      }
-    }
+  void CheckSchedSoundness(ProtocolKind kind,
+                           const BlockingAnalysis& analysis,
+                           const RunMetrics& metrics) {
     const SchedAnalysis sched =
-        AnalyzeResponseTimes(scenario_.set, analysis);
+        options_.analysis_defect == AnalysisDefect::kOptimisticRta
+            ? AnalyzeResponseTimes(scenario_.set, Optimistic(analysis))
+            : AnalyzeResponseTimes(scenario_.set, analysis);
     for (SpecId i = 0;
          i < static_cast<SpecId>(metrics.per_spec.size()); ++i) {
       const SpecSchedResult& sr =
@@ -310,6 +305,21 @@ class OracleRunner {
 };
 
 }  // namespace
+
+std::string RenderRunDigest(const TransactionSet& set,
+                            const SimResult& result) {
+  std::ostringstream out;
+  out << "status: " << result.status.ToString() << "\n";
+  out << "audit: " << result.audit.DebugString() << "\n";
+  out << "[metrics]\n" << result.metrics.DebugString(set) << "\n";
+  out << "[events]\n" << result.trace.DebugString() << "\n";
+  out << "[ticks]\n";
+  for (const TickRecord& record : result.trace.ticks()) {
+    out << RenderTick(record) << "\n";
+  }
+  out << "[history]\n" << result.history.DebugString() << "\n";
+  return out.str();
+}
 
 std::string OracleFailure::DebugString() const {
   std::string out = "[" + oracle + "]";

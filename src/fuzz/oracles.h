@@ -35,10 +35,10 @@ struct OracleOptions {
   /// the locking-condition guards off here to prove the oracles catch an
   /// intentionally broken protocol build.
   PcpDaOptions pcp_da;
-  /// Re-run every simulation a second time and compare the rendered
-  /// trace/metrics/history bytes (nondeterminism oracle). Doubles the
-  /// simulation cost; the shrinker turns it off while minimizing a
-  /// failure found by a cheaper oracle.
+  /// Re-run every simulation a second time and compare the two results
+  /// field by field (nondeterminism oracle); RenderRunDigest locates a
+  /// divergence. Doubles the simulation cost; the shrinker turns it off
+  /// while minimizing a failure found by a cheaper oracle.
   bool check_determinism = true;
   /// Deliberately weakened analysis for the --break= self-tests; part of
   /// the options so shrinking and reproduction carry the defect along.
@@ -83,6 +83,14 @@ struct OracleVerdict {
   bool ok() const { return failures.empty(); }
   std::string DebugString() const;
 };
+
+/// Every observable byte of one run as text: status, audit report, metrics,
+/// trace events, per-tick schedule with blocked samples, and committed
+/// history. The determinism oracle renders both runs only when they differ
+/// structurally and reports the first differing digest byte;
+/// tests/determinism_test.cc pins it against a recorded golden.
+std::string RenderRunDigest(const TransactionSet& set,
+                            const SimResult& result);
 
 /// Runs `scenario` through every configured protocol and applies the
 /// oracle stack:

@@ -31,6 +31,8 @@ struct HistoryOp {
   bool own_read = false;
 
   std::string DebugString() const;
+
+  friend bool operator==(const HistoryOp&, const HistoryOp&) = default;
 };
 
 /// The operations of one committed transaction.
@@ -41,6 +43,8 @@ struct CommittedTxn {
   Tick commit_tick = 0;
   std::int64_t commit_seq = 0;
   std::vector<HistoryOp> ops;
+
+  friend bool operator==(const CommittedTxn&, const CommittedTxn&) = default;
 };
 
 /// Accumulates the execution history of a run. Operations are buffered per
@@ -63,6 +67,9 @@ class History {
   std::size_t pending_jobs() const { return pending_.size(); }
 
   std::string DebugString() const;
+
+  /// Committed history and still-buffered operations both compared.
+  friend bool operator==(const History&, const History&) = default;
 
  private:
   std::map<JobId, std::vector<HistoryOp>> pending_;

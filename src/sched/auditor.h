@@ -24,6 +24,9 @@ struct AuditViolation {
   std::string detail;
 
   std::string DebugString() const;
+
+  friend bool operator==(const AuditViolation&,
+                         const AuditViolation&) = default;
 };
 
 /// The auditor's verdict over a run: empty means every audited tick upheld
@@ -36,6 +39,8 @@ struct AuditReport {
 
   bool ok() const { return violations.empty() && suppressed == 0; }
   std::string DebugString() const;
+
+  friend bool operator==(const AuditReport&, const AuditReport&) = default;
 };
 
 /// Everything one tick's audit inspects. All pointers are non-owning and

@@ -59,6 +59,8 @@ struct SpecMetrics {
   /// (nth_element per quantile otherwise). Element i answers ps[i];
   /// values are identical to calling ResponsePercentile(ps[i]).
   std::vector<Tick> ResponsePercentiles(const std::vector<double>& ps) const;
+
+  friend bool operator==(const SpecMetrics&, const SpecMetrics&) = default;
 };
 
 /// Injected-fault accounting for one run. All zero when no fault plan is
@@ -84,6 +86,8 @@ struct FaultMetrics {
     return injected_aborts + injected_restarts + overruns +
            delayed_arrivals + burst_arrivals;
   }
+
+  friend bool operator==(const FaultMetrics&, const FaultMetrics&) = default;
 };
 
 /// Whole-run counters plus the per-spec breakdown.
@@ -115,6 +119,10 @@ struct RunMetrics {
   double MissRatio() const;
 
   std::string DebugString(const TransactionSet& set) const;
+
+  /// Compares every member, lock_decisions included: a superset of what
+  /// DebugString renders.
+  friend bool operator==(const RunMetrics&, const RunMetrics&) = default;
 };
 
 }  // namespace pcpda

@@ -45,6 +45,8 @@ struct TraceEvent {
   std::string note;
 
   std::string DebugString() const;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 /// A job observed blocked at some tick.
@@ -55,6 +57,9 @@ struct BlockedSample {
   LockMode mode = LockMode::kRead;
   BlockReason reason = BlockReason::kNone;
   std::vector<JobId> blockers;
+
+  friend bool operator==(const BlockedSample&,
+                         const BlockedSample&) = default;
 };
 
 /// The processor state during one tick [tick, tick+1).
@@ -67,6 +72,8 @@ struct TickRecord {
   /// Max_Sysceil dotted line); dummy when nothing is raised.
   Priority ceiling;
   std::vector<BlockedSample> blocked;
+
+  friend bool operator==(const TickRecord&, const TickRecord&) = default;
 };
 
 /// Full record of one simulation run: the per-tick schedule plus discrete
@@ -111,6 +118,9 @@ class Trace {
   Priority MaxCeiling() const;
 
   std::string DebugString() const;
+
+  /// Retained records, capacity and eviction counters all compared.
+  friend bool operator==(const Trace&, const Trace&) = default;
 
  private:
   std::vector<TraceEvent> events_;

@@ -17,7 +17,7 @@
 #include <sstream>
 #include <string>
 
-#include "common/strings.h"
+#include "fuzz/oracles.h"
 #include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
@@ -36,28 +36,9 @@ Scenario LoadScenario() {
   return std::move(scenario).value();
 }
 
-std::string RenderTick(const TickRecord& record) {
-  std::string out = StrFormat(
-      "t=%lld run=%lld spec=%d kind=%d ceil=%s",
-      static_cast<long long>(record.tick),
-      static_cast<long long>(record.running_job), record.running_spec,
-      static_cast<int>(record.running_kind),
-      record.ceiling.DebugString().c_str());
-  for (const BlockedSample& blocked : record.blocked) {
-    std::vector<std::string> ids;
-    for (JobId id : blocked.blockers) {
-      ids.push_back(StrFormat("%lld", static_cast<long long>(id)));
-    }
-    out += StrFormat(" blocked{job=%lld item=d%d mode=%s reason=%s by=[%s]}",
-                     static_cast<long long>(blocked.job), blocked.item,
-                     ToString(blocked.mode), ToString(blocked.reason),
-                     Join(ids, ",").c_str());
-  }
-  return out;
-}
-
-/// One protocol's full run rendered as text. Everything observable lands
-/// here: any engine change that perturbs the schedule shows up as a diff.
+/// One protocol's full run rendered as text: a header naming the protocol,
+/// then the determinism oracle's digest. Everything observable lands here:
+/// any engine change that perturbs the schedule shows up as a diff.
 /// With a plan the run goes through the compiled path; the contract is
 /// that both paths render byte-identically.
 std::string RenderRun(const Scenario& scenario, ProtocolKind kind,
@@ -77,18 +58,8 @@ std::string RenderRun(const Scenario& scenario, ProtocolKind kind,
     return sim.Run();
   }();
 
-  std::ostringstream out;
-  out << "=== " << ToString(kind) << " ===\n";
-  out << "status: " << result.status.ToString() << "\n";
-  out << "audit: " << result.audit.DebugString() << "\n";
-  out << "[metrics]\n" << result.metrics.DebugString(scenario.set) << "\n";
-  out << "[events]\n" << result.trace.DebugString() << "\n";
-  out << "[ticks]\n";
-  for (const TickRecord& record : result.trace.ticks()) {
-    out << RenderTick(record) << "\n";
-  }
-  out << "[history]\n" << result.history.DebugString() << "\n";
-  return out.str();
+  return "=== " + std::string(ToString(kind)) + " ===\n" +
+         RenderRunDigest(scenario.set, result);
 }
 
 std::string RenderAllProtocols(const Scenario& scenario) {

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
+#include "common/strings.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/oracles.h"
 #include "fuzz/shrinker.h"
@@ -77,6 +80,199 @@ TEST(OracleTest, ReproducesIsFalseForPassingScenario) {
   ASSERT_TRUE(scenario.ok());
   const OracleFailure failure{"serializability", "PCP-DA", ""};
   EXPECT_FALSE(Reproduces(*scenario, OracleOptions{}, failure));
+}
+
+// --- Determinism oracle -----------------------------------------------------
+
+// Trace and History expose no mutators for recorded data. The runs
+// edited here are local copies, so writing through the const accessors is
+// well-defined.
+template <typename T>
+T& Mutable(const T& member) {
+  return const_cast<T&>(member);
+}
+
+// The fields of one run the perturbations below edit: the first blocked
+// sample with blockers, the first trace event with a note, and the first
+// committed read. Null when the run has none.
+struct EditableFields {
+  BlockedSample* blocked = nullptr;
+  TraceEvent* noted = nullptr;
+  HistoryOp* read = nullptr;
+
+  explicit EditableFields(SimResult& run) {
+    for (TickRecord& tick : Mutable(run.trace.ticks())) {
+      for (BlockedSample& sample : tick.blocked) {
+        if (blocked == nullptr && !sample.blockers.empty()) blocked = &sample;
+      }
+    }
+    for (TraceEvent& event : Mutable(run.trace.events())) {
+      if (noted == nullptr && !event.note.empty()) noted = &event;
+    }
+    for (CommittedTxn& txn : Mutable(run.history.committed())) {
+      for (HistoryOp& op : txn.ops) {
+        if (read == nullptr && op.kind == HistoryOp::Kind::kRead) read = &op;
+      }
+    }
+  }
+  bool all() const {
+    return blocked != nullptr && noted != nullptr && read != nullptr;
+  }
+};
+
+// The determinism oracle compares the twin runs field by field and renders
+// RenderRunDigest only when they differ. Its verdict must be exactly the
+// one a digest comparison alone gives, so these tests perturb one field of
+// the re-run at a time and derive the expected outcome from the digests.
+class DeterminismOracleTest : public ::testing::Test {
+ protected:
+  // One generated scenario through all 8 protocols in PlanOracleRuns
+  // order (run, re-run per protocol); the target is the first protocol
+  // whose run has every field EditableFields looks for.
+  void SetUp() override {
+    const ScenarioFuzzer fuzzer(SmokeOptions());
+    for (int i = 0; i < 40 && target_ < 0; ++i) {
+      auto scenario = fuzzer.MakeScenario(i);
+      ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+      scenario_.emplace(std::move(scenario).value());
+      results_.clear();
+      for (const RunSpec& spec : PlanOracleRuns(*scenario_, options_)) {
+        results_.push_back(BatchRunner::RunOne(spec));
+      }
+      for (std::size_t k = 0; k < results_.size() / 2; ++k) {
+        SimResult copy = results_[2 * k];
+        if (copy.status.ok() && EditableFields(copy).all()) {
+          target_ = static_cast<int>(k);
+          break;
+        }
+      }
+    }
+    ASSERT_GE(target_, 0) << "no scenario exercises every rendered field";
+    const OracleVerdict verdict =
+        EvaluateOracleRuns(*scenario_, options_, results_);
+    ASSERT_TRUE(verdict.ok()) << verdict.DebugString();
+  }
+
+  const SimResult& run() const {
+    return results_[2 * static_cast<std::size_t>(target_)];
+  }
+
+  // The verdict with the target protocol's re-run replaced by `again`.
+  OracleVerdict EvaluateWithRerun(const SimResult& again) const {
+    std::vector<SimResult> results = results_;
+    results[2 * static_cast<std::size_t>(target_) + 1] = again;
+    return EvaluateOracleRuns(*scenario_, options_, results);
+  }
+
+  // A rendered perturbation: the digests differ, and the verdict is one
+  // determinism failure whose detail is built from the digests alone.
+  void ExpectOneFailure(const SimResult& again, const char* what) const {
+    SCOPED_TRACE(what);
+    const std::string first = RenderRunDigest(scenario_->set, run());
+    const std::string second = RenderRunDigest(scenario_->set, again);
+    ASSERT_NE(first, second);
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(first.begin(), first.end(), second.begin(),
+                      second.end())
+            .first -
+        first.begin());
+    const OracleVerdict verdict = EvaluateWithRerun(again);
+    ASSERT_EQ(verdict.failures.size(), 1u) << verdict.DebugString();
+    const OracleFailure& failure = verdict.failures.front();
+    EXPECT_EQ(failure.oracle, "determinism");
+    EXPECT_EQ(failure.protocol,
+              ToString(AllProtocolKinds()[static_cast<std::size_t>(target_)]));
+    EXPECT_EQ(failure.detail,
+              StrFormat("re-run diverges at digest byte %zu: ...%s... vs "
+                        "...%s...",
+                        at, first.substr(at, 48).c_str(),
+                        second.substr(at, 48).c_str()));
+  }
+
+  // An unrendered perturbation: the digests agree, so no failure.
+  void ExpectNoFailure(const SimResult& again, const char* what) const {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(RenderRunDigest(scenario_->set, run()),
+              RenderRunDigest(scenario_->set, again));
+    const OracleVerdict verdict = EvaluateWithRerun(again);
+    EXPECT_TRUE(verdict.ok()) << verdict.DebugString();
+  }
+
+  OracleOptions options_;
+  std::optional<Scenario> scenario_;
+  std::vector<SimResult> results_;
+  int target_ = -1;
+};
+
+TEST_F(DeterminismOracleTest, IdenticalTwinPasses) {
+  // The re-runs PlanOracleRuns produced are identical already; a copy of
+  // the first run as its own twin must pass as well.
+  ExpectNoFailure(run(), "copy of the run");
+}
+
+TEST_F(DeterminismOracleTest, EachRenderedFieldDivergesOnce) {
+  {
+    SimResult again = run();
+    again.status = Status::Internal("perturbed");
+    ExpectOneFailure(again, "status");
+  }
+  {
+    SimResult again = run();
+    again.audit.violations.push_back(
+        AuditViolation{3, "sysceil", "perturbed"});
+    ExpectOneFailure(again, "audit violation");
+  }
+  {
+    SimResult again = run();
+    again.metrics.per_spec.front().conflict_blocks += 1;
+    ExpectOneFailure(again, "SpecMetrics counter");
+  }
+  {
+    SimResult again = run();
+    EditableFields(again).noted->note += "'";
+    ExpectOneFailure(again, "trace event note");
+  }
+  {
+    SimResult again = run();
+    EditableFields(again).blocked->blockers.push_back(99);
+    ExpectOneFailure(again, "tick blocker list");
+  }
+  {
+    SimResult again = run();
+    TickRecord& tick = Mutable(again.trace.ticks()).front();
+    tick.ceiling =
+        Priority(tick.ceiling.is_dummy() ? 1 : tick.ceiling.level() + 1);
+    ExpectOneFailure(again, "tick ceiling");
+  }
+  {
+    SimResult again = run();
+    EditableFields(again).read->seq += 1;
+    ExpectOneFailure(again, "history op seq");
+  }
+}
+
+TEST_F(DeterminismOracleTest, UnrenderedFieldsPass) {
+  {
+    SimResult again = run();
+    again.metrics.lock_decisions += 1;
+    ASSERT_NE(again.metrics, run().metrics);
+    ExpectNoFailure(again, "RunMetrics::lock_decisions");
+  }
+  {
+    // HistoryOp::DebugString prints kind, item, tick, seq and the
+    // own-read mark, not the value a read observed.
+    SimResult again = run();
+    EditableFields(again).read->observed.version += 1;
+    ASSERT_NE(again.history, run().history);
+    ExpectNoFailure(again, "history op observed value");
+  }
+  {
+    // Status::ToString prints "OK" for any OK status.
+    SimResult again = run();
+    again.status = Status(StatusCode::kOk, "perturbed");
+    ASSERT_NE(again.status, run().status);
+    ExpectNoFailure(again, "message of an OK status");
+  }
 }
 
 // --- Campaign determinism --------------------------------------------------
