@@ -80,9 +80,10 @@ class LockTable {
   const ItemEntry& entry(ItemId item) const;
 
   std::vector<ItemEntry> entries_;
-  /// Per-job held items in a dense JobId-indexed slot map (O(1) lookup,
-  /// ascending-id iteration, no node churn); an entry is erased the moment
-  /// the job's last lock goes away, exactly like the std::map it replaced.
+  /// Per-job held items in a ring-keyed JobId slot map (O(1) lookup,
+  /// ascending-id iteration, capacity bounded by the live-id span); an
+  /// entry is erased the moment the job's last lock goes away, exactly
+  /// like the std::map it replaced.
   JobSlotMap<JobEntry> by_job_;
   std::size_t lock_count_ = 0;
 

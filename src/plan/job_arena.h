@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -11,36 +12,45 @@
 
 namespace pcpda {
 
-/// Dense JobId-indexed slot map: the struct-of-arrays arena primitive
-/// behind the simulator's per-job hot state. Job ids are assigned densely
-/// from 0 within a run (the jobs_ archive is a vector indexed by id), so a
-/// flat slot vector plus a presence flag gives O(1) find/insert/erase with
-/// no node allocations, while a separately maintained ascending id list
-/// reproduces the iteration order of the std::map<JobId, T> it replaces —
-/// the goldens in tests/determinism_test.cc depend on that order.
+/// JobId-keyed slot map: the struct-of-arrays arena primitive behind the
+/// simulator's per-job hot state. Slots form a direct-mapped ring of
+/// power-of-two capacity keyed by `id & mask`, with an owner-id array
+/// recording which id each slot currently holds. Job ids are issued
+/// densely and in release order, and only jobs in flight are live, so the
+/// live ids occupy a sliding window: a slot is reused by the id one
+/// capacity further on once its previous owner is erased. The ring only
+/// grows (doubling, rehashing the live entries) when a new id collides
+/// with a live one, so capacity is bounded by the span of live ids, not
+/// by the number of ids ever inserted. A separately maintained ascending
+/// id list reproduces the iteration order of the std::map<JobId, T> this
+/// replaced — the goldens in tests/determinism_test.cc depend on that
+/// order.
 ///
-/// Slots are never shrunk: erase clears the presence flag but keeps the
-/// payload's capacity (strings, vectors, sets), so steady-state ticks
-/// allocate nothing. clear() is O(live entries), not O(highest id).
+/// Erase clears the slot's owner but keeps the payload's capacity
+/// (strings, vectors, sets) for the next id mapped there, so steady-state
+/// ticks allocate nothing; the payload itself is only reset when the slot
+/// is reused, so a payload owning a resource must be released before the
+/// erase. clear() is O(live entries), not O(capacity).
 template <typename T>
 class JobSlotMap {
  public:
   bool empty() const { return ids_.empty(); }
   std::size_t size() const { return ids_.size(); }
+  /// Ring slots allocated; a power of two, or 0 before the first insert.
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Live ids in ascending order — the std::map iteration order.
   const std::vector<JobId>& ids() const { return ids_; }
 
   bool contains(JobId id) const {
-    const std::size_t slot = static_cast<std::size_t>(id);
-    return id >= 0 && slot < present_.size() && present_[slot] != 0;
+    return id >= 0 && !owner_.empty() && owner_[SlotOf(id)] == id;
   }
 
   const T* find(JobId id) const {
-    return contains(id) ? &slots_[static_cast<std::size_t>(id)] : nullptr;
+    return contains(id) ? &slots_[SlotOf(id)] : nullptr;
   }
   T* find(JobId id) {
-    return contains(id) ? &slots_[static_cast<std::size_t>(id)] : nullptr;
+    return contains(id) ? &slots_[SlotOf(id)] : nullptr;
   }
 
   /// The live entry for `id`; the id must be present.
@@ -59,39 +69,58 @@ class JobSlotMap {
   /// reset to T{} so stale payload never leaks into a new job).
   T& operator[](JobId id) {
     PCPDA_CHECK(id >= 0);
-    const std::size_t slot = static_cast<std::size_t>(id);
-    if (slot >= slots_.size()) {
-      slots_.resize(slot + 1);
-      present_.resize(slot + 1, 0);
-    }
-    if (present_[slot] == 0) {
-      present_[slot] = 1;
-      slots_[slot] = T{};
-      ids_.insert(std::upper_bound(ids_.begin(), ids_.end(), id), id);
-    }
+    if (contains(id)) return slots_[SlotOf(id)];
+    if (owner_.empty()) Rehash(kMinCapacity);
+    while (owner_[SlotOf(id)] != kInvalidJob) Rehash(2 * slots_.size());
+    const std::size_t slot = SlotOf(id);
+    owner_[slot] = id;
+    slots_[slot] = T{};
+    ids_.insert(std::upper_bound(ids_.begin(), ids_.end(), id), id);
     return slots_[slot];
   }
 
   void erase(JobId id) {
     if (!contains(id)) return;
-    present_[static_cast<std::size_t>(id)] = 0;
+    owner_[SlotOf(id)] = kInvalidJob;
     ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), id));
   }
 
   void clear() {
-    for (JobId id : ids_) present_[static_cast<std::size_t>(id)] = 0;
+    for (JobId id : ids_) owner_[SlotOf(id)] = kInvalidJob;
     ids_.clear();
   }
 
   void swap(JobSlotMap& other) {
     slots_.swap(other.slots_);
-    present_.swap(other.present_);
+    owner_.swap(other.owner_);
     ids_.swap(other.ids_);
   }
 
  private:
+  static constexpr std::size_t kMinCapacity = 8;
+
+  std::size_t SlotOf(JobId id) const {
+    return static_cast<std::size_t>(id) & (slots_.size() - 1);
+  }
+
+  /// Moves every live entry into a fresh ring of `capacity` slots. Live
+  /// ids that did not collide modulo the old capacity cannot collide
+  /// modulo a larger power of two, so the rehash itself never collides.
+  void Rehash(std::size_t capacity) {
+    std::vector<T> slots(capacity);
+    std::vector<JobId> owner(capacity, kInvalidJob);
+    const std::size_t mask = capacity - 1;
+    for (JobId id : ids_) {
+      const std::size_t to = static_cast<std::size_t>(id) & mask;
+      slots[to] = std::move(slots_[SlotOf(id)]);
+      owner[to] = id;
+    }
+    slots_.swap(slots);
+    owner_.swap(owner);
+  }
+
   std::vector<T> slots_;
-  std::vector<std::uint8_t> present_;
+  std::vector<JobId> owner_;
   std::vector<JobId> ids_;
 };
 

@@ -11,15 +11,14 @@
 namespace pcpda {
 namespace {
 
-/// Job lookup by id: first the scope's (small) scan list, then the
-/// simulator's archive of every released job via scope.lookup — so a
-/// retired job named by a stale lock or wait edge is still reported by
-/// its real state, not as unknown.
+/// Job lookup by id in the scope's scan list. The list holds every job
+/// the simulator still keeps, so nullptr means the job retired on an
+/// earlier tick and has been freed; the audit of its retirement tick
+/// already reported it by its real state.
 const Job* FindJob(const AuditScope& scope, JobId id) {
   for (const Job* job : *scope.jobs) {
     if (job->id() == id) return job;
   }
-  if (scope.lookup != nullptr) return scope.lookup->job(id);
   return nullptr;
 }
 
@@ -100,7 +99,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
       Violate(tick, "lock-holder-active",
               StrFormat("job %lld holds locks but is %s",
                         static_cast<long long>(holder),
-                        job == nullptr ? "unknown"
+                        job == nullptr ? "retired"
                                        : ToString(job->state())));
       continue;
     }

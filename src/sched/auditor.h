@@ -55,13 +55,10 @@ struct AuditScope {
   const WaitGraph* waits = nullptr;
   /// The jobs the tick's audit scans: every active job, plus the jobs
   /// that retired (committed or dropped) during this tick so their
-  /// end-state invariants are still checked at retirement time. Long-
-  /// retired jobs are reachable through `lookup` instead of being
-  /// rescanned every tick.
+  /// end-state invariants are still checked at retirement time. Jobs
+  /// that retired on an earlier tick are freed; an id naming one (e.g. a
+  /// leaked lock) is reported as retired.
   const std::vector<const Job*>* jobs = nullptr;
-  /// Resolves any historical job id (e.g. a stale lock holder) that is no
-  /// longer in `jobs`. Optional; without it such ids read as unknown.
-  const SimView* lookup = nullptr;
   /// Jobs blocked at dispatch time -> their direct blockers.
   const std::map<JobId, std::vector<JobId>>* blocked = nullptr;
 };

@@ -27,28 +27,28 @@ Tick SpecMetrics::ResponsePercentile(double p) const {
   return ResponsePercentiles({p}).front();
 }
 
+std::int64_t SpecMetrics::ResponseCount() const {
+  std::int64_t n = 0;
+  for (const auto& [response, count] : response_counts) n += count;
+  return n;
+}
+
 std::vector<Tick> SpecMetrics::ResponsePercentiles(
     const std::vector<double>& ps) const {
   std::vector<Tick> out(ps.size(), 0);
-  if (responses.empty() || ps.empty()) return out;
-  const std::size_t n = responses.size();
-  // One copy of the sample serves every quantile. Past two quantiles a
-  // full sort is cheaper than repeated nth_element passes (and repeated
-  // nth_element on the already-partitioned scratch stays correct: the
-  // rank statistic is permutation-invariant).
-  std::vector<Tick> scratch = responses;
-  if (ps.size() > 2) {
-    std::sort(scratch.begin(), scratch.end());
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out[i] = scratch[PercentileRank(ps[i], n)];
-    }
-  } else {
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      const std::size_t rank = PercentileRank(ps[i], n);
-      std::nth_element(scratch.begin(),
-                       scratch.begin() + static_cast<std::ptrdiff_t>(rank),
-                       scratch.end());
-      out[i] = scratch[rank];
+  if (response_counts.empty()) return out;
+  const std::size_t n = static_cast<std::size_t>(ResponseCount());
+  // The sample at sorted index r is the first response whose cumulative
+  // count exceeds r.
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const std::size_t rank = PercentileRank(ps[i], n);
+    std::size_t through = 0;
+    for (const auto& [response, count] : response_counts) {
+      through += static_cast<std::size_t>(count);
+      if (through > rank) {
+        out[i] = response;
+        break;
+      }
     }
   }
   return out;

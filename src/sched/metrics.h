@@ -1,6 +1,7 @@
 #ifndef PCPDA_SCHED_METRICS_H_
 #define PCPDA_SCHED_METRICS_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -42,8 +43,15 @@ struct SpecMetrics {
 
   Tick max_response = 0;
   double total_response = 0.0;
-  /// Response time of every committed instance, in commit order.
-  std::vector<Tick> responses;
+  /// Response-time histogram of the committed instances: response tick ->
+  /// number of instances. One entry per distinct response, so the memory
+  /// does not grow with the horizon while percentiles stay exact.
+  std::map<Tick, std::int64_t> response_counts;
+
+  /// Records one committed instance's response time.
+  void AddResponse(Tick response) { ++response_counts[response]; }
+  /// Number of recorded response times.
+  std::int64_t ResponseCount() const;
 
   double MeanResponse() const {
     return committed > 0 ? total_response / static_cast<double>(committed)
@@ -54,10 +62,8 @@ struct SpecMetrics {
   /// the nearest-rank method; 0 when nothing committed.
   Tick ResponsePercentile(double p) const;
 
-  /// All requested quantiles from one scratch buffer: a single copy of
-  /// the sample, sorted once when more than two quantiles are asked for
-  /// (nth_element per quantile otherwise). Element i answers ps[i];
-  /// values are identical to calling ResponsePercentile(ps[i]).
+  /// All requested quantiles. Element i answers ps[i]; values are
+  /// identical to calling ResponsePercentile(ps[i]).
   std::vector<Tick> ResponsePercentiles(const std::vector<double>& ps) const;
 
   friend bool operator==(const SpecMetrics&, const SpecMetrics&) = default;

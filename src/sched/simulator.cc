@@ -47,8 +47,8 @@ Simulator::Simulator(const TransactionSet* set, const CompiledPlan* plan,
 Simulator::~Simulator() = default;
 
 const Job* Simulator::job(JobId id) const {
-  if (id < 0 || static_cast<std::size_t>(id) >= jobs_.size()) return nullptr;
-  return jobs_[static_cast<std::size_t>(id)].get();
+  const std::unique_ptr<Job>* live = jobs_.find(id);
+  return live != nullptr ? live->get() : nullptr;
 }
 
 std::vector<const Job*> Simulator::LiveJobs(JobId except) const {
@@ -124,10 +124,11 @@ void Simulator::ReleaseArrivals() {
     const Tick rel_deadline = set_->RelativeDeadline(arrival.spec);
     const Tick deadline =
         rel_deadline == kNoTick ? kNoTick : tick_ + rel_deadline;
-    const JobId id = static_cast<JobId>(jobs_.size());
-    jobs_.push_back(std::make_unique<Job>(id, set_, arrival.spec,
-                                          arrival.instance, tick_, deadline));
-    active_jobs_.push_back(jobs_.back().get());
+    const JobId id = next_job_id_++;
+    std::unique_ptr<Job>& slot = jobs_[id];
+    slot = std::make_unique<Job>(id, set_, arrival.spec, arrival.instance,
+                                 tick_, deadline);
+    active_jobs_.push_back(slot.get());
     ++metrics_for(arrival.spec).released;
     if (options_.record_trace) {
       TraceEvent event;
@@ -237,7 +238,8 @@ Job* Simulator::ResolveDispatch() {
   // resolution; they always release locks or clear protocol state, so the
   // bound below only trips on a protocol that aborts without progress.
   std::size_t abort_rounds = 0;
-  const std::size_t max_abort_rounds = 16 + 4 * jobs_.size();
+  const std::size_t max_abort_rounds =
+      16 + 4 * static_cast<std::size_t>(next_job_id_);
   for (;;) {
     PCPDA_CHECK_MSG(abort_rounds++ <= max_abort_rounds,
                     "dispatch resolution is not making progress");
@@ -247,12 +249,14 @@ Job* Simulator::ResolveDispatch() {
     // The wait graph persists across ticks (outstanding denied requests
     // keep donating priority); drop edges of jobs that are gone. A job
     // is in the active scan set iff it is still active() (RetireJob is
-    // only reached through MarkCommitted/MarkDropped), so the archive
-    // answers membership without building a key set. ClearWaits mutates
-    // the edge list, so collect first.
+    // only reached through MarkCommitted/MarkDropped) and a freed one no
+    // longer resolves, so the live map answers membership without
+    // building a key set. ClearWaits mutates the edge list, so collect
+    // first.
     stale_waiters_scratch_.clear();
     for (JobId waiter : wait_graph_.waiter_ids()) {
-      if (!jobs_[static_cast<std::size_t>(waiter)]->active()) {
+      const Job* live = job(waiter);
+      if (live == nullptr || !live->active()) {
         stale_waiters_scratch_.push_back(waiter);
       }
     }
@@ -527,7 +531,7 @@ void Simulator::Commit(Job& job) {
   const Tick response = commit_time - job.release_time();
   m.max_response = std::max(m.max_response, response);
   m.total_response += static_cast<double>(response);
-  m.responses.push_back(response);
+  m.AddResponse(response);
   const Tick* eb = effective_blocking_by_job_.find(job.id());
   if (eb != nullptr) {
     m.max_effective_blocking = std::max(m.max_effective_blocking, *eb);
@@ -601,6 +605,16 @@ void Simulator::RetireJob(Job& job) {
                   "retiring a job that was not in the active set");
   active_jobs_.erase(it);
   retired_this_tick_.push_back(&job);
+}
+
+void Simulator::FreeRetiredJobs() {
+  for (const Job* retired : retired_this_tick_) {
+    // Read the id first: the reset below frees `retired`.
+    const JobId id = retired->id();
+    jobs_.at(id).reset();
+    jobs_.erase(id);
+  }
+  retired_this_tick_.clear();
 }
 
 void Simulator::FastForwardIdleGap() {
@@ -723,7 +737,7 @@ void Simulator::AuditNow() {
   if (auditor_ == nullptr) return;
   // The audit scans the active set plus this tick's retirements (so a
   // commit/drop that leaks a lock or a workspace write is caught at
-  // retirement time); anything older resolves through scope.lookup.
+  // retirement time); anything older has been freed.
   std::vector<const Job*> scanned;
   scanned.reserve(active_jobs_.size() + retired_this_tick_.size());
   scanned.insert(scanned.end(), active_jobs_.begin(), active_jobs_.end());
@@ -742,7 +756,6 @@ void Simulator::AuditNow() {
   scope.database = &database_;
   scope.waits = &wait_graph_;
   scope.jobs = &scanned;
-  scope.lookup = this;
   scope.blocked = &blocked;
   const std::size_t before = auditor_->report().violations.size();
   auditor_->AuditTick(scope);
@@ -809,7 +822,7 @@ SimResult Simulator::Run() {
       break;
     }
     ++scheduled_ticks;
-    retired_this_tick_.clear();
+    FreeRetiredJobs();
     ReleaseArrivals();
     CheckDeadlines();
     if (halted_) break;

@@ -110,12 +110,13 @@ struct SimResult {
 ///
 /// The inner loop is event-driven: arrivals come from a calendar cursor
 /// (O(log specs) per release instead of an O(specs) scan per tick), jobs
-/// leave the scan set the moment they commit or are dropped (the full
-/// archive stays addressable by id for metrics, replay and the auditor),
-/// and ticks where no job is in flight are fast-forwarded to the next
-/// arrival while still being credited as idle — with traces, metrics and
-/// audit reports bit-identical to the per-tick engine it replaced (pinned
-/// by tests/determinism_test.cc).
+/// leave the scan set the moment they commit or are dropped and are freed
+/// on the next tick, once the end-of-tick audit has seen their final
+/// state, and ticks where no job is in flight are fast-forwarded to the
+/// next arrival while still being credited as idle — with traces, metrics
+/// and audit reports bit-identical to the per-tick engine it replaced
+/// (pinned by tests/determinism_test.cc). Engine memory therefore tracks
+/// the jobs in flight, not the horizon.
 class Simulator : public SimView {
  public:
   /// `set` and `protocol` must outlive the simulator. Builds the static
@@ -192,9 +193,12 @@ class Simulator : public SimView {
   void AbortAndRestart(Job& victim, const char* why);
   void DropJob(Job& job);
   /// Moves a just-committed/dropped job out of the active scan set; it
-  /// stays in the jobs_ archive (and in retired_this_tick_ for this
-  /// tick's audit).
+  /// stays in jobs_ (and in retired_this_tick_ for this tick's audit)
+  /// until FreeRetiredJobs runs at the top of the next tick.
   void RetireJob(Job& job);
+  /// Frees the jobs retired during the previous tick; from then on
+  /// job(id) answers nullptr for them.
+  void FreeRetiredJobs();
   void RecordTick(const Job* runner, StepKind runner_kind);
   std::vector<Job*> ActiveJobs();
   SpecMetrics& metrics_for(SpecId spec);
@@ -228,10 +232,13 @@ class Simulator : public SimView {
   Tick tick_ = 0;
   std::int64_t seq_ = 0;
   bool halted_ = false;
-  /// Archive of every released job, owning, indexed by JobId. Retired
-  /// (committed/dropped) jobs stay here for metrics, replay-checking and
-  /// auditor lookups; only active_jobs_ is scanned per tick.
-  std::vector<std::unique_ptr<Job>> jobs_;
+  /// Owning map of the live jobs: every job in flight plus the jobs that
+  /// retired during the current tick. Retired jobs are freed at the top
+  /// of the next tick, so its ring capacity follows the live-id span.
+  /// Metrics, trace and history record ids, never Job pointers.
+  JobSlotMap<std::unique_ptr<Job>> jobs_;
+  /// Id of the next released job; also the count of jobs released.
+  JobId next_job_id_ = 0;
   /// The per-tick scan set: jobs still in flight, in id (= release)
   /// order. Maintained by ReleaseArrivals and RetireJob.
   std::vector<Job*> active_jobs_;
@@ -243,10 +250,10 @@ class Simulator : public SimView {
   /// Read position into options_.arrival_schedule->arrivals().
   std::size_t schedule_pos_ = 0;
   /// Jobs blocked this tick (job id -> details), rebuilt each tick.
-  /// Dense slot maps (plan/job_arena.h) replace the former
+  /// Ring slot maps (plan/job_arena.h) replace the former
   /// std::map<JobId, ...> hot state: same ascending-id iteration order,
-  /// O(1) lookup, and slot storage that is reused across ticks instead
-  /// of reallocated.
+  /// O(1) lookup, and slot storage that is reused across ticks and ids
+  /// instead of reallocated.
   JobSlotMap<PendingBlock> blocked_now_;
   /// Block annotation per job during the previous tick (for the kBlock
   /// edge trigger: a new episode OR a changed reason re-traces) and

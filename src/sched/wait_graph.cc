@@ -37,18 +37,21 @@ std::vector<JobId> WaitGraph::waiters() const { return edges_.ids(); }
 std::optional<std::vector<JobId>> WaitGraph::FindCycle() const {
   if (edges_.empty()) return std::nullopt;
   enum class Color : std::uint8_t { kWhite, kGray, kBlack };
-  // Colors in a flat array over [0, max id]: ids are dense per run, and
-  // the graph is only non-empty under contention, so one block beats a
-  // node-allocating map.
-  JobId max_id = 0;
+  // Colors in a flat array parallel to the sorted ids the graph names.
+  // The graph is only non-empty under contention, so it is small; an
+  // array over [0, max id] would grow with the horizon.
+  std::vector<JobId> nodes;
   for (JobId waiter : edges_.ids()) {
-    max_id = std::max(max_id, waiter);
-    for (JobId h : edges_.at(waiter)) max_id = std::max(max_id, h);
+    const std::vector<JobId>& holders = edges_.at(waiter);
+    nodes.push_back(waiter);
+    nodes.insert(nodes.end(), holders.begin(), holders.end());
   }
-  std::vector<Color> color(static_cast<std::size_t>(max_id) + 1,
-                           Color::kWhite);
-  auto paint = [&color](JobId id) -> Color& {
-    return color[static_cast<std::size_t>(id)];
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  std::vector<Color> color(nodes.size(), Color::kWhite);
+  auto paint = [&color, &nodes](JobId id) -> Color& {
+    const auto at = std::lower_bound(nodes.begin(), nodes.end(), id);
+    return color[static_cast<std::size_t>(at - nodes.begin())];
   };
   std::vector<JobId> path;
   // Recursive DFS expressed iteratively via an explicit stack of

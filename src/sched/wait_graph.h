@@ -14,7 +14,7 @@ namespace pcpda {
 /// request is currently denied because of the holder. Rebuilt every tick by
 /// the simulator; a cycle is a deadlock.
 ///
-/// Edges live in a dense JobId-indexed slot map (see plan/job_arena.h):
+/// Edges live in a ring-keyed JobId slot map (see plan/job_arena.h):
 /// holder lists are sorted-unique vectors, so lookups are O(1), iteration
 /// is in ascending waiter id, and steady-state edge churn allocates
 /// nothing — byte-identical to the std::map<JobId, std::set<JobId>> it

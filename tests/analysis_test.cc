@@ -408,7 +408,7 @@ TEST(DeadlineMonotonicTest, CanScheduleWhatRmMisses) {
 
 TEST(ResponsePercentileTest, NearestRank) {
   SpecMetrics m;
-  m.responses = {5, 1, 9, 3, 7};
+  for (Tick r : {5, 1, 9, 3, 7}) m.AddResponse(r);
   EXPECT_EQ(m.ResponsePercentile(0.0), 1);
   EXPECT_EQ(m.ResponsePercentile(0.5), 5);
   EXPECT_EQ(m.ResponsePercentile(1.0), 9);
@@ -416,7 +416,8 @@ TEST(ResponsePercentileTest, NearestRank) {
 
 TEST(ResponsePercentileTest, ExtremesAreExactOrderStatistics) {
   SpecMetrics m;
-  m.responses = {4, 2, 8, 6};  // even count: rounding ranks would drift
+  for (Tick r : {4, 2, 8, 6}) m.AddResponse(r);  // even count: rounding
+                                                 // ranks would drift
   EXPECT_EQ(m.ResponsePercentile(0.0), 2);  // exact minimum
   EXPECT_EQ(m.ResponsePercentile(1.0), 8);  // exact maximum
   // Nearest rank: index ceil(p*n)-1 over the sorted sample {2,4,6,8}.
@@ -427,7 +428,7 @@ TEST(ResponsePercentileTest, ExtremesAreExactOrderStatistics) {
 
 TEST(ResponsePercentileTest, SingleSample) {
   SpecMetrics m;
-  m.responses = {7};
+  m.AddResponse(7);
   EXPECT_EQ(m.ResponsePercentile(0.0), 7);
   EXPECT_EQ(m.ResponsePercentile(0.5), 7);
   EXPECT_EQ(m.ResponsePercentile(1.0), 7);
@@ -440,10 +441,9 @@ TEST(ResponsePercentileTest, EmptyIsZero) {
 
 TEST(ResponsePercentileTest, BatchMatchesPerCallOnBothPaths) {
   SpecMetrics m;
-  m.responses = {12, 4, 20, 4, 16, 8, 2, 18};
-  // > 2 quantiles takes the sort-once path; <= 2 the nth_element path.
-  // Both must agree elementwise with the per-call answers, regardless of
-  // the order the quantiles are asked in.
+  for (Tick r : {12, 4, 20, 4, 16, 8, 2, 18}) m.AddResponse(r);
+  // Large and small batches must agree elementwise with the per-call
+  // answers, regardless of the order the quantiles are asked in.
   const std::vector<double> many = {1.0, 0.0, 0.5, 0.25, 0.75, 0.9};
   const std::vector<Tick> batch = m.ResponsePercentiles(many);
   ASSERT_EQ(batch.size(), many.size());
@@ -468,7 +468,7 @@ TEST(ResponsePercentileTest, PopulatedBySimulator) {
       PriorityAssignment::kRateMonotonic);
   const SimResult result = RunWith(set, ProtocolKind::kPcpDa, 25);
   const auto& m = result.metrics.per_spec[0];
-  EXPECT_EQ(m.responses.size(), 5u);
+  EXPECT_EQ(m.ResponseCount(), 5);
   EXPECT_EQ(m.ResponsePercentile(1.0), m.max_response);
 }
 

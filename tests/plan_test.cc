@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "plan/job_arena.h"
 #include "workload/scenario.h"
@@ -180,6 +182,53 @@ TEST(JobSlotMapTest, ClearAndSwapKeepContentsConsistent) {
   b.clear();
   EXPECT_TRUE(b.empty());
   EXPECT_FALSE(b.contains(1));
+}
+
+TEST(JobSlotMapTest, SlidingWindowKeepsCapacityBounded) {
+  // Ids issued in order with at most kWindow live at once, the way the
+  // simulator retires jobs: the ring reuses slots instead of growing.
+  constexpr JobId kIds = 1000000;
+  constexpr JobId kWindow = 4;
+  JobSlotMap<std::string> map;
+  std::size_t max_capacity = 0;
+  for (JobId id = 0; id < kIds; ++id) {
+    if (id >= kWindow) map.erase(id - kWindow);
+    map[id] = "payload";
+    max_capacity = std::max(max_capacity, map.capacity());
+  }
+  EXPECT_LE(max_capacity, 16u);
+  EXPECT_EQ(map.ids(), (std::vector<JobId>{kIds - 4, kIds - 3, kIds - 2,
+                                           kIds - 1}));
+  EXPECT_FALSE(map.contains(kIds - 5));
+  EXPECT_EQ(map.at(kIds - 1), "payload");
+}
+
+TEST(JobSlotMapTest, OutOfOrderInsertsAfterClearIterateAscending) {
+  JobSlotMap<int> map;
+  map[3] = 3;
+  map[1] = 1;
+  map.clear();
+  for (JobId id : {40, 7, 23, 0, 15}) map[id] = static_cast<int>(id);
+  EXPECT_EQ(map.ids(), (std::vector<JobId>{0, 7, 15, 23, 40}));
+  for (JobId id : map.ids()) EXPECT_EQ(map.at(id), id);
+  EXPECT_FALSE(map.contains(3));
+  EXPECT_FALSE(map.contains(1));
+}
+
+TEST(JobSlotMapTest, CollidingInsertGrowsAndKeepsLivePayloads) {
+  JobSlotMap<std::string> map;
+  for (JobId id = 0; id < 8; ++id) map[id] = "p" + std::to_string(id);
+  const std::size_t before = map.capacity();
+  ASSERT_EQ(before, 8u);
+  // before + 0 maps onto id 0's slot while id 0 is still live.
+  map[static_cast<JobId>(before)] = "new";
+  EXPECT_GT(map.capacity(), before);
+  EXPECT_EQ(map.size(), 9u);
+  for (JobId id = 0; id < 8; ++id) {
+    ASSERT_TRUE(map.contains(id));
+    EXPECT_EQ(map.at(id), "p" + std::to_string(id));
+  }
+  EXPECT_EQ(map.at(8), "new");
 }
 
 }  // namespace

@@ -58,6 +58,19 @@ TEST(WaitGraphTest, LongerCycleStartsAtSmallestId) {
   EXPECT_EQ(cycle->front(), 3);
 }
 
+TEST(WaitGraphTest, CycleAmongIdsFarFromZero) {
+  // Late in a long run only high ids are live; the search may not size
+  // anything by the id values themselves.
+  constexpr JobId kBase = JobId{1} << 40;
+  WaitGraph graph;
+  graph.SetWaits(kBase + 9, {kBase + 4});
+  graph.SetWaits(kBase + 4, {kBase + 6});
+  graph.SetWaits(kBase + 6, {kBase + 9, kBase + 1});
+  auto cycle = graph.FindCycle();
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(*cycle, (std::vector<JobId>{kBase + 4, kBase + 6, kBase + 9}));
+}
+
 TEST(WaitGraphTest, SelfLoopDetected) {
   WaitGraph graph;
   graph.SetWaits(4, {4});

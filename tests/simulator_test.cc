@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/pcp_da.h"
 #include "history/serialization_graph.h"
 #include "protocols/two_pl_pi.h"
 #include "test_util.h"
+#include "workload/generator.h"
+
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33)) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#include <malloc.h>
+#define PCPDA_HAVE_MALLINFO2 1
+#endif
 
 namespace pcpda {
 namespace {
@@ -293,6 +302,74 @@ TEST(SimulatorTest, LocksReleasedAtCommit) {
   const SimResult result = RunWith(set, ProtocolKind::kTwoPlPi, 10);
   EXPECT_EQ(result.metrics.per_spec[1].committed, 1);
   EXPECT_EQ(result.metrics.per_spec[1].blocked_ticks, 0);
+}
+
+/// 2PL-PI with a commit path that leaks a lock: after each commit it
+/// hands the committed job a write lock on d0 again.
+class LockLeakingProtocol : public TwoPlPi {
+ public:
+  void OnCommitApplied(const Job& committed) override {
+    const_cast<LockTable&>(view().locks()).AcquireWrite(committed.id(), 0);
+  }
+};
+
+TEST(SimulatorTest, AuditorReportsLeakedLockAsCommittedThenRetired) {
+  TransactionSet set = MakeSet({{.name = "T", .body = {Write(0)}}});
+  LockLeakingProtocol protocol;
+  const SimResult result = RunWith(set, &protocol, 3);
+  EXPECT_FALSE(result.status.ok());
+  const std::vector<AuditViolation>& violations = result.audit.violations;
+  ASSERT_EQ(violations.size(), 3u) << result.audit.DebugString();
+  // The retirement tick still scans the job, so it shows its real state.
+  EXPECT_EQ(violations[0].tick, 0);
+  EXPECT_EQ(violations[0].check, "lock-holder-active");
+  EXPECT_EQ(violations[0].detail, "job 0 holds locks but is committed");
+  // From the next tick on the job is freed; only the leaked lock names it.
+  for (std::size_t i = 1; i < violations.size(); ++i) {
+    EXPECT_EQ(violations[i].tick, static_cast<Tick>(i));
+    EXPECT_EQ(violations[i].check, "lock-holder-active");
+    EXPECT_EQ(violations[i].detail, "job 0 holds locks but is retired");
+  }
+}
+
+#ifdef PCPDA_HAVE_MALLINFO2
+/// Heap bytes still held by a finished PCP-DA Simulator plus its
+/// SimResult after `horizon` ticks of `set`, trace and history off.
+std::size_t HeldBytesAfterRun(const TransactionSet& set, Tick horizon) {
+  const std::size_t before = mallinfo2().uordblks;
+  PcpDa protocol;
+  SimulatorOptions options;
+  options.horizon = horizon;
+  options.record_trace = false;
+  options.record_history = false;
+  Simulator sim(&set, &protocol, options);
+  const SimResult result = sim.Run();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_GT(result.metrics.TotalCommitted(), horizon / 1000);
+  const std::size_t after = mallinfo2().uordblks;
+  return after > before ? after - before : 0;
+}
+#endif
+
+TEST(SimulatorTest, HeldMemoryDoesNotGrowWithHorizon) {
+#ifdef PCPDA_HAVE_MALLINFO2
+  WorkloadParams params;
+  params.num_transactions = 8;
+  params.num_items = 24;
+  params.total_utilization = 0.45;
+  Rng rng(1);
+  StatusOr<TransactionSet> set = GenerateWorkload(params, rng);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  const std::size_t short_run = HeldBytesAfterRun(set.value(), 150000);
+  const std::size_t long_run = HeldBytesAfterRun(set.value(), 1500000);
+  // Freed retired jobs and ring-keyed slot maps: ten times the horizon
+  // may not hold ten times the memory.
+  EXPECT_LT(long_run, 2 * short_run + (std::size_t{1} << 20))
+      << "150k ticks hold " << short_run << " B, 1.5M ticks hold "
+      << long_run << " B";
+#else
+  GTEST_SKIP() << "glibc mallinfo2 unavailable (or a sanitizer owns malloc)";
+#endif
 }
 
 }  // namespace
