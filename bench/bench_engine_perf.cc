@@ -173,8 +173,10 @@ BENCHMARK(BM_SerializabilityCheck);
 // BENCH_engine.json ($PCPDA_BENCH_JSON overrides the path) with schema
 //   {"smoke": bool, "rows": [{"protocol", "horizon", "ticks_per_sec",
 //     "ns_per_lock_decision", "compiled_speedup"}]}
-// and the bench-json ctest target asserts the JSON parses and every
-// compiled_speedup is >= 1.0 (the compiled arm does strictly less work).
+// and the bench-json ctest target checks schema and sanity only: the JSON
+// parses and every row carries every field, finite and positive. It does
+// not compare compiled_speedup with 1.0, because the two arms differ only
+// in set-up and that ratio's side of 1.0 is decided by host noise.
 
 struct EngineArm {
   double sec_per_run = 0.0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "core/lock_compat.h"
 
 namespace pcpda {
 
@@ -56,12 +55,13 @@ LockDecision PcpDa::Decide(const LockRequest& request) const {
   // DataRead(T_L) ∩ WriteSet(requester) = ∅ (Case 2 otherwise).
   if (options_.enable_wr_guard) {
     std::vector<JobId> conflicting_writers;
-    const std::set<ItemId> write_set = job.write_set();
     for (JobId writer : locks.writers(x)) {
       if (writer == self) continue;
       const Job* holder = view().job(writer);
       PCPDA_CHECK(holder != nullptr);
-      if (SetsIntersect(holder->data_read(), write_set)) {
+      if (std::ranges::any_of(holder->data_read(), [&job](ItemId item) {
+            return job.MayWrite(item);
+          })) {
         conflicting_writers.push_back(writer);
       }
     }
@@ -86,7 +86,7 @@ LockDecision PcpDa::Decide(const LockRequest& request) const {
     for (JobId holder_id : info.tstar) {
       const Job* holder = view().job(holder_id);
       PCPDA_CHECK(holder != nullptr);
-      if (holder->write_set().contains(x)) {
+      if (holder->MayWrite(x)) {
         tstar_guard_ok = false;
         break;
       }

@@ -1,12 +1,35 @@
 #include "db/lock_table.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/strings.h"
 
 namespace pcpda {
 
-const std::set<JobId> LockTable::kNoJobs;
-const std::set<ItemId> LockTable::kNoItems;
+namespace {
+
+const std::vector<ItemId> kNoItems;
+
+/// Inserts `value` into the sorted vector; false when already present.
+template <typename T>
+bool InsertSorted(std::vector<T>& sorted, T value) {
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
+  if (it != sorted.end() && *it == value) return false;
+  sorted.insert(it, value);
+  return true;
+}
+
+/// Erases `value` from the sorted vector; false when it was absent.
+template <typename T>
+bool EraseSorted(std::vector<T>& sorted, T value) {
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
+  if (it == sorted.end() || *it != value) return false;
+  sorted.erase(it);
+  return true;
+}
+
+}  // namespace
 
 LockTable::LockTable(ItemId item_count) {
   PCPDA_CHECK(item_count >= 0);
@@ -18,35 +41,35 @@ const LockTable::ItemEntry& LockTable::entry(ItemId item) const {
   return entries_[static_cast<std::size_t>(item)];
 }
 
-void LockTable::AcquireRead(JobId job, ItemId item) {
+LockTable::ItemEntry& LockTable::entry(ItemId item) {
   PCPDA_CHECK(item >= 0 && item < item_count());
-  auto& e = entries_[static_cast<std::size_t>(item)];
-  if (e.readers.insert(job).second) {
-    by_job_[job].read_items.insert(item);
+  return entries_[static_cast<std::size_t>(item)];
+}
+
+void LockTable::AcquireRead(JobId job, ItemId item) {
+  if (InsertSorted(entry(item).readers, job)) {
+    InsertSorted(by_job_[job].read_items, item);
     ++lock_count_;
   }
 }
 
 void LockTable::AcquireWrite(JobId job, ItemId item) {
-  PCPDA_CHECK(item >= 0 && item < item_count());
-  auto& e = entries_[static_cast<std::size_t>(item)];
-  if (e.writers.insert(job).second) {
-    by_job_[job].write_items.insert(item);
+  if (InsertSorted(entry(item).writers, job)) {
+    InsertSorted(by_job_[job].write_items, item);
     ++lock_count_;
   }
 }
 
 void LockTable::Release(JobId job, ItemId item, LockMode mode) {
-  PCPDA_CHECK(item >= 0 && item < item_count());
-  auto& e = entries_[static_cast<std::size_t>(item)];
+  ItemEntry& e = entry(item);
   JobEntry* held = by_job_.find(job);
   PCPDA_CHECK_MSG(held != nullptr, "job holds no locks");
   if (mode == LockMode::kRead) {
-    PCPDA_CHECK_MSG(e.readers.erase(job) == 1, "read lock not held");
-    held->read_items.erase(item);
+    PCPDA_CHECK_MSG(EraseSorted(e.readers, job), "read lock not held");
+    EraseSorted(held->read_items, item);
   } else {
-    PCPDA_CHECK_MSG(e.writers.erase(job) == 1, "write lock not held");
-    held->write_items.erase(item);
+    PCPDA_CHECK_MSG(EraseSorted(e.writers, job), "write lock not held");
+    EraseSorted(held->write_items, item);
   }
   --lock_count_;
   if (held->empty()) by_job_.erase(job);
@@ -56,59 +79,55 @@ void LockTable::ReleaseAll(JobId job) {
   JobEntry* held = by_job_.find(job);
   if (held == nullptr) return;
   for (ItemId item : held->read_items) {
-    entries_[static_cast<std::size_t>(item)].readers.erase(job);
+    EraseSorted(entries_[static_cast<std::size_t>(item)].readers, job);
     --lock_count_;
   }
   for (ItemId item : held->write_items) {
-    entries_[static_cast<std::size_t>(item)].writers.erase(job);
+    EraseSorted(entries_[static_cast<std::size_t>(item)].writers, job);
     --lock_count_;
   }
   by_job_.erase(job);
 }
 
 bool LockTable::HoldsRead(JobId job, ItemId item) const {
-  return entry(item).readers.contains(job);
+  return std::ranges::binary_search(entry(item).readers, job);
 }
 
 bool LockTable::HoldsWrite(JobId job, ItemId item) const {
-  return entry(item).writers.contains(job);
+  return std::ranges::binary_search(entry(item).writers, job);
 }
 
 bool LockTable::HoldsAny(JobId job, ItemId item) const {
   return HoldsRead(job, item) || HoldsWrite(job, item);
 }
 
-const std::set<JobId>& LockTable::readers(ItemId item) const {
+const std::vector<JobId>& LockTable::readers(ItemId item) const {
   return entry(item).readers;
 }
 
-const std::set<JobId>& LockTable::writers(ItemId item) const {
+const std::vector<JobId>& LockTable::writers(ItemId item) const {
   return entry(item).writers;
 }
 
 bool LockTable::NoReaderOtherThan(JobId job, ItemId item) const {
-  const auto& r = entry(item).readers;
-  if (r.empty()) return true;
-  return r.size() == 1 && r.contains(job);
+  const std::vector<JobId>& r = entry(item).readers;
+  return r.empty() || (r.size() == 1 && r.front() == job);
 }
 
 bool LockTable::NoWriterOtherThan(JobId job, ItemId item) const {
-  const auto& w = entry(item).writers;
-  if (w.empty()) return true;
-  return w.size() == 1 && w.contains(job);
+  const std::vector<JobId>& w = entry(item).writers;
+  return w.empty() || (w.size() == 1 && w.front() == job);
 }
 
-const std::set<ItemId>& LockTable::read_items(JobId job) const {
+const std::vector<ItemId>& LockTable::read_items(JobId job) const {
   const JobEntry* held = by_job_.find(job);
   return held == nullptr ? kNoItems : held->read_items;
 }
 
-const std::set<ItemId>& LockTable::write_items(JobId job) const {
+const std::vector<ItemId>& LockTable::write_items(JobId job) const {
   const JobEntry* held = by_job_.find(job);
   return held == nullptr ? kNoItems : held->write_items;
 }
-
-std::vector<JobId> LockTable::holders() const { return by_job_.ids(); }
 
 std::string LockTable::DebugString() const {
   std::vector<std::string> parts;

@@ -26,11 +26,12 @@ namespace pcpda {
 /// replaced — the goldens in tests/determinism_test.cc depend on that
 /// order.
 ///
-/// Erase clears the slot's owner but keeps the payload's capacity
-/// (strings, vectors, sets) for the next id mapped there, so steady-state
-/// ticks allocate nothing; the payload itself is only reset when the slot
-/// is reused, so a payload owning a resource must be released before the
-/// erase. clear() is O(live entries), not O(capacity).
+/// Erase clears the slot's owner and leaves the payload in place; the
+/// payload is only emptied when the slot is reused, so a payload owning a
+/// resource must be released before the erase. A payload with a clear()
+/// (strings, vectors, structs of them) is emptied in place and keeps its
+/// capacity for the next id mapped there, so steady-state ticks allocate
+/// nothing. clear() is O(live entries), not O(capacity).
 template <typename T>
 class JobSlotMap {
  public:
@@ -65,8 +66,10 @@ class JobSlotMap {
     return *entry;
   }
 
-  /// Inserts a default-constructed entry when absent (the reused slot is
-  /// reset to T{} so stale payload never leaks into a new job).
+  /// Inserts an empty entry when absent, so stale payload never leaks
+  /// into a new job: a payload with a clear() (strings, vectors, structs
+  /// of them) is emptied in place and keeps its capacity; any other is
+  /// reset to T{}.
   T& operator[](JobId id) {
     PCPDA_CHECK(id >= 0);
     if (contains(id)) return slots_[SlotOf(id)];
@@ -74,7 +77,11 @@ class JobSlotMap {
     while (owner_[SlotOf(id)] != kInvalidJob) Rehash(2 * slots_.size());
     const std::size_t slot = SlotOf(id);
     owner_[slot] = id;
-    slots_[slot] = T{};
+    if constexpr (requires(T& payload) { payload.clear(); }) {
+      slots_[slot].clear();
+    } else {
+      slots_[slot] = T{};
+    }
     ids_.insert(std::upper_bound(ids_.begin(), ids_.end(), id), id);
     return slots_[slot];
   }

@@ -83,7 +83,7 @@ std::vector<JobId> OccDa::CommitVictims(const Job& committing) const {
     // restarts like under broadcast commit. Re-reads of an overwritten
     // item also restart: the single-version store cannot serve the old
     // value.
-    const bool read_only = other->write_set().empty();
+    const bool read_only = other->spec().WriteSet().empty();
     bool rereads_overwritten = false;
     for (ItemId item : FutureReads(*other)) {
       if (writes.contains(item) && other->data_read().contains(item)) {

@@ -104,7 +104,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
       continue;
     }
     for (ItemId item : locks.read_items(holder)) {
-      if (!locks.readers(item).contains(holder)) {
+      if (!locks.HoldsRead(holder, item)) {
         Violate(tick, "lock-symmetry",
                 StrFormat("job %lld lists read d%d but d%d's readers "
                           "disagree",
@@ -112,7 +112,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
       }
     }
     for (ItemId item : locks.write_items(holder)) {
-      if (!locks.writers(item).contains(holder)) {
+      if (!locks.HoldsWrite(holder, item)) {
         Violate(tick, "lock-symmetry",
                 StrFormat("job %lld lists write d%d but d%d's writers "
                           "disagree",
@@ -124,7 +124,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
     counted_locks += locks.readers(item).size();
     counted_locks += locks.writers(item).size();
     for (JobId reader : locks.readers(item)) {
-      if (!locks.read_items(reader).contains(item)) {
+      if (!std::ranges::binary_search(locks.read_items(reader), item)) {
         Violate(tick, "lock-symmetry",
                 StrFormat("d%d lists reader %lld but the job index "
                           "disagrees",
@@ -132,7 +132,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
       }
     }
     for (JobId writer : locks.writers(item)) {
-      if (!locks.write_items(writer).contains(item)) {
+      if (!std::ranges::binary_search(locks.write_items(writer), item)) {
         Violate(tick, "lock-symmetry",
                 StrFormat("d%d lists writer %lld but the job index "
                           "disagrees",

@@ -31,9 +31,8 @@ std::map<JobId, Priority> ComputeRunningPriorities(
 }
 
 void ComputeRunningPrioritiesDense(JobSlotMap<Priority>& running,
-                                   const WaitGraph& waits,
-                                   bool enable_inheritance) {
-  if (!enable_inheritance || waits.waiter_ids().empty()) return;
+                                   const WaitGraph& waits) {
+  if (waits.waiter_ids().empty()) return;
   bool changed = true;
   std::size_t guard = running.size() + 1;
   while (changed && guard-- > 0) {

@@ -26,14 +26,14 @@ std::map<JobId, Priority> ComputeRunningPriorities(
     const std::map<JobId, Priority>& base, const WaitGraph& waits,
     bool enable_inheritance);
 
-/// Dense in-place variant for the simulator's per-sweep fixpoint:
+/// Dense in-place variant for the simulator's per-sweep fixpoint, with
+/// inheritance enabled (the simulator skips the call when it is not):
 /// `running` arrives preloaded with the live jobs' base priorities and is
 /// relaxed to the same fixpoint as the map overload, with no per-call
 /// allocation. Ids absent from `running` are ignored exactly as the map
 /// version ignores no-longer-live waiters and holders.
 void ComputeRunningPrioritiesDense(JobSlotMap<Priority>& running,
-                                   const WaitGraph& waits,
-                                   bool enable_inheritance);
+                                   const WaitGraph& waits);
 
 }  // namespace pcpda
 

@@ -142,14 +142,24 @@ void Simulator::ReleaseArrivals() {
   }
 }
 
+Tick Simulator::NextDeadline() const {
+  Tick next = kNoTick;
+  for (const Job* job : active_jobs_) {
+    if (!job->deadline_miss_recorded()) {
+      next = std::min(next, job->absolute_deadline());
+    }
+  }
+  return next;
+}
+
 void Simulator::CheckDeadlines() {
+  // Nearly every tick has nothing due; find that out before copying.
+  if (NextDeadline() > tick_) return;
   // kDrop retires jobs mid-loop, so walk a snapshot of the scan set.
   const std::vector<Job*> snapshot = active_jobs_;
   for (Job* active : snapshot) {
     Job& job = *active;
-    if (job.deadline_miss_recorded()) continue;
-    if (job.absolute_deadline() == kNoTick ||
-        job.absolute_deadline() > tick_) {
+    if (job.deadline_miss_recorded() || job.absolute_deadline() > tick_) {
       continue;
     }
     job.set_deadline_miss_recorded();
@@ -274,15 +284,21 @@ Job* Simulator::ResolveDispatch() {
     // sweep cap guards against pathological oscillation.
     const std::size_t max_sweeps = 4 * active_jobs_.size() + 8;
     for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      running_scratch_.clear();
-      for (Job* job : active_jobs_) {
-        running_scratch_[job->id()] = job->base_priority();
-      }
-      ComputeRunningPrioritiesDense(
-          running_scratch_, wait_graph_,
-          protocol_->uses_priority_inheritance());
-      for (Job* job : active_jobs_) {
-        job->set_running_priority(running_scratch_.at(job->id()));
+      if (protocol_->uses_priority_inheritance() &&
+          !wait_graph_.waiter_ids().empty()) {
+        running_scratch_.clear();
+        for (Job* job : active_jobs_) {
+          running_scratch_[job->id()] = job->base_priority();
+        }
+        ComputeRunningPrioritiesDense(running_scratch_, wait_graph_);
+        for (Job* job : active_jobs_) {
+          job->set_running_priority(running_scratch_.at(job->id()));
+        }
+      } else {
+        // Nobody donates priority: every job runs at its base priority.
+        for (Job* job : active_jobs_) {
+          job->set_running_priority(job->base_priority());
+        }
       }
       dispatch_scratch_ = active_jobs_;
       SortDispatchOrder(dispatch_scratch_);
@@ -617,28 +633,39 @@ void Simulator::FreeRetiredJobs() {
   retired_this_tick_.clear();
 }
 
-void Simulator::FastForwardIdleGap() {
-  // With no job in flight nothing can happen before the next arrival:
-  // deadlines, faults, locks, wait edges and ceilings all belong to
-  // active jobs. Emit exactly what the per-tick loop emitted for an idle
-  // tick — one idle TickRecord at the (empty-lock-table) ceiling, an
-  // idle_ticks credit, and a max_ceiling sample — for every skipped tick.
-  Tick next = NextArrivalTick();
-  if (next == kNoTick || next > options_.horizon) next = options_.horizon;
-  if (next <= tick_) return;
-  const Priority ceiling = protocol_->CurrentCeiling();
-  blocked_prev_.clear();
-  while (tick_ < next) {
-    ++metrics_.idle_ticks;
-    metrics_.max_ceiling = Max(metrics_.max_ceiling, ceiling);
-    if (options_.record_trace) {
-      TickRecord record;
-      record.tick = tick_;
-      record.ceiling = ceiling;
-      trace_.AddTick(std::move(record));
+void Simulator::FastForward(Job* runner, StepKind runner_kind,
+                            Tick* scheduled_ticks) {
+  // Nothing can happen before the next arrival unless a job in flight
+  // changes something: with none in flight, deadlines, locks, wait edges
+  // and ceilings stay put, so the gap is idle up to that arrival. With a
+  // clean dispatch memo the same holds while the runner stays inside its
+  // admitted step and no deadline comes due: each such tick would reuse
+  // the resolution, run the same step and credit the same counters. The
+  // leap stops one tick short of the step's end, so the per-tick loop
+  // still completes the step and fires whatever follows.
+  Tick end = NextArrivalTick();
+  if (end == kNoTick || end > options_.horizon) end = options_.horizon;
+  if (active_jobs_.empty()) {
+    runner = nullptr;
+  } else {
+    if (dispatch_dirty_ || runner == nullptr) return;
+    end = std::min({end, tick_ + runner->remaining_in_step() - 1,
+                    NextDeadline()});
+    // Leapt busy ticks are scheduled ticks: the budget runs out at the
+    // tick it would have without the leap.
+    if (options_.max_sim_ticks > 0) {
+      end = std::min(end, tick_ + options_.max_sim_ticks - *scheduled_ticks);
     }
-    ++tick_;
   }
+  if (end <= tick_) return;
+  const Tick span = end - tick_;
+  if (runner != nullptr) {
+    runner->AdvanceWithinStep(span);
+    metrics_for(runner->spec_id()).busy_ticks += span;
+    *scheduled_ticks += span;
+  }
+  RecordTick(runner, runner_kind, span);
+  tick_ = end;
 }
 
 void Simulator::ExecuteTick(Job& job) {
@@ -654,7 +681,9 @@ void Simulator::ExecuteTick(Job& job) {
   }
 }
 
-void Simulator::RecordTick(const Job* runner, StepKind runner_kind) {
+void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
+                           Tick ticks) {
+  if (runner == nullptr) metrics_.idle_ticks += ticks;
   // Blocking/preemption accounting. blocked_scratch_ becomes the next
   // tick's blocked_prev_ via the swap below, keeping both maps' slots.
   blocked_scratch_.clear();
@@ -664,11 +693,11 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind) {
     PCPDA_CHECK(blocked != nullptr);
     blocked_scratch_[id] = pb.note;
     SpecMetrics& m = metrics_for(blocked->spec_id());
-    ++m.blocked_ticks;
+    m.blocked_ticks += ticks;
     if (runner != nullptr &&
         runner->base_priority() < blocked->base_priority()) {
-      ++m.effective_blocking_ticks;
-      ++effective_blocking_by_job_[id];
+      m.effective_blocking_ticks += ticks;
+      effective_blocking_by_job_[id] += ticks;
     }
     const std::string* prev = blocked_prev_.find(id);
     const bool new_episode = prev == nullptr;
@@ -702,7 +731,7 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind) {
   for (const Job* j : active_jobs_) {
     if (runner != nullptr && j->id() == runner->id()) continue;
     if (!blocked_now_.contains(j->id())) {
-      ++metrics_for(j->spec_id()).preempted_ticks;
+      metrics_for(j->spec_id()).preempted_ticks += ticks;
     }
   }
 
@@ -729,6 +758,10 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind) {
     sample.reason = pb.reason;
     sample.blockers = pb.blockers;
     record.blocked.push_back(std::move(sample));
+  }
+  // A fast-forwarded stretch gets one identical record per tick.
+  for (Tick last = tick_ + ticks - 1; record.tick < last; ++record.tick) {
+    trace_.AddTick(record);
   }
   trace_.AddTick(std::move(record));
 }
@@ -794,11 +827,10 @@ SimResult Simulator::Run() {
                            SpecMetrics{});
   metrics_.horizon = options_.horizon;
 
-  // Idle gaps can be fast-forwarded only when no per-tick observer is
+  // Ticks can be fast-forwarded only when no per-tick observer is
   // attached: a fault plan may inject arrivals or draw per-tick
   // randomness, and the auditor must inspect every tick.
-  const bool fast_forward_idle =
-      fault_plan_ == nullptr && auditor_ == nullptr;
+  const bool fast_forward = fault_plan_ == nullptr && auditor_ == nullptr;
 
   tick_ = 0;
   Status watchdog_status;
@@ -847,15 +879,11 @@ SimResult Simulator::Run() {
         (runner != nullptr && !runner->BodyDone())
             ? runner->current_step().kind
             : StepKind::kCompute;
-    if (runner != nullptr) {
-      ExecuteTick(*runner);
-    } else {
-      ++metrics_.idle_ticks;
-    }
+    if (runner != nullptr) ExecuteTick(*runner);
     RecordTick(runner, runner_kind);
     AuditNow();
     ++tick_;
-    if (fast_forward_idle && active_jobs_.empty()) FastForwardIdleGap();
+    if (fast_forward) FastForward(runner, runner_kind, &scheduled_ticks);
   }
 
   // Jobs still in flight whose deadline lies beyond the horizon never got

@@ -76,17 +76,22 @@ struct SimulatorOptions {
   /// memory. 0 (default) keeps everything. Dropped counts are reported by
   /// Trace::dropped_events()/dropped_ticks().
   std::size_t max_trace_events = 0;
-  /// Cooperative cancellation: checked once per scheduled tick. When the
-  /// pointed-at flag becomes true (a wall-clock watchdog, a SIGINT
-  /// handler), the run stops at the next tick boundary and returns
-  /// kDeadlineExceeded — the partial metrics are not trustworthy. Null
-  /// (default) never cancels; must outlive Run().
+  /// Cooperative cancellation: checked once per iteration of the run
+  /// loop. An iteration runs one tick and may then fast-forward the rest
+  /// of the runner's current step or an idle gap, so two checks are at
+  /// most one step (or one idle gap) apart. When the pointed-at flag
+  /// becomes true (a wall-clock watchdog, a SIGINT handler), the run stops
+  /// at the next check and returns kDeadlineExceeded — the partial metrics
+  /// are not trustworthy. Null (default) never cancels; must outlive
+  /// Run().
   const std::atomic<bool>* cancel = nullptr;
   /// Deterministic watchdog: abandon the run with kDeadlineExceeded after
-  /// this many scheduled (non-fast-forwarded) ticks, independent of the
-  /// horizon. 0 (default) is unlimited. Unlike `cancel`, the outcome
-  /// depends only on the inputs, so campaigns that rely on byte-identical
-  /// resume use this budget as the primary hang guard.
+  /// this many scheduled ticks, independent of the horizon. Every tick on
+  /// which a job runs counts, whether the loop ran it or fast-forwarded
+  /// it; fast-forwarded idle gaps do not. 0 (default) is unlimited.
+  /// Unlike `cancel`, the outcome (and the tick it names) depends only on
+  /// the inputs, so campaigns that rely on byte-identical resume use this
+  /// budget as the primary hang guard.
   Tick max_sim_ticks = 0;
 };
 
@@ -112,11 +117,12 @@ struct SimResult {
 /// (O(log specs) per release instead of an O(specs) scan per tick), jobs
 /// leave the scan set the moment they commit or are dropped and are freed
 /// on the next tick, once the end-of-tick audit has seen their final
-/// state, and ticks where no job is in flight are fast-forwarded to the
-/// next arrival while still being credited as idle — with traces, metrics
-/// and audit reports bit-identical to the per-tick engine it replaced
-/// (pinned by tests/determinism_test.cc). Engine memory therefore tracks
-/// the jobs in flight, not the horizon.
+/// state, and stretches where nothing can change — idle gaps up to the
+/// next arrival, and the inside of the runner's admitted step — are
+/// fast-forwarded while still being credited tick by tick, with traces,
+/// metrics and statuses bit-identical to the per-tick engine (pinned by
+/// tests/determinism_test.cc and tests/simulator_test.cc). Engine memory
+/// therefore tracks the jobs in flight, not the horizon.
 class Simulator : public SimView {
  public:
   /// `set` and `protocol` must outlive the simulator. Builds the static
@@ -161,12 +167,21 @@ class Simulator : public SimView {
   std::vector<Arrival> TakeDueArrivals();
   /// Tick of the next not-yet-released arrival, or kNoTick if none left.
   Tick NextArrivalTick() const;
-  /// With no job in flight, jumps tick_ to the next arrival (capped at the
-  /// horizon), crediting idle_ticks and emitting the same idle TickRecords
-  /// the per-tick loop would have. Only called when neither a fault plan
-  /// (which may inject arrivals or consume per-tick randomness) nor the
-  /// auditor (which inspects every tick) is attached.
-  void FastForwardIdleGap();
+  /// Jumps tick_ over ticks on which the per-tick loop could only repeat
+  /// the tick it just ran, crediting them in bulk and emitting the same
+  /// TickRecords. With no job in flight that is the idle gap up to the
+  /// next arrival. Otherwise it needs a clean dispatch memo and a runner
+  /// with r > 1 ticks left in its admitted step, and leaps to the earliest
+  /// of r - 1 ticks on, the next arrival, the next unrecorded deadline,
+  /// and the end of the max_sim_ticks budget; leapt busy ticks are added
+  /// to `*scheduled_ticks`. Both stop at the horizon. Only called when
+  /// neither a fault plan (which may inject arrivals or consume per-tick
+  /// randomness) nor the auditor (which inspects every tick) is attached.
+  void FastForward(Job* runner, StepKind runner_kind,
+                   Tick* scheduled_ticks);
+  /// Earliest absolute deadline among active jobs whose miss is not yet
+  /// recorded, or kNoTick.
+  Tick NextDeadline() const;
   void ReleaseArrivals();
   void CheckDeadlines();
   /// Applies this tick's job faults (aborts, spurious restarts, WCET
@@ -199,7 +214,10 @@ class Simulator : public SimView {
   /// Frees the jobs retired during the previous tick; from then on
   /// job(id) answers nullptr for them.
   void FreeRetiredJobs();
-  void RecordTick(const Job* runner, StepKind runner_kind);
+  /// Credits `ticks` consecutive ticks that all ran `runner` (nullptr:
+  /// idle) against the current blocked set, and traces one TickRecord for
+  /// each; block episodes are judged once, at the first of them.
+  void RecordTick(const Job* runner, StepKind runner_kind, Tick ticks = 1);
   std::vector<Job*> ActiveJobs();
   SpecMetrics& metrics_for(SpecId spec);
 

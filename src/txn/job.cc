@@ -20,20 +20,14 @@ const char* ToString(JobState state) {
 Job::Job(JobId id, const TransactionSet* set, SpecId spec_id, int instance,
          Tick release_time, Tick absolute_deadline)
     : id_(id),
-      set_(set),
+      spec_(&set->spec(spec_id)),
+      base_priority_(set->priority(spec_id)),
       spec_id_(spec_id),
       instance_(instance),
       release_time_(release_time),
       absolute_deadline_(absolute_deadline),
-      running_priority_(set->priority(spec_id)),
-      remaining_in_step_(set->spec(spec_id).body.front().duration) {
-  PCPDA_CHECK(set != nullptr);
-}
-
-const Step& Job::current_step() const {
-  PCPDA_CHECK(!BodyDone());
-  return spec().body[step_index_];
-}
+      running_priority_(base_priority_),
+      remaining_in_step_(spec_->body.front().duration) {}
 
 bool Job::ExecuteTick() {
   PCPDA_CHECK(!BodyDone());
@@ -46,6 +40,12 @@ bool Job::ExecuteTick() {
     remaining_in_step_ = current_step().duration;
   }
   return true;
+}
+
+void Job::AdvanceWithinStep(Tick ticks) {
+  PCPDA_CHECK(!BodyDone());
+  PCPDA_CHECK(ticks > 0 && ticks < remaining_in_step_);
+  remaining_in_step_ -= ticks;
 }
 
 void Job::InflateCurrentStep(Tick extra) {
@@ -62,6 +62,13 @@ Tick Job::RemainingWork() const {
     total += body[i].duration;
   }
   return total;
+}
+
+bool Job::MayWrite(ItemId item) const {
+  for (const Step& step : spec().body) {
+    if (step.kind == StepKind::kWrite && step.item == item) return true;
+  }
+  return false;
 }
 
 void Job::MarkCommitted(Tick tick) {

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "db/value.h"
 #include "txn/spec.h"
@@ -33,7 +34,7 @@ class Job {
 
   JobId id() const { return id_; }
   SpecId spec_id() const { return spec_id_; }
-  const TransactionSpec& spec() const { return set_->spec(spec_id_); }
+  const TransactionSpec& spec() const { return *spec_; }
   /// 0-based release index of this instance.
   int instance() const { return instance_; }
   Tick release_time() const { return release_time_; }
@@ -44,7 +45,7 @@ class Job {
   bool active() const { return state_ == JobState::kActive; }
 
   /// The original (assigned) priority P_i of the paper.
-  Priority base_priority() const { return set_->priority(spec_id_); }
+  Priority base_priority() const { return base_priority_; }
   /// The running priority: base priority possibly raised by inheritance.
   /// Maintained by the scheduler every tick.
   Priority running_priority() const { return running_priority_; }
@@ -57,8 +58,11 @@ class Job {
   /// Ticks still to execute in the current step.
   Tick remaining_in_step() const { return remaining_in_step_; }
   /// The current step. Requires !BodyDone().
-  const Step& current_step() const;
-  bool BodyDone() const { return step_index_ >= spec().body.size(); }
+  const Step& current_step() const {
+    PCPDA_CHECK(!BodyDone());
+    return spec_->body[step_index_];
+  }
+  bool BodyDone() const { return step_index_ >= spec_->body.size(); }
   /// True while the current step's lock has been granted (or none needed).
   bool step_admitted() const { return step_admitted_; }
   void set_step_admitted(bool admitted) { step_admitted_ = admitted; }
@@ -66,6 +70,11 @@ class Job {
   /// Consumes one CPU tick; advances to the next step when the current one
   /// completes. Returns true if the tick finished a step.
   bool ExecuteTick();
+
+  /// Consumes `ticks` CPU ticks without finishing the current step (the
+  /// simulator's busy fast-forward). Requires 0 < ticks <
+  /// remaining_in_step().
+  void AdvanceWithinStep(Tick ticks);
 
   /// Extends the current step by `extra` ticks (injected WCET overrun).
   /// Requires an unfinished body and extra > 0.
@@ -80,8 +89,9 @@ class Job {
   const std::set<ItemId>& data_read() const { return data_read_; }
   void RecordRead(ItemId item) { data_read_.insert(item); }
 
-  /// WriteSet(T_i): statically declared items the job may write.
-  std::set<ItemId> write_set() const { return spec().WriteSet(); }
+  /// x ∈ WriteSet(T_i): the spec body declares a write of `item`. Walks
+  /// the body instead of building the set, so it allocates nothing.
+  bool MayWrite(ItemId item) const;
 
   Workspace& workspace() { return workspace_; }
   const Workspace& workspace() const { return workspace_; }
@@ -111,7 +121,10 @@ class Job {
 
  private:
   JobId id_;
-  const TransactionSet* set_;
+  /// The spec and its priority, resolved once: the set outlives the job
+  /// and both are read on every dispatch.
+  const TransactionSpec* spec_;
+  Priority base_priority_;
   SpecId spec_id_;
   int instance_;
   Tick release_time_;

@@ -102,7 +102,30 @@ TEST(LockTableTest, IdempotentAcquire) {
   LockTable locks(2);
   locks.AcquireRead(1, 0);
   locks.AcquireRead(1, 0);
-  EXPECT_EQ(locks.lock_count(), 1u);
+  locks.AcquireWrite(1, 1);
+  locks.AcquireWrite(1, 1);
+  EXPECT_EQ(locks.lock_count(), 2u);
+  // The repeats add no duplicate entry on either side of the index.
+  EXPECT_EQ(locks.readers(0), (std::vector<JobId>{1}));
+  EXPECT_EQ(locks.writers(1), (std::vector<JobId>{1}));
+  EXPECT_EQ(locks.read_items(1), (std::vector<ItemId>{0}));
+  EXPECT_EQ(locks.write_items(1), (std::vector<ItemId>{1}));
+}
+
+TEST(LockTableTest, IterationIsAscendingWhateverTheGrantOrder) {
+  LockTable locks(6);
+  for (JobId job : {9, 3, 7, 1}) locks.AcquireRead(job, 2);
+  for (JobId job : {5, 4}) locks.AcquireWrite(job, 2);
+  for (ItemId item : {5, 0, 3}) locks.AcquireRead(6, item);
+  for (ItemId item : {4, 1}) locks.AcquireWrite(6, item);
+  EXPECT_EQ(locks.readers(2), (std::vector<JobId>{1, 3, 7, 9}));
+  EXPECT_EQ(locks.writers(2), (std::vector<JobId>{4, 5}));
+  EXPECT_EQ(locks.read_items(6), (std::vector<ItemId>{0, 3, 5}));
+  EXPECT_EQ(locks.write_items(6), (std::vector<ItemId>{1, 4}));
+  EXPECT_EQ(locks.holders(), (std::vector<JobId>{1, 3, 4, 5, 6, 7, 9}));
+  EXPECT_EQ(locks.DebugString(),
+            "d0{r:6} d1{w:6} d2{r:1,r:3,r:7,r:9,w:4,w:5} d3{r:6} d4{w:6} "
+            "d5{r:6}");
 }
 
 TEST(LockTableTest, MultipleWritersAllowed) {
@@ -110,7 +133,7 @@ TEST(LockTableTest, MultipleWritersAllowed) {
   LockTable locks(1);
   locks.AcquireWrite(1, 0);
   locks.AcquireWrite(2, 0);
-  EXPECT_EQ(locks.writers(0).size(), 2u);
+  EXPECT_EQ(locks.writers(0), (std::vector<JobId>{1, 2}));
 }
 
 TEST(LockTableTest, NoReaderOtherThan) {
@@ -138,6 +161,10 @@ TEST(LockTableTest, ReleaseSingle) {
   EXPECT_FALSE(locks.HoldsRead(1, 0));
   EXPECT_TRUE(locks.HoldsWrite(1, 1));
   EXPECT_EQ(locks.lock_count(), 1u);
+  EXPECT_EQ(locks.holders(), (std::vector<JobId>{1}));
+  locks.Release(1, 1, LockMode::kWrite);
+  EXPECT_EQ(locks.lock_count(), 0u);
+  EXPECT_TRUE(locks.holders().empty());
 }
 
 TEST(LockTableTest, ReleaseAll) {
@@ -150,8 +177,50 @@ TEST(LockTableTest, ReleaseAll) {
   EXPECT_FALSE(locks.HoldsAny(1, 1));
   EXPECT_TRUE(locks.HoldsRead(2, 2));
   EXPECT_EQ(locks.lock_count(), 1u);
+  EXPECT_TRUE(locks.readers(0).empty());
+  EXPECT_TRUE(locks.writers(1).empty());
+  EXPECT_TRUE(locks.read_items(1).empty());
+  EXPECT_EQ(locks.holders(), (std::vector<JobId>{2}));
   // Releasing a job with no locks is a no-op.
   locks.ReleaseAll(99);
+  EXPECT_EQ(locks.lock_count(), 1u);
+  locks.ReleaseAll(2);
+  EXPECT_EQ(locks.lock_count(), 0u);
+  EXPECT_TRUE(locks.holders().empty());
+  EXPECT_EQ(locks.DebugString(), "(no locks)");
+}
+
+TEST(LockTableTest, CcpEarlyReleaseKeepsTheRestOrdered) {
+  // CCP's shrinking phase hands back single locks before commit, one
+  // mode at a time; the job stays a holder until its last lock goes.
+  LockTable locks(5);
+  locks.AcquireRead(4, 3);
+  locks.AcquireRead(4, 0);
+  locks.AcquireRead(4, 1);
+  locks.AcquireWrite(4, 1);
+  locks.AcquireRead(8, 1);
+  EXPECT_EQ(locks.lock_count(), 5u);
+
+  locks.Release(4, 1, LockMode::kWrite);  // the read on d1 stays
+  EXPECT_TRUE(locks.HoldsRead(4, 1));
+  EXPECT_FALSE(locks.HoldsWrite(4, 1));
+  EXPECT_TRUE(locks.write_items(4).empty());
+  EXPECT_EQ(locks.lock_count(), 4u);
+
+  locks.Release(4, 1, LockMode::kRead);
+  EXPECT_EQ(locks.readers(1), (std::vector<JobId>{8}));
+  EXPECT_EQ(locks.read_items(4), (std::vector<ItemId>{0, 3}));
+  EXPECT_EQ(locks.holders(), (std::vector<JobId>{4, 8}));
+  EXPECT_EQ(locks.lock_count(), 3u);
+
+  locks.Release(4, 0, LockMode::kRead);
+  locks.Release(4, 3, LockMode::kRead);
+  EXPECT_EQ(locks.holders(), (std::vector<JobId>{8}));
+  EXPECT_TRUE(locks.read_items(4).empty());
+  EXPECT_EQ(locks.lock_count(), 1u);
+  // A job that gave everything back early has nothing left to commit.
+  locks.ReleaseAll(4);
+  EXPECT_EQ(locks.lock_count(), 1u);
 }
 
 TEST(LockTableTest, PerJobIndexes) {
@@ -159,8 +228,8 @@ TEST(LockTableTest, PerJobIndexes) {
   locks.AcquireRead(1, 2);
   locks.AcquireRead(1, 0);
   locks.AcquireWrite(1, 3);
-  EXPECT_EQ(locks.read_items(1), (std::set<ItemId>{0, 2}));
-  EXPECT_EQ(locks.write_items(1), (std::set<ItemId>{3}));
+  EXPECT_EQ(locks.read_items(1), (std::vector<ItemId>{0, 2}));
+  EXPECT_EQ(locks.write_items(1), (std::vector<ItemId>{3}));
   EXPECT_TRUE(locks.read_items(42).empty());
 }
 

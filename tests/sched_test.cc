@@ -298,7 +298,19 @@ TEST_F(JobTest, PrioritiesAndNames) {
   job.set_running_priority(Priority(99));
   EXPECT_EQ(job.running_priority(), Priority(99));
   EXPECT_EQ(job.DebugName(), "T#2");
-  EXPECT_EQ(job.write_set(), (std::set<ItemId>{1}));
+  // Write membership comes from the body: d1 is written, d0 only read.
+  EXPECT_TRUE(job.MayWrite(1));
+  EXPECT_FALSE(job.MayWrite(0));
+}
+
+TEST_F(JobTest, AdvanceWithinStepLeavesTheLastTickToExecuteTick) {
+  Job job(0, set_.get(), 0, 0, 0, kNoTick);
+  EXPECT_TRUE(job.ExecuteTick());  // Read(0) done; Compute(2) is current
+  job.AdvanceWithinStep(1);
+  EXPECT_EQ(job.remaining_in_step(), 1);
+  EXPECT_EQ(job.step_index(), 1u);
+  EXPECT_TRUE(job.ExecuteTick());  // the step's last tick still moves on
+  EXPECT_EQ(job.step_index(), 2u);
 }
 
 // --- Metrics -----------------------------------------------------------

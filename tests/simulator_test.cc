@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/pcp_da.h"
 #include "history/serialization_graph.h"
 #include "protocols/two_pl_pi.h"
+#include "sim/arrival_schedule.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -329,6 +331,184 @@ TEST(SimulatorTest, AuditorReportsLeakedLockAsCommittedThenRetired) {
     EXPECT_EQ(violations[i].tick, static_cast<Tick>(i));
     EXPECT_EQ(violations[i].check, "lock-holder-active");
     EXPECT_EQ(violations[i].detail, "job 0 holds locks but is retired");
+  }
+}
+
+// --- Fast-forward vs the per-tick loop ----------------------------------
+//
+// The auditor inspects every tick, so it turns both fast-forwards (idle
+// gaps and busy stretches inside an admitted step) off: an audited run is
+// the per-tick reference for an unaudited one with the same inputs.
+
+/// A random set whose data steps last 1-4 ticks and whose compute steps
+/// last up to 12, on few items so that locks are held across many ticks
+/// while other jobs wait; utilization reaches past 1 so deadlines fall.
+TransactionSet RandomLongStepSet(Rng& rng) {
+  std::vector<TransactionSpec> specs;
+  const int count = static_cast<int>(rng.UniformInt(2, 5));
+  for (int i = 0; i < count; ++i) {
+    TransactionSpec spec;
+    spec.period = rng.UniformInt(20, 90);
+    spec.offset = rng.UniformInt(0, 15);
+    const int steps = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < steps; ++k) {
+      const Tick duration = rng.UniformInt(1, 4);
+      const ItemId item = static_cast<ItemId>(rng.UniformInt(0, 3));
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          spec.body.push_back(Read(item, duration));
+          break;
+        case 1:
+          spec.body.push_back(Write(item, duration));
+          break;
+        default:
+          spec.body.push_back(Compute(rng.UniformInt(1, 12)));
+          break;
+      }
+    }
+    specs.push_back(std::move(spec));
+  }
+  return MakeSet(std::move(specs), PriorityAssignment::kRateMonotonic);
+}
+
+SimResult RunPerTickOrNot(const TransactionSet& set, ProtocolKind kind,
+                          SimulatorOptions options, bool per_tick) {
+  auto protocol = MakeProtocol(kind);
+  options.audit = per_tick;
+  Simulator sim(&set, protocol.get(), options);
+  return sim.Run();
+}
+
+/// Runs `set` with and without the auditor, expects the same status,
+/// metrics, trace and history, and returns the unaudited run.
+SimResult ExpectLeapMatchesPerTick(const TransactionSet& set,
+                                   ProtocolKind kind,
+                                   const SimulatorOptions& options,
+                                   const std::string& label) {
+  SimResult fast = RunPerTickOrNot(set, kind, options, false);
+  const SimResult slow = RunPerTickOrNot(set, kind, options, true);
+  EXPECT_EQ(fast.status.ToString(), slow.status.ToString()) << label;
+  EXPECT_EQ(fast.metrics.DebugString(set), slow.metrics.DebugString(set))
+      << label;
+  EXPECT_TRUE(fast.metrics == slow.metrics) << label;
+  EXPECT_TRUE(fast.trace == slow.trace) << label;
+  EXPECT_TRUE(fast.history == slow.history) << label;
+  return fast;
+}
+
+TEST(SimulatorTest, LeapMatchesPerTickAcrossProtocolsPoliciesAndArrivals) {
+  Rng rng(20261017);
+  // Tallies over the unaudited runs, to show the sweep reaches the paths
+  // a leap has to stop for or credit in bulk.
+  std::int64_t misses = 0, drops = 0, halts = 0, blocked = 0,
+               effective = 0, pending = 0;
+  for (int round = 0; round < 6; ++round) {
+    const TransactionSet set = RandomLongStepSet(rng);
+    // Horizons are not aligned to steps, so most runs end mid-step.
+    const Tick horizon = rng.UniformInt(300, 900);
+    Rng schedule_rng(static_cast<std::uint64_t>(round) + 1);
+    const ArrivalSchedule sporadic =
+        ArrivalSchedule::Sporadic(set, horizon, 0.5, schedule_rng);
+    for (ProtocolKind kind : AllProtocolKinds()) {
+      for (DeadlineMissPolicy policy :
+           {DeadlineMissPolicy::kContinue, DeadlineMissPolicy::kDrop,
+            DeadlineMissPolicy::kHalt}) {
+        for (const ArrivalSchedule* arrivals :
+             {static_cast<const ArrivalSchedule*>(nullptr), &sporadic}) {
+          SimulatorOptions options;
+          options.horizon = horizon;
+          options.miss_policy = policy;
+          options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+          options.arrival_schedule = arrivals;
+          const SimResult fast = ExpectLeapMatchesPerTick(
+              set, kind, options,
+              StrFormat("round %d %s policy %d %s", round, ToString(kind),
+                        static_cast<int>(policy),
+                        arrivals == nullptr ? "calendar" : "sporadic"));
+          const RunMetrics& m = fast.metrics;
+          misses += m.TotalMisses();
+          halts += m.halted_on_miss ? 1 : 0;
+          pending += m.TotalPending();
+          for (const SpecMetrics& spec : m.per_spec) {
+            drops += spec.dropped;
+            blocked += spec.blocked_ticks;
+            effective += spec.effective_blocking_ticks;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(drops, 0);
+  EXPECT_GT(halts, 0);
+  EXPECT_GT(blocked, 0);
+  EXPECT_GT(effective, 0);
+  EXPECT_GT(pending, 0);
+}
+
+TEST(SimulatorTest, LeapMatchesPerTickWithBoundedTraceAndNoRecording) {
+  Rng rng(7);
+  const TransactionSet set = RandomLongStepSet(rng);
+  SimulatorOptions bounded;
+  bounded.horizon = 777;
+  bounded.max_trace_events = 40;
+  SimulatorOptions bare;
+  bare.horizon = 777;
+  bare.record_trace = false;
+  bare.record_history = false;
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    ExpectLeapMatchesPerTick(set, kind, bounded, "bounded trace");
+    ExpectLeapMatchesPerTick(set, kind, bare, "no recording");
+  }
+}
+
+TEST(SimulatorTest, HorizonInsideALeapableStepCreditsOnlyTicksBeforeIt) {
+  // One 10-tick step and a horizon of 7: the leap must stop at the
+  // horizon, leaving the job pending three ticks short of its step's end.
+  TransactionSet set = MakeSet({{.name = "T", .body = {Compute(10)}}});
+  SimulatorOptions options;
+  options.horizon = 7;
+  const SimResult fast =
+      RunPerTickOrNot(set, ProtocolKind::kPcpDa, options, false);
+  ASSERT_TRUE(fast.status.ok()) << fast.status.ToString();
+  EXPECT_EQ(fast.metrics.per_spec[0].busy_ticks, 7);
+  EXPECT_EQ(fast.metrics.per_spec[0].committed, 0);
+  EXPECT_EQ(fast.metrics.idle_ticks, 0);
+  ASSERT_EQ(fast.trace.ticks().size(), 7u);
+  EXPECT_EQ(fast.trace.ticks().back().tick, 6);
+  EXPECT_EQ(fast.trace.ticks().back().running_job, 0);
+  ExpectLeapMatchesPerTick(set, ProtocolKind::kPcpDa, options, "mid-step");
+}
+
+TEST(SimulatorTest, TickBudgetRunsOutInsideABusyStretchAtTheSameTick) {
+  // Hi preempts Long's 20-tick compute step; both compute steps are
+  // stretches the core fast-forwards. Every tick a job runs counts toward
+  // the budget, whether it is leapt or not; the idle gaps skipped by the
+  // idle fast-forward do not (tick 0, run by the loop before the gap to
+  // Long's release at 3, does). Each budget below runs out inside a
+  // compute step, at the tick the per-tick engine names: inside Long's
+  // first compute (5, 20) and Hi's (10, and 40 at Hi's third release).
+  TransactionSet set = MakeSet({
+      {.name = "Hi", .period = 25, .offset = 10, .body = {Compute(4)}},
+      {.name = "Long",
+       .period = 50,
+       .offset = 3,
+       .body = {Read(0), Compute(20), Write(1)}},
+  });
+  const std::vector<std::pair<Tick, Tick>> budget_and_tick = {
+      {5, 7}, {10, 12}, {20, 22}, {40, 62}};
+  for (const auto& [budget, tick] : budget_and_tick) {
+    PcpDa protocol;
+    SimulatorOptions options;
+    options.horizon = 1000;
+    options.max_sim_ticks = budget;
+    Simulator sim(&set, &protocol, options);
+    const SimResult result = sim.Run();
+    EXPECT_EQ(result.status.ToString(),
+              StrFormat("DeadlineExceeded: tick budget %lld exhausted at "
+                        "tick %lld of 1000",
+                        static_cast<long long>(budget),
+                        static_cast<long long>(tick)));
   }
 }
 
