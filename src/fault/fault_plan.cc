@@ -148,8 +148,8 @@ std::vector<Arrival> FaultPlan::TransformArrivals(Tick tick,
 }
 
 std::vector<JobFault> FaultPlan::JobFaultsAt(
-    Tick tick, const std::vector<const Job*>& active,
-    const std::map<JobId, bool>& holds_lock) {
+    Tick tick, const std::vector<Job*>& active,
+    const std::function<bool(JobId)>& holds_lock) {
   std::vector<JobFault> out;
   for (FaultSpec& fault : config_.faults) {
     if (fault.kind != FaultKind::kAbort &&
@@ -171,9 +171,8 @@ std::vector<JobFault> FaultPlan::JobFaultsAt(
         continue;
       }
       if (fault.kind == FaultKind::kOverrun && job->BodyDone()) continue;
-      if (fault.kind == FaultKind::kRestartInCs) {
-        auto it = holds_lock.find(job->id());
-        if (it == holds_lock.end() || !it->second) continue;
+      if (fault.kind == FaultKind::kRestartInCs && !holds_lock(job->id())) {
+        continue;
       }
       target = job;
       break;

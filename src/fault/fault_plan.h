@@ -1,6 +1,7 @@
 #ifndef PCPDA_FAULT_FAULT_PLAN_H_
 #define PCPDA_FAULT_FAULT_PLAN_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -102,10 +103,11 @@ class FaultPlan {
 
   /// The job faults firing at `tick` against `active` (live jobs in id
   /// order). kAbort picks the lowest-id active job of the target spec;
-  /// kRestartInCs additionally requires `holds_lock` for that job.
+  /// kRestartInCs additionally requires `holds_lock(id)` for that job,
+  /// which is asked only while such a fault fires.
   std::vector<JobFault> JobFaultsAt(
-      Tick tick, const std::vector<const Job*>& active,
-      const std::map<JobId, bool>& holds_lock);
+      Tick tick, const std::vector<Job*>& active,
+      const std::function<bool(JobId)>& holds_lock);
 
   /// Arrival-fault accounting so far (for metrics).
   Tick delay_ticks() const { return delay_ticks_; }

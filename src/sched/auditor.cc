@@ -1,8 +1,6 @@
 #include "sched/auditor.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -73,11 +71,24 @@ InvariantAuditor::InvariantAuditor(std::size_t max_violations)
 
 void InvariantAuditor::Violate(Tick tick, const char* check,
                                std::string detail) {
+  last_.push_back({check, std::move(detail)});
+  Record(tick, last_.back());
+}
+
+void InvariantAuditor::Record(Tick tick, const Finding& finding) {
   if (report_.violations.size() >= max_violations_) {
     ++report_.suppressed;
     return;
   }
-  report_.violations.push_back({tick, check, std::move(detail)});
+  report_.violations.push_back({tick, finding.check, finding.detail});
+}
+
+void InvariantAuditor::RepeatLastAudit(Tick tick, Tick ticks) {
+  PCPDA_CHECK(ticks > 0);
+  report_.ticks_audited += ticks;
+  for (Tick t = tick; t < tick + ticks && !last_.empty(); ++t) {
+    for (const Finding& finding : last_) Record(t, finding);
+  }
 }
 
 void InvariantAuditor::AuditTick(const AuditScope& scope) {
@@ -86,6 +97,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
               scope.database != nullptr && scope.waits != nullptr &&
               scope.jobs != nullptr && scope.blocked != nullptr);
   ++report_.ticks_audited;
+  last_.clear();
   const Tick tick = scope.tick;
   const LockTable& locks = *scope.locks;
   const Protocol& protocol = *scope.protocol;
@@ -238,45 +250,49 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
     // blocked job's base priority is executing on behalf of an even
     // higher-priority waiter (inheritance) and is not a second independent
     // inversion source.
-    for (const auto& [blocked_id, blockers] : *scope.blocked) {
-      const Job* blocked = FindJob(scope, blocked_id);
+    for (const AuditBlocked& entry : *scope.blocked) {
+      const Job* blocked = FindJob(scope, entry.job);
       if (blocked == nullptr || !blocked->active()) continue;
-      std::set<JobId> lower;
-      for (JobId blocker_id : blockers) {
+      lower_.clear();
+      for (JobId blocker_id : *entry.blockers) {
         const Job* blocker = FindJob(scope, blocker_id);
         if (blocker == nullptr || !blocker->active()) continue;
         if (blocker->base_priority() < blocked->base_priority() &&
             blocker->running_priority() < blocked->base_priority()) {
-          lower.insert(blocker_id);
+          lower_.push_back(blocker_id);
         }
       }
-      if (lower.size() > 1) {
+      std::sort(lower_.begin(), lower_.end());
+      lower_.erase(std::unique(lower_.begin(), lower_.end()), lower_.end());
+      if (lower_.size() > 1) {
         Violate(tick, "single-blocking",
                 StrFormat("%s is blocked by %d lower-priority jobs",
                           blocked->DebugName().c_str(),
-                          static_cast<int>(lower.size())));
+                          static_cast<int>(lower_.size())));
       }
     }
   }
 
   // --- Wait graph: restricted to active jobs. -----------------------------
-  WaitGraph active_waits;
-  std::map<JobId, Priority> base;
+  // running_ holds the active jobs' base priorities here; the inheritance
+  // check below relaxes it in place.
+  running_.clear();
   for (const Job* job : *scope.jobs) {
-    if (job->active()) base[job->id()] = job->base_priority();
+    if (job->active()) running_[job->id()] = job->base_priority();
   }
-  for (JobId waiter : scope.waits->waiters()) {
-    if (!base.contains(waiter)) continue;
-    std::vector<JobId> holders;
+  active_waits_.Clear();
+  for (JobId waiter : scope.waits->waiter_ids()) {
+    if (!running_.contains(waiter)) continue;
+    holders_.clear();
     for (JobId holder : scope.waits->HoldersBlocking(waiter)) {
-      if (base.contains(holder)) holders.push_back(holder);
+      if (running_.contains(holder)) holders_.push_back(holder);
     }
-    if (!holders.empty()) active_waits.SetWaits(waiter, std::move(holders));
+    if (!holders_.empty()) active_waits_.SetWaits(waiter, holders_);
   }
 
   // Theorem 2 (deadlock freedom): ceiling protocols never build a cycle.
   if (rule != CeilingRule::kNone) {
-    if (auto cycle = active_waits.FindCycle(); cycle.has_value()) {
+    if (auto cycle = active_waits_.FindCycle(); cycle.has_value()) {
       std::vector<std::string> ids;
       for (JobId id : *cycle) {
         ids.push_back(StrFormat("%lld", static_cast<long long>(id)));
@@ -289,31 +305,31 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
   // Inheritance: each active job's running priority equals the transitive
   // max over the waiters it blocks (or its base priority without
   // inheritance).
-  const std::map<JobId, Priority> running = ComputeRunningPriorities(
-      base, active_waits, protocol.uses_priority_inheritance());
+  ComputeRunningPriorities(running_, active_waits_,
+                           protocol.uses_priority_inheritance());
   for (const Job* job : *scope.jobs) {
     if (!job->active()) continue;
-    const auto it = running.find(job->id());
-    PCPDA_CHECK(it != running.end());
-    if (job->running_priority() != it->second) {
+    const Priority expected = running_.at(job->id());
+    if (job->running_priority() != expected) {
       Violate(tick, "inheritance",
               StrFormat("%s runs at %s but the wait graph implies %s",
                         job->DebugName().c_str(),
                         job->running_priority().DebugString().c_str(),
-                        it->second.DebugString().c_str()));
+                        expected.DebugString().c_str()));
     }
   }
 
   // --- Blocked bookkeeping sanity. ----------------------------------------
-  for (const auto& [blocked_id, blockers] : *scope.blocked) {
-    const Job* blocked = FindJob(scope, blocked_id);
+  for (const AuditBlocked& entry : *scope.blocked) {
+    const Job* blocked = FindJob(scope, entry.job);
     if (blocked == nullptr) {
       Violate(tick, "blocked-sane",
               StrFormat("unknown job %lld recorded as blocked",
-                        static_cast<long long>(blocked_id)));
+                        static_cast<long long>(entry.job)));
       continue;
     }
-    if (std::find(blockers.begin(), blockers.end(), blocked_id) !=
+    const std::vector<JobId>& blockers = *entry.blockers;
+    if (std::find(blockers.begin(), blockers.end(), entry.job) !=
         blockers.end()) {
       Violate(tick, "blocked-sane",
               blocked->DebugName() + " is recorded as blocking itself");

@@ -1,7 +1,6 @@
 #include "sched/simulator.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -65,8 +64,6 @@ SpecMetrics& Simulator::metrics_for(SpecId spec) {
               static_cast<std::size_t>(spec) < metrics_.per_spec.size());
   return metrics_.per_spec[static_cast<std::size_t>(spec)];
 }
-
-std::vector<Job*> Simulator::ActiveJobs() { return active_jobs_; }
 
 bool Simulator::NeedsLock(const Job& job) const {
   if (job.BodyDone() || job.step_admitted()) return false;
@@ -189,15 +186,12 @@ void Simulator::CheckDeadlines() {
 
 void Simulator::ApplyFaults() {
   if (fault_plan_ == nullptr) return;
-  std::vector<const Job*> active(active_jobs_.begin(), active_jobs_.end());
-  std::map<JobId, bool> holds_lock;
-  for (const Job* job : active_jobs_) {
-    holds_lock[job->id()] =
-        !lock_table_.read_items(job->id()).empty() ||
-        !lock_table_.write_items(job->id()).empty();
-  }
-  for (const JobFault& fault : fault_plan_->JobFaultsAt(tick_, active,
-                                                        holds_lock)) {
+  const auto holds_lock = [this](JobId id) {
+    return !lock_table_.read_items(id).empty() ||
+           !lock_table_.write_items(id).empty();
+  };
+  for (const JobFault& fault :
+       fault_plan_->JobFaultsAt(tick_, active_jobs_, holds_lock)) {
     Job* victim = const_cast<Job*>(job(fault.job));
     PCPDA_CHECK(victim != nullptr && victim->active());
     // Abort-style faults are unsound for early-release protocols (CCP
@@ -665,6 +659,7 @@ void Simulator::FastForward(Job* runner, StepKind runner_kind,
     *scheduled_ticks += span;
   }
   RecordTick(runner, runner_kind, span);
+  if (auditor_ != nullptr) auditor_->RepeatLastAudit(tick_, span);
   tick_ = end;
 }
 
@@ -766,32 +761,37 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
   trace_.AddTick(std::move(record));
 }
 
-void Simulator::AuditNow() {
+void Simulator::AuditNow(bool resolved) {
   if (auditor_ == nullptr) return;
-  // The audit scans the active set plus this tick's retirements (so a
-  // commit/drop that leaks a lock or a workspace write is caught at
-  // retirement time); anything older has been freed.
-  std::vector<const Job*> scanned;
-  scanned.reserve(active_jobs_.size() + retired_this_tick_.size());
-  scanned.insert(scanned.end(), active_jobs_.begin(), active_jobs_.end());
-  scanned.insert(scanned.end(), retired_this_tick_.begin(),
-                 retired_this_tick_.end());
-  std::map<JobId, std::vector<JobId>> blocked;
-  for (JobId id : blocked_now_.ids()) {
-    blocked[id] = blocked_now_.at(id).blockers;
-  }
-  AuditScope scope;
-  scope.tick = tick_;
-  scope.set = set_;
-  scope.ceilings = ceilings_;
-  scope.protocol = protocol_;
-  scope.locks = &lock_table_;
-  scope.database = &database_;
-  scope.waits = &wait_graph_;
-  scope.jobs = &scanned;
-  scope.blocked = &blocked;
   const std::size_t before = auditor_->report().violations.size();
-  auditor_->AuditTick(scope);
+  if (resolved || dispatch_dirty_) {
+    // The audit scans the active set plus this tick's retirements (so a
+    // commit/drop that leaks a lock or a workspace write is caught at
+    // retirement time); anything older has been freed.
+    audit_jobs_.assign(active_jobs_.begin(), active_jobs_.end());
+    audit_jobs_.insert(audit_jobs_.end(), retired_this_tick_.begin(),
+                       retired_this_tick_.end());
+    audit_blocked_.clear();
+    for (JobId id : blocked_now_.ids()) {
+      audit_blocked_.push_back({id, &blocked_now_.at(id).blockers});
+    }
+    AuditScope scope;
+    scope.tick = tick_;
+    scope.set = set_;
+    scope.ceilings = ceilings_;
+    scope.protocol = protocol_;
+    scope.locks = &lock_table_;
+    scope.database = &database_;
+    scope.waits = &wait_graph_;
+    scope.jobs = &audit_jobs_;
+    scope.blocked = &audit_blocked_;
+    auditor_->AuditTick(scope);
+  } else {
+    // Nothing the audit reads has changed since the last audited tick:
+    // every input moves only where dispatch_dirty_ is set, and a retired
+    // job is freed at the top of a tick that starts dirty.
+    auditor_->RepeatLastAudit(tick_);
+  }
   if (options_.record_trace) {
     const auto& violations = auditor_->report().violations;
     for (std::size_t i = before; i < violations.size(); ++i) {
@@ -827,10 +827,11 @@ SimResult Simulator::Run() {
                            SpecMetrics{});
   metrics_.horizon = options_.horizon;
 
-  // Ticks can be fast-forwarded only when no per-tick observer is
-  // attached: a fault plan may inject arrivals or draw per-tick
-  // randomness, and the auditor must inspect every tick.
-  const bool fast_forward = fault_plan_ == nullptr && auditor_ == nullptr;
+  // Ticks cannot be fast-forwarded under a fault plan, which may inject
+  // arrivals or draw per-tick randomness. Under the auditor they can while
+  // its last verdict is clean: leapt ticks change no state, so they get
+  // that verdict; a failing one is recorded tick by tick.
+  const bool may_fast_forward = fault_plan_ == nullptr;
 
   tick_ = 0;
   Status watchdog_status;
@@ -860,7 +861,8 @@ SimResult Simulator::Run() {
     if (halted_) break;
     ApplyFaults();
     Job* runner;
-    if (dispatch_dirty_) {
+    const bool resolved = dispatch_dirty_;
+    if (resolved) {
       runner = ResolveDispatch();
       while (HandleOneDeadlock()) {
         if (halted_) break;
@@ -881,9 +883,12 @@ SimResult Simulator::Run() {
             : StepKind::kCompute;
     if (runner != nullptr) ExecuteTick(*runner);
     RecordTick(runner, runner_kind);
-    AuditNow();
+    AuditNow(resolved);
     ++tick_;
-    if (fast_forward) FastForward(runner, runner_kind, &scheduled_ticks);
+    if (may_fast_forward &&
+        (auditor_ == nullptr || auditor_->last_audit_clean())) {
+      FastForward(runner, runner_kind, &scheduled_ticks);
+    }
   }
 
   // Jobs still in flight whose deadline lies beyond the horizon never got

@@ -67,7 +67,7 @@ struct SimulatorOptions {
   /// (default) injects nothing. Validated at Run(); a bad config yields a
   /// non-OK SimResult.status.
   FaultConfig faults;
-  /// Run the per-tick invariant auditor; violations land in
+  /// Audit every tick with the invariant auditor; violations land in
   /// SimResult.audit and make SimResult.status non-OK.
   bool audit = false;
   /// When non-zero, bound the recorded trace to (roughly) the most recent
@@ -123,6 +123,12 @@ struct SimResult {
 /// metrics and statuses bit-identical to the per-tick engine (pinned by
 /// tests/determinism_test.cc and tests/simulator_test.cc). Engine memory
 /// therefore tracks the jobs in flight, not the horizon.
+///
+/// The auditor, when attached, re-derives its invariants only on ticks
+/// that change state: those that resolved dispatch or leave the dispatch
+/// memo dirty. Every other tick, walked or leapt, repeats the previous
+/// verdict, violations included, so the report is the one an every-tick
+/// audit would give. Leaps stop while that verdict is failing.
 class Simulator : public SimView {
  public:
   /// `set` and `protocol` must outlive the simulator. Builds the static
@@ -174,9 +180,11 @@ class Simulator : public SimView {
   /// with r > 1 ticks left in its admitted step, and leaps to the earliest
   /// of r - 1 ticks on, the next arrival, the next unrecorded deadline,
   /// and the end of the max_sim_ticks budget; leapt busy ticks are added
-  /// to `*scheduled_ticks`. Both stop at the horizon. Only called when
-  /// neither a fault plan (which may inject arrivals or consume per-tick
-  /// randomness) nor the auditor (which inspects every tick) is attached.
+  /// to `*scheduled_ticks`. Both stop at the horizon. Never called under a
+  /// fault plan (which may inject arrivals or consume per-tick
+  /// randomness). Under the auditor it is called only while the last
+  /// verdict is clean, and credits the leapt ticks with that verdict:
+  /// they change no state the audit reads.
   void FastForward(Job* runner, StepKind runner_kind,
                    Tick* scheduled_ticks);
   /// Earliest absolute deadline among active jobs whose miss is not yet
@@ -187,8 +195,10 @@ class Simulator : public SimView {
   /// Applies this tick's job faults (aborts, spurious restarts, WCET
   /// overruns) before dispatch resolution.
   void ApplyFaults();
-  /// Runs the invariant auditor over the end-of-tick state.
-  void AuditNow();
+  /// Audits the end-of-tick state: from scratch when dispatch was
+  /// `resolved` this tick or the memo is dirty again, otherwise by
+  /// repeating the last verdict (nothing the audit reads has moved).
+  void AuditNow(bool resolved);
   /// Resolves this tick's dispatch: rebuilds blocking edges to a fixpoint
   /// and picks the runner. Returns the chosen job (nullptr if idle) and
   /// fills blocked_now_.
@@ -218,7 +228,6 @@ class Simulator : public SimView {
   /// idle) against the current blocked set, and traces one TickRecord for
   /// each; block episodes are judged once, at the first of them.
   void RecordTick(const Job* runner, StepKind runner_kind, Tick ticks = 1);
-  std::vector<Job*> ActiveJobs();
   SpecMetrics& metrics_for(SpecId spec);
 
   /// True when the job's current step requires a lock it does not hold.
@@ -292,6 +301,9 @@ class Simulator : public SimView {
   std::vector<JobId> stale_waiters_scratch_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<InvariantAuditor> auditor_;
+  /// The audit's view of a tick, rebuilt in place on each full audit.
+  std::vector<const Job*> audit_jobs_;
+  std::vector<AuditBlocked> audit_blocked_;
   bool ran_ = false;
 
   /// Cross-tick dispatch memo. Every input of ResolveDispatch — the
@@ -303,7 +315,9 @@ class Simulator : public SimView {
   /// tick's resolution (last_runner_, blocked_now_, wait edges) is
   /// reused verbatim; a job executing a k-tick step resolves O(1) times
   /// instead of k. Byte-identical by construction, pinned by
-  /// tests/determinism_test.cc.
+  /// tests/determinism_test.cc. The audit gates on the same flag: what it
+  /// reads beyond these inputs (database, undo logs, running priorities,
+  /// blocked set) moves only at the same points or during resolution.
   bool dispatch_dirty_ = true;
   Job* last_runner_ = nullptr;
 };

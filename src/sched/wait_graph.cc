@@ -10,15 +10,16 @@ const std::vector<JobId> WaitGraph::kNoHolders;
 
 void WaitGraph::Clear() { edges_.clear(); }
 
-void WaitGraph::SetWaits(JobId waiter, std::vector<JobId> holders) {
+void WaitGraph::SetWaits(JobId waiter, const std::vector<JobId>& holders) {
   if (holders.empty()) {
     edges_.erase(waiter);
     return;
   }
-  std::sort(holders.begin(), holders.end());
-  holders.erase(std::unique(holders.begin(), holders.end()),
-                holders.end());
-  edges_[waiter] = std::move(holders);
+  // Fill the slot's own vector so it keeps its capacity across edges.
+  std::vector<JobId>& edges = edges_[waiter];
+  edges.assign(holders.begin(), holders.end());
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 }
 
 void WaitGraph::ClearWaits(JobId waiter) { edges_.erase(waiter); }

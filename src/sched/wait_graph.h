@@ -24,7 +24,8 @@ class WaitGraph {
   void Clear();
 
   /// Replaces the waiter's outgoing edges. Duplicate holders collapse.
-  void SetWaits(JobId waiter, std::vector<JobId> holders);
+  /// `holders` must not point into this graph (e.g. HoldersBlocking).
+  void SetWaits(JobId waiter, const std::vector<JobId>& holders);
   void ClearWaits(JobId waiter);
 
   bool IsWaiting(JobId waiter) const;

@@ -291,7 +291,7 @@ TEST(AuditorTest, PaperExamplesAuditCleanUnderAllProtocols) {
           << example.name << " under " << ToString(kind) << ": "
           << result.status.ToString() << "\n"
           << result.audit.DebugString();
-      EXPECT_GT(result.audit.ticks_audited, 0);
+      EXPECT_EQ(result.audit.ticks_audited, example.horizon);
     }
   }
 }

@@ -105,75 +105,95 @@ TEST(WaitGraphTest, ClearRemovesEverything) {
 
 // --- Priority inheritance --------------------------------------------------
 
+/// Running-priority table preloaded with `base`.
+JobSlotMap<Priority> Base(
+    std::initializer_list<std::pair<JobId, Priority>> base) {
+  JobSlotMap<Priority> running;
+  for (const auto& [id, priority] : base) running[id] = priority;
+  return running;
+}
+
+/// Relaxes `running` with the reference fixpoint and expects the
+/// simulator's dense fixpoint to reach the same table.
+void Relax(JobSlotMap<Priority>& running, const WaitGraph& graph,
+           bool enable_inheritance) {
+  JobSlotMap<Priority> dense = running;
+  ComputeRunningPriorities(running, graph, enable_inheritance);
+  if (!enable_inheritance) return;
+  ComputeRunningPrioritiesDense(dense, graph);
+  ASSERT_EQ(dense.ids(), running.ids());
+  for (JobId id : running.ids()) EXPECT_EQ(dense.at(id), running.at(id));
+}
+
 TEST(InheritanceTest, NoWaitsKeepsBase) {
-  std::map<JobId, Priority> base{{1, Priority(3)}, {2, Priority(1)}};
+  JobSlotMap<Priority> running = Base({{1, Priority(3)}, {2, Priority(1)}});
   WaitGraph graph;
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(1), Priority(3));
   EXPECT_EQ(running.at(2), Priority(1));
 }
 
 TEST(InheritanceTest, DirectInheritance) {
-  std::map<JobId, Priority> base{{1, Priority(3)}, {2, Priority(1)}};
+  JobSlotMap<Priority> running = Base({{1, Priority(3)}, {2, Priority(1)}});
   WaitGraph graph;
   graph.SetWaits(1, {2});  // high waits on low
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(2), Priority(3));
   EXPECT_EQ(running.at(1), Priority(3));
 }
 
 TEST(InheritanceTest, TransitiveInheritance) {
-  std::map<JobId, Priority> base{
-      {1, Priority(5)}, {2, Priority(3)}, {3, Priority(1)}};
+  JobSlotMap<Priority> running = Base({
+      {1, Priority(5)}, {2, Priority(3)}, {3, Priority(1)}});
   WaitGraph graph;
   graph.SetWaits(1, {2});
   graph.SetWaits(2, {3});
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(3), Priority(5));
 }
 
 TEST(InheritanceTest, MaxOverMultipleWaiters) {
-  std::map<JobId, Priority> base{
-      {1, Priority(5)}, {2, Priority(4)}, {3, Priority(1)}};
+  JobSlotMap<Priority> running = Base({
+      {1, Priority(5)}, {2, Priority(4)}, {3, Priority(1)}});
   WaitGraph graph;
   graph.SetWaits(1, {3});
   graph.SetWaits(2, {3});
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(3), Priority(5));
 }
 
 TEST(InheritanceTest, LowerWaiterDoesNotLowerHolder) {
-  std::map<JobId, Priority> base{{1, Priority(1)}, {2, Priority(4)}};
+  JobSlotMap<Priority> running = Base({{1, Priority(1)}, {2, Priority(4)}});
   WaitGraph graph;
   graph.SetWaits(1, {2});  // low waits on high
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(2), Priority(4));
 }
 
 TEST(InheritanceTest, DisabledKeepsBase) {
-  std::map<JobId, Priority> base{{1, Priority(3)}, {2, Priority(1)}};
+  JobSlotMap<Priority> running = Base({{1, Priority(3)}, {2, Priority(1)}});
   WaitGraph graph;
   graph.SetWaits(1, {2});
-  const auto running = ComputeRunningPriorities(base, graph, false);
+  Relax(running, graph, false);
   EXPECT_EQ(running.at(2), Priority(1));
 }
 
 TEST(InheritanceTest, CycleConvergesToMax) {
-  std::map<JobId, Priority> base{{1, Priority(3)}, {2, Priority(1)}};
+  JobSlotMap<Priority> running = Base({{1, Priority(3)}, {2, Priority(1)}});
   WaitGraph graph;
   graph.SetWaits(1, {2});
   graph.SetWaits(2, {1});
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(1), Priority(3));
   EXPECT_EQ(running.at(2), Priority(3));
 }
 
 TEST(InheritanceTest, StaleEdgesToDeadJobsIgnored) {
-  std::map<JobId, Priority> base{{1, Priority(3)}};
+  JobSlotMap<Priority> running = Base({{1, Priority(3)}});
   WaitGraph graph;
   graph.SetWaits(1, {99});  // 99 is not a live job
   graph.SetWaits(98, {1});  // dead waiter
-  const auto running = ComputeRunningPriorities(base, graph, true);
+  Relax(running, graph, true);
   EXPECT_EQ(running.at(1), Priority(3));
   EXPECT_EQ(running.size(), 1u);
 }

@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/pcp_da.h"
+#include "fault/fault_plan.h"
 #include "history/serialization_graph.h"
 #include "protocols/two_pl_pi.h"
 #include "sim/arrival_schedule.h"
@@ -189,36 +190,6 @@ TEST(SimulatorTest, TraceTicksCoverHorizon) {
   }
 }
 
-TEST(SimulatorTest, IdleFastForwardMatchesPerTickEngine) {
-  // Sparse workload: 2 busy ticks then a 98-tick idle gap, every period.
-  // Without an auditor the core fast-forwards the gaps; with one it walks
-  // every tick. Both paths must report byte-identical results.
-  TransactionSet set = MakeSet(
-      {{.name = "Sparse", .period = 100, .body = {Read(0), Write(1)}}});
-  auto run = [&set](bool audit) {
-    auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
-    SimulatorOptions options;
-    options.horizon = 1000;
-    options.audit = audit;
-    Simulator sim(&set, protocol.get(), options);
-    return sim.Run();
-  };
-  const SimResult fast = run(false);
-  const SimResult slow = run(true);
-  ASSERT_TRUE(fast.status.ok());
-  ASSERT_TRUE(slow.status.ok());
-  EXPECT_EQ(fast.metrics.DebugString(set), slow.metrics.DebugString(set));
-  EXPECT_EQ(fast.trace.DebugString(), slow.trace.DebugString());
-  EXPECT_EQ(fast.metrics.idle_ticks, 1000 - 10 * 2);
-  // Skipped ticks still produce their idle TickRecords, consecutively.
-  ASSERT_EQ(fast.trace.ticks().size(), 1000u);
-  for (std::size_t t = 0; t < 1000; ++t) {
-    EXPECT_EQ(fast.trace.ticks()[t].tick, static_cast<Tick>(t));
-    EXPECT_EQ(fast.trace.ticks()[t].running_job,
-              slow.trace.ticks()[t].running_job);
-  }
-}
-
 TEST(SimulatorTest, FastForwardStopsAtHorizonWithNoMoreArrivals) {
   // One-shot job, huge idle tail: the run must still account for every
   // tick up to the horizon, not stop at the last arrival.
@@ -336,9 +307,31 @@ TEST(SimulatorTest, AuditorReportsLeakedLockAsCommittedThenRetired) {
 
 // --- Fast-forward vs the per-tick loop ----------------------------------
 //
-// The auditor inspects every tick, so it turns both fast-forwards (idle
-// gaps and busy stretches inside an admitted step) off: an audited run is
-// the per-tick reference for an unaudited one with the same inputs.
+// A fault plan turns both fast-forwards (idle gaps and busy stretches
+// inside an admitted step) off, because it may draw randomness on any
+// tick. A one-shot fault due at the horizon never fires and draws nothing,
+// so a run carrying one walks every tick and is the per-tick reference for
+// a plain run with the same inputs. The auditor no longer stops the leap;
+// audit on vs off is a second comparison, in which the audit may change
+// nothing but SimResult.audit.
+
+/// Ticks a run simulated: each one either idles or runs exactly one job,
+/// and a halt ends the run before the halting tick is credited.
+Tick SimulatedTicks(const RunMetrics& metrics) {
+  Tick ticks = metrics.idle_ticks;
+  for (const SpecMetrics& spec : metrics.per_spec) ticks += spec.busy_ticks;
+  return ticks;
+}
+
+/// `options` plus an abort fault that is armed for the horizon and so
+/// never fires.
+SimulatorOptions WithDormantFault(SimulatorOptions options) {
+  FaultSpec dormant;
+  dormant.kind = FaultKind::kAbort;
+  dormant.at = options.horizon;
+  options.faults.faults.push_back(dormant);
+  return options;
+}
 
 /// A random set whose data steps last 1-4 ticks and whose compute steps
 /// last up to 12, on few items so that locks are held across many ticks
@@ -371,35 +364,123 @@ TransactionSet RandomLongStepSet(Rng& rng) {
   return MakeSet(std::move(specs), PriorityAssignment::kRateMonotonic);
 }
 
-SimResult RunPerTickOrNot(const TransactionSet& set, ProtocolKind kind,
-                          SimulatorOptions options, bool per_tick) {
+enum class Arm {
+  /// Plain run: both fast-forwards on.
+  kLeap,
+  /// Dormant fault attached: every tick walked.
+  kPerTick,
+  /// Auditor attached: leaps while the verdict is clean.
+  kAudited,
+  /// Auditor and dormant fault: every tick walked and audited.
+  kAuditedPerTick,
+};
+
+SimResult RunArm(const TransactionSet& set, ProtocolKind kind,
+                 SimulatorOptions options, Arm arm) {
+  if (arm == Arm::kPerTick || arm == Arm::kAuditedPerTick) {
+    options = WithDormantFault(std::move(options));
+  }
+  options.audit = arm == Arm::kAudited || arm == Arm::kAuditedPerTick;
   auto protocol = MakeProtocol(kind);
-  options.audit = per_tick;
   Simulator sim(&set, protocol.get(), options);
   return sim.Run();
 }
 
-/// Runs `set` with and without the auditor, expects the same status,
-/// metrics, trace and history, and returns the unaudited run.
+void ExpectSameRun(const TransactionSet& set, const SimResult& a,
+                   const SimResult& b, const std::string& label) {
+  EXPECT_EQ(a.status.ToString(), b.status.ToString()) << label;
+  EXPECT_EQ(a.metrics.DebugString(set), b.metrics.DebugString(set))
+      << label;
+  EXPECT_TRUE(a.metrics == b.metrics) << label;
+  EXPECT_TRUE(a.trace == b.trace) << label;
+  EXPECT_TRUE(a.history == b.history) << label;
+}
+
+/// Runs `set` in all four arms and expects the same status, metrics,
+/// trace and history from each: the leaping runs against the walking
+/// reference, audit on against audit off. Both audited runs must give the
+/// same report, with one audited tick per simulated tick. Returns the
+/// plain run.
 SimResult ExpectLeapMatchesPerTick(const TransactionSet& set,
                                    ProtocolKind kind,
                                    const SimulatorOptions& options,
                                    const std::string& label) {
-  SimResult fast = RunPerTickOrNot(set, kind, options, false);
-  const SimResult slow = RunPerTickOrNot(set, kind, options, true);
-  EXPECT_EQ(fast.status.ToString(), slow.status.ToString()) << label;
-  EXPECT_EQ(fast.metrics.DebugString(set), slow.metrics.DebugString(set))
+  SimResult fast = RunArm(set, kind, options, Arm::kLeap);
+  const SimResult slow = RunArm(set, kind, options, Arm::kPerTick);
+  const SimResult audited = RunArm(set, kind, options, Arm::kAudited);
+  const SimResult audited_slow =
+      RunArm(set, kind, options, Arm::kAuditedPerTick);
+  ExpectSameRun(set, fast, slow, label + " leap vs per-tick");
+  ExpectSameRun(set, fast, audited, label + " audit off vs on");
+  ExpectSameRun(set, audited, audited_slow,
+                label + " audited leap vs per-tick");
+  EXPECT_TRUE(audited.audit == audited_slow.audit) << label;
+  EXPECT_TRUE(audited.audit.ok()) << label << audited.audit.DebugString();
+  EXPECT_EQ(audited.audit.ticks_audited, SimulatedTicks(audited.metrics))
       << label;
-  EXPECT_TRUE(fast.metrics == slow.metrics) << label;
-  EXPECT_TRUE(fast.trace == slow.trace) << label;
-  EXPECT_TRUE(fast.history == slow.history) << label;
+  EXPECT_EQ(audited_slow.audit.ticks_audited,
+            SimulatedTicks(audited_slow.metrics))
+      << label;
+  EXPECT_EQ(slow.metrics.faults.injected_aborts, 0) << label;
+  EXPECT_TRUE(slow.trace.EventsOfKind(TraceKind::kFault).empty()) << label;
   return fast;
+}
+
+TEST(SimulatorTest, DormantFaultIsValidAndChangesNothing) {
+  TransactionSet set = MakeSet({
+      {.name = "A", .period = 7, .body = {Read(0, 2), Compute(3)}},
+      {.name = "B", .period = 11, .body = {Write(0, 3), Compute(2)}},
+  });
+  SimulatorOptions options;
+  options.horizon = 60;
+  EXPECT_TRUE(
+      ValidateFaultConfig(WithDormantFault(options).faults, set).ok());
+  const SimResult plain = RunArm(set, ProtocolKind::kPcpDa, options,
+                                 Arm::kLeap);
+  const SimResult dormant = RunArm(set, ProtocolKind::kPcpDa, options,
+                                   Arm::kPerTick);
+  ASSERT_TRUE(dormant.status.ok()) << dormant.status.ToString();
+  ExpectSameRun(set, plain, dormant, "dormant fault");
+}
+
+TEST(SimulatorTest, IdleFastForwardMatchesPerTickEngine) {
+  // Sparse workload: 2 busy ticks then a 98-tick idle gap, every period.
+  // A plain run fast-forwards the gaps, and so does an audited one; a run
+  // carrying a dormant fault walks every tick. All three must report
+  // byte-identical results.
+  TransactionSet set = MakeSet(
+      {{.name = "Sparse", .period = 100, .body = {Read(0), Write(1)}}});
+  SimulatorOptions options;
+  options.horizon = 1000;
+  const SimResult fast =
+      RunArm(set, ProtocolKind::kPcpDa, options, Arm::kLeap);
+  const SimResult slow =
+      RunArm(set, ProtocolKind::kPcpDa, options, Arm::kPerTick);
+  const SimResult audited =
+      RunArm(set, ProtocolKind::kPcpDa, options, Arm::kAudited);
+  ASSERT_TRUE(fast.status.ok());
+  ASSERT_TRUE(slow.status.ok());
+  ASSERT_TRUE(audited.status.ok()) << audited.audit.DebugString();
+  EXPECT_EQ(fast.metrics.DebugString(set), slow.metrics.DebugString(set));
+  EXPECT_EQ(fast.trace.DebugString(), slow.trace.DebugString());
+  EXPECT_EQ(fast.metrics.DebugString(set),
+            audited.metrics.DebugString(set));
+  EXPECT_EQ(fast.trace.DebugString(), audited.trace.DebugString());
+  EXPECT_EQ(audited.audit.ticks_audited, 1000);
+  EXPECT_EQ(fast.metrics.idle_ticks, 1000 - 10 * 2);
+  // Skipped ticks still produce their idle TickRecords, consecutively.
+  ASSERT_EQ(fast.trace.ticks().size(), 1000u);
+  for (std::size_t t = 0; t < 1000; ++t) {
+    EXPECT_EQ(fast.trace.ticks()[t].tick, static_cast<Tick>(t));
+    EXPECT_EQ(fast.trace.ticks()[t].running_job,
+              slow.trace.ticks()[t].running_job);
+  }
 }
 
 TEST(SimulatorTest, LeapMatchesPerTickAcrossProtocolsPoliciesAndArrivals) {
   Rng rng(20261017);
-  // Tallies over the unaudited runs, to show the sweep reaches the paths
-  // a leap has to stop for or credit in bulk.
+  // Tallies over the plain runs, to show the sweep reaches the paths a
+  // leap has to stop for or credit in bulk.
   std::int64_t misses = 0, drops = 0, halts = 0, blocked = 0,
                effective = 0, pending = 0;
   for (int round = 0; round < 6; ++round) {
@@ -469,7 +550,7 @@ TEST(SimulatorTest, HorizonInsideALeapableStepCreditsOnlyTicksBeforeIt) {
   SimulatorOptions options;
   options.horizon = 7;
   const SimResult fast =
-      RunPerTickOrNot(set, ProtocolKind::kPcpDa, options, false);
+      RunArm(set, ProtocolKind::kPcpDa, options, Arm::kLeap);
   ASSERT_TRUE(fast.status.ok()) << fast.status.ToString();
   EXPECT_EQ(fast.metrics.per_spec[0].busy_ticks, 7);
   EXPECT_EQ(fast.metrics.per_spec[0].committed, 0);
@@ -510,6 +591,136 @@ TEST(SimulatorTest, TickBudgetRunsOutInsideABusyStretchAtTheSameTick) {
                         static_cast<long long>(budget),
                         static_cast<long long>(tick)));
   }
+}
+
+// --- The audit on broken engines -----------------------------------------
+//
+// Lying protocols whose violations persist across ticks that change no
+// state. The audit re-derives its verdict only on ticks that do, and
+// repeats it on the others, walked or leapt; these pins are the reports
+// an audit of every tick gives (violation ticks past the 64-violation
+// cap, suppressed count, audited ticks, kAuditViolation events).
+
+/// "0-3,7,9-12": ascending ticks as runs of consecutive ticks.
+std::string TickRanges(const std::vector<Tick>& ticks) {
+  std::vector<std::string> runs;
+  for (std::size_t i = 0; i < ticks.size();) {
+    std::size_t j = i;
+    while (j + 1 < ticks.size() && ticks[j + 1] == ticks[j] + 1) ++j;
+    runs.push_back(
+        i == j ? StrFormat("%lld", static_cast<long long>(ticks[i]))
+               : StrFormat("%lld-%lld", static_cast<long long>(ticks[i]),
+                           static_cast<long long>(ticks[j])));
+    i = j + 1;
+  }
+  return Join(runs, ",");
+}
+
+/// The audit's outcome in one line: the ticks of the retained violations,
+/// each distinct "check: detail" in first-seen order, the suppressed and
+/// audited counts, and the ticks of the kAuditViolation trace events.
+std::string AuditDigest(const SimResult& result) {
+  std::vector<Tick> ticks;
+  std::vector<std::string> distinct;
+  for (const AuditViolation& v : result.audit.violations) {
+    ticks.push_back(v.tick);
+    const std::string line = v.check + ": " + v.detail;
+    if (std::find(distinct.begin(), distinct.end(), line) ==
+        distinct.end()) {
+      distinct.push_back(line);
+    }
+  }
+  std::vector<Tick> events;
+  for (const TraceEvent& e :
+       result.trace.EventsOfKind(TraceKind::kAuditViolation)) {
+    events.push_back(e.tick);
+  }
+  return StrFormat("violations=%s {%s} suppressed=%lld audited=%lld "
+                   "events=%s",
+                   TickRanges(ticks).c_str(), Join(distinct, "; ").c_str(),
+                   static_cast<long long>(result.audit.suppressed),
+                   static_cast<long long>(result.audit.ticks_audited),
+                   TickRanges(events).c_str());
+}
+
+/// Audits `set` under a fresh `P` for `horizon` ticks; with `walk`, a
+/// dormant fault makes the run walk every tick.
+template <typename P>
+SimResult RunLying(const TransactionSet& set, Tick horizon, bool walk) {
+  P protocol;
+  SimulatorOptions options;
+  options.horizon = horizon;
+  options.audit = true;
+  if (walk) options = WithDormantFault(std::move(options));
+  Simulator sim(&set, &protocol, options);
+  return sim.Run();
+}
+
+/// Expects the walked and the leaping audited runs to agree, and returns
+/// the leaping run's digest.
+template <typename P>
+std::string LyingDigest(const TransactionSet& set, Tick horizon) {
+  const SimResult leap = RunLying<P>(set, horizon, false);
+  const SimResult walk = RunLying<P>(set, horizon, true);
+  EXPECT_FALSE(leap.status.ok());
+  EXPECT_TRUE(leap.audit == walk.audit);
+  EXPECT_TRUE(leap.trace == walk.trace);
+  EXPECT_TRUE(leap.metrics == walk.metrics);
+  EXPECT_EQ(leap.audit.ticks_audited, SimulatedTicks(leap.metrics));
+  return AuditDigest(leap);
+}
+
+TEST(SimulatorTest, AuditRepeatsALeakedLockPastTheCap) {
+  // The first job commits at the end of tick 3, inside its compute step,
+  // so the tick that leaks the lock resolves no dispatch; every later
+  // release blocks behind the leaked lock for good.
+  TransactionSet set = MakeSet(
+      {{.name = "T", .period = 20, .body = {Write(0), Compute(3)}}});
+  EXPECT_EQ(LyingDigest<LockLeakingProtocol>(set, 200),
+            "violations=3-66 {lock-holder-active: job 0 holds locks but is "
+            "committed; lock-holder-active: job 0 holds locks but is "
+            "retired} suppressed=133 audited=200 events=3-66");
+}
+
+/// PCP-DA that reports one fixed ceiling whatever the lock table holds.
+class ConstantCeilingPcpDa : public PcpDa {
+ public:
+  Priority CurrentCeiling() const override { return Priority(100); }
+};
+
+TEST(SimulatorTest, AuditRepeatsAConstantWrongCeilingEveryTick) {
+  TransactionSet set = MakeSet({
+      {.name = "A", .period = 10, .body = {Read(0, 2), Compute(2)}},
+      {.name = "B", .period = 15, .body = {Write(0, 2)}},
+  });
+  EXPECT_EQ(LyingDigest<ConstantCeilingPcpDa>(set, 150),
+            "violations=0-63 {sysceil: protocol reports ceiling prio(100) "
+            "but the lock table implies prio(1); sysceil: protocol reports "
+            "ceiling prio(100) but the lock table implies dummy} "
+            "suppressed=86 audited=150 events=0-63");
+}
+
+/// PCP-DA that never reports a ceiling: wrong exactly while a read lock
+/// is held, right in the idle gaps between jobs.
+class HiddenCeilingPcpDa : public PcpDa {
+ public:
+  Priority CurrentCeiling() const override { return Priority::Dummy(); }
+};
+
+TEST(SimulatorTest, AuditTracksAnIntermittentCeilingLieAcrossLeaps) {
+  // Each T job holds its read lock for 10 ticks, then the gap to the next
+  // release is clean and leapt; the lie comes and goes with the lock. W
+  // never arrives within the horizon; it only gives d0 a write ceiling.
+  TransactionSet set = MakeSet({
+      {.name = "W", .period = 1000, .offset = 1000, .body = {Write(0)}},
+      {.name = "T", .period = 25, .body = {Read(0, 4), Compute(6)}},
+  });
+  // The lock goes at the commit on tick 9, which resolves no dispatch.
+  EXPECT_EQ(LyingDigest<HiddenCeilingPcpDa>(set, 300),
+            "violations=0-8,25-33,50-58,75-83,100-108,125-133,150-158,175 "
+            "{sysceil: protocol reports ceiling dummy but the lock table "
+            "implies prio(2)} suppressed=44 audited=300 "
+            "events=0-8,25-33,50-58,75-83,100-108,125-133,150-158,175");
 }
 
 #ifdef PCPDA_HAVE_MALLINFO2
