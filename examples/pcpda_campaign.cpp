@@ -122,7 +122,7 @@ void Usage(const char* argv0) {
       "  --wall-budget-ms=W  wall-clock per-attempt budget (default off)\n"
       "  --retries=R         extra attempts after a captured exception "
       "(default 1)\n"
-      "  --no-fsync          skip per-record fsync (crash safety off)\n"
+      "  --no-fsync          no checkpoint fsyncs (machine-crash safety off)\n"
       "  --no-lint-preflight skip the per-scenario lint gate\n"
       "supervision (process isolation, DESIGN.md §14):\n"
       "  --supervise         fork one worker process per shard\n"

@@ -294,10 +294,19 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   summary.resumed = summary.jobs - static_cast<std::int64_t>(todo.size());
 
   // Open even when nothing is left to run: Open() truncates any torn
-  // tail so the file on disk is exactly its valid prefix.
+  // tail so the file on disk is exactly its valid prefix. The heartbeat
+  // (or any other progress listener) hears of a record only once the
+  // fsync that covers it has returned.
+  CheckpointWriter::DurableCallback on_durable;
+  if (options_.on_record) {
+    on_durable = [this](std::int64_t count) {
+      for (std::int64_t i = 0; i < count; ++i) options_.on_record();
+    };
+  }
   CheckpointWriter writer;
   PCPDA_RETURN_IF_ERROR(writer.Open(path, fingerprint_,
-                                    loaded->valid_bytes, options_.fsync));
+                                    loaded->valid_bytes, options_.fsync,
+                                    std::move(on_durable)));
   if (todo.empty()) return writer.Close();
 
   JobPolicy policy;
@@ -332,9 +341,6 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
       internal_stop_.store(true, std::memory_order_relaxed);
       return;
     }
-    // The record is durable: let the heartbeat (or any other progress
-    // listener) know.
-    if (options_.on_record) options_.on_record();
     if (options_.stop_after >= 0 &&
         completions_.fetch_add(1, std::memory_order_relaxed) + 1 >=
             options_.stop_after) {
@@ -357,7 +363,7 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   }
 }
 
-Status Campaign::Finalize(CampaignReport& report) {
+Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
   const std::int64_t num_jobs = spec_.num_jobs();
   std::vector<std::unique_ptr<JobRecord>> by_id(
       static_cast<std::size_t>(num_jobs));
@@ -424,7 +430,7 @@ Status Campaign::Finalize(CampaignReport& report) {
     for (auto& slot : by_id) records.push_back(*slot);
     report.bench_path = options_.out_dir + "/BENCH_campaign.json";
     PCPDA_RETURN_IF_ERROR(
-        WriteFileAtomic(report.bench_path, RenderBench(records)));
+        WriteFileAtomic(report.bench_path, RenderBench(records, pool)));
     report.merged = true;
   }
   return Status::Ok();
@@ -467,8 +473,8 @@ std::string Campaign::RenderManifest(
       Join(rows, ",\n").c_str());
 }
 
-std::string Campaign::RenderBench(
-    const std::vector<JobRecord>& records) const {
+std::string Campaign::RenderBench(const std::vector<JobRecord>& records,
+                                  ExecutorPool& pool) const {
   std::int64_t ok = 0, failed = 0, quarantined = 0;
   for (const JobRecord& record : records) {
     if (record.outcome == "ok") {
@@ -484,31 +490,33 @@ std::string Campaign::RenderBench(
   // inputs depend only on (spec, id), so this reproduces exactly what
   // the workers simulated — the checkpoint codec stays untouched) and
   // compute the static verdict per protocol. Generator-defect cells
-  // keep kUnknown for every protocol.
-  const std::int64_t num_cells = spec_.num_cells();
+  // keep kUnknown for every protocol. Cells are independent and each
+  // writes only its own preallocated row, so they fan out over the pool
+  // without changing a byte of the output.
+  const std::size_t num_cells = static_cast<std::size_t>(spec_.num_cells());
   std::vector<std::vector<SchedVerdict>> analytic(
-      static_cast<std::size_t>(num_cells),
-      std::vector<SchedVerdict>(
-          static_cast<std::size_t>(spec_.num_protocols()),
-          SchedVerdict::kUnknown));
-  for (std::int64_t cell = 0; cell < num_cells; ++cell) {
-    const CampaignJob job = spec_.JobById(cell * spec_.num_protocols());
+      num_cells, std::vector<SchedVerdict>(
+                     static_cast<std::size_t>(spec_.num_protocols()),
+                     SchedVerdict::kUnknown));
+  const auto analyze_cell = [&](std::size_t cell) {
+    const CampaignJob job = spec_.JobById(
+        static_cast<std::int64_t>(cell) * spec_.num_protocols());
     WorkloadParams params = spec_.workload;
     params.total_utilization =
         spec_.utilizations[static_cast<std::size_t>(job.util_index)];
     Rng rng(job.scenario_seed);
     const auto set = GenerateWorkload(params, rng);
-    if (!set.ok()) continue;
+    if (!set.ok()) return;
     for (int p = 0; p < spec_.num_protocols(); ++p) {
       const ProtocolKind kind =
           spec_.protocols[static_cast<std::size_t>(p)];
-      analytic[static_cast<std::size_t>(cell)]
-              [static_cast<std::size_t>(p)] =
+      analytic[cell][static_cast<std::size_t>(p)] =
           AnalyzeResponseTimes(set.value(),
                                ComputeBlocking(set.value(), kind))
               .verdict;
     }
-  }
+  };
+  pool.ParallelFor(num_cells, analyze_cell);
 
   // Acceptance table: protocol-major, then the utilization sweep. Every
   // row aggregates the `scenarios` runs of its (protocol, utilization)
@@ -656,7 +664,7 @@ StatusOr<CampaignReport> Campaign::Run() {
     // race on them, so a worker reports its shard summaries and stops.
     return report;
   }
-  PCPDA_RETURN_IF_ERROR(Finalize(report));
+  PCPDA_RETURN_IF_ERROR(Finalize(report, runner.pool()));
   return report;
 }
 
@@ -668,7 +676,9 @@ StatusOr<CampaignReport> Campaign::Merge(bool stopped) {
   CampaignReport report;
   report.fingerprint = fingerprint_;
   report.stopped = stopped;
-  PCPDA_RETURN_IF_ERROR(Finalize(report));
+  // No runner here: the analytic pass runs on the calling thread.
+  ExecutorPool serial(1);
+  PCPDA_RETURN_IF_ERROR(Finalize(report, serial));
   return report;
 }
 

@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "plan/compiled_plan.h"
 #include "runner/batch_runner.h"
+#include "runner/executor_pool.h"
 
 namespace pcpda {
 
@@ -28,16 +29,20 @@ struct CampaignOptions {
   std::string out_dir;
   /// Concurrent executors per shard.
   int jobs = 1;
-  /// fsync every checkpoint append (the crash-safety contract). Tests
-  /// that only exercise logic may turn it off for speed.
+  /// Make checkpoint records durable against a machine crash: the
+  /// writer's committer thread group-fsyncs the appended lines, and
+  /// on_record waits for the fsync that covers its record. A process
+  /// kill loses no appended record either way. Tests that only exercise
+  /// logic may turn it off for speed.
   bool fsync = true;
   /// Run only this shard (distributed invocations run one shard each);
   /// -1 runs every shard in sequence. Accounting, the manifest and the
   /// final merge always cover all shards.
   int only_shard = -1;
   /// Graceful-stop flag, typically set by a SIGINT/SIGTERM handler:
-  /// in-flight jobs are cancelled, nothing new starts, the checkpoint is
-  /// already flushed per job, and a partial MANIFEST.json is written.
+  /// in-flight jobs are cancelled, nothing new starts, the checkpoint
+  /// writer drains its last fsync on close, and a partial MANIFEST.json
+  /// is written.
   const std::atomic<bool>* stop = nullptr;
 
   // --- worker mode (the supervisor's forked processes) -----------------
@@ -51,10 +56,12 @@ struct CampaignOptions {
   /// resume; jobs outside it are left pending for sibling workers.
   std::int64_t job_first = -1;
   std::int64_t job_last = -1;
-  /// Invoked after every durable record append (on the worker thread
-  /// that completed the job). Workers write one heartbeat byte per call;
-  /// the supervisor's stall detector feeds on them. Must be async-safe
-  /// in the ordinary sense (called under no campaign lock) and cheap.
+  /// Invoked once per record after the fsync that covers it has returned
+  /// (on the checkpoint writer's committer thread; with fsync off, on the
+  /// worker thread that completed the job, right after its append).
+  /// Workers write one heartbeat byte per call; the supervisor's stall
+  /// detector feeds on them. Must be async-safe in the ordinary sense
+  /// (called under no campaign lock) and cheap.
   std::function<void()> on_record;
 
   /// Lint pre-flight (ROADMAP item 3): run the static analyzer's
@@ -126,11 +133,11 @@ struct CampaignReport {
 
 /// The crash-safe campaign engine. One invocation = load checkpoints,
 /// run what is missing (under the spec's robustness policy), append each
-/// completion durably, then merge if the grid is complete. Killing the
-/// process at any point and re-invoking resumes exactly where the last
-/// durable record left off and produces a BENCH_campaign.json
-/// byte-identical to an uninterrupted run (tests/campaign_test.cc and
-/// the campaign-smoke ctest prove both).
+/// completion (group-fsynced off the worker path), then merge if the grid
+/// is complete. Killing the process at any point and re-invoking resumes
+/// exactly where the last appended record left off and produces a
+/// BENCH_campaign.json byte-identical to an uninterrupted run
+/// (tests/campaign_test.cc and the campaign-smoke ctest prove both).
 class Campaign {
  public:
   Campaign(CampaignSpec spec, CampaignOptions options);
@@ -172,11 +179,14 @@ class Campaign {
   /// record).
   Status WriteQuarantine(const CampaignJob& job, const JobRecord& record);
   /// Re-reads every shard checkpoint, fills global accounting, writes
-  /// MANIFEST.json and — when complete — BENCH_campaign.json.
-  Status Finalize(CampaignReport& report);
+  /// MANIFEST.json and — when complete — BENCH_campaign.json. `pool`
+  /// runs the merge's analytic pass.
+  Status Finalize(CampaignReport& report, ExecutorPool& pool);
   /// Renders the merged benchmark report (deterministic byte-for-byte:
-  /// records sorted by job id, fixed key order, no timestamps).
-  std::string RenderBench(const std::vector<JobRecord>& records) const;
+  /// records sorted by job id, fixed key order, no timestamps, the same
+  /// bytes for any `pool` size).
+  std::string RenderBench(const std::vector<JobRecord>& records,
+                          ExecutorPool& pool) const;
   std::string RenderManifest(
       const CampaignReport& report,
       const std::vector<std::int64_t>& recorded_per_shard) const;

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -284,11 +285,16 @@ CheckpointWriter::~CheckpointWriter() { Close(); }
 
 Status CheckpointWriter::Open(const std::string& path,
                               const std::string& fingerprint,
-                              std::int64_t valid_bytes, bool fsync) {
+                              std::int64_t valid_bytes, bool fsync,
+                              DurableCallback on_durable) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) return Status::FailedPrecondition("writer already open");
   fsync_ = fsync;
   path_ = path;
+  on_durable_ = std::move(on_durable);
+  error_ = Status::Ok();
+  closing_ = false;
+  unsynced_ = 0;
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd < 0) return Errno("open", path);
   // Cut off any torn tail (or stale contents when starting fresh) so the
@@ -303,46 +309,98 @@ Status CheckpointWriter::Open(const std::string& path,
     ::close(fd);
     return status;
   }
-  fd_ = fd;
   if (valid_bytes == 0) {
-    const Status status = AppendLine(HeaderLine(fingerprint));
+    const Status status = WriteAll(fd, HeaderLine(fingerprint) + "\n", path);
     if (!status.ok()) {
-      ::close(fd_);
-      fd_ = -1;
+      ::close(fd);
       return status;
     }
   }
+  fd_ = fd;
+  if (fsync_) {
+    // The truncation and the header ride the committer's first fsync.
+    dirty_ = true;
+    committer_ = std::thread([this] { CommitLoop(); });
+  }
   return Status::Ok();
 }
 
-Status CheckpointWriter::AppendLine(const std::string& line) {
-  if (fd_ < 0) return Status::FailedPrecondition("writer not open");
-  PCPDA_RETURN_IF_ERROR(WriteAll(fd_, line + "\n", path_));
-  if (fsync_ && ::fsync(fd_) != 0) return Errno("fsync", path_);
-  return Status::Ok();
-}
-
-Status CheckpointWriter::Append(const JobRecord& record) {
-  std::lock_guard<std::mutex> lock(mu_);
+Status CheckpointWriter::WriteLine(const std::string& line) {
   int budget = g_append_failure_budget.load(std::memory_order_relaxed);
   if (budget >= 0) {
     if (budget == 0) {
-      return Status::Internal(StrFormat(
+      error_ = Status::Internal(StrFormat(
           "write %s: No space left on device (injected)", path_.c_str()));
+      return error_;
     }
     g_append_failure_budget.store(budget - 1, std::memory_order_relaxed);
   }
-  return AppendLine(EncodeJobRecord(record));
+  const Status status = WriteAll(fd_, line, path_);
+  if (!status.ok()) error_ = status;
+  return status;
+}
+
+Status CheckpointWriter::Append(const JobRecord& record) {
+  const std::string line = EncodeJobRecord(record) + "\n";
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!error_.ok()) return error_;
+    if (fd_ < 0 || closing_) {
+      return Status::FailedPrecondition("writer not open");
+    }
+    PCPDA_RETURN_IF_ERROR(WriteLine(line));
+    if (fsync_) {
+      dirty_ = true;
+      ++unsynced_;
+      unsynced_cv_.notify_one();
+      return Status::Ok();
+    }
+  }
+  if (on_durable_) on_durable_(1);
+  return Status::Ok();
+}
+
+void CheckpointWriter::CommitLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    unsynced_cv_.wait(lock, [this] { return dirty_ || closing_; });
+    if (!dirty_) return;  // closing, and every written line is durable
+    // Take the whole backlog: one fsync covers every line written so
+    // far, and lines written while it runs wait for the next one.
+    dirty_ = false;
+    const std::int64_t batch = unsynced_;
+    unsynced_ = 0;
+    lock.unlock();
+    Status status = ::fsync(fd_) == 0 ? Status::Ok() : Errno("fsync", path_);
+    if (status.ok() && batch > 0 && on_durable_) {
+      try {
+        on_durable_(batch);
+      } catch (...) {
+        // Nothing may escape the thread; stop the writer as a failed
+        // fsync would.
+        status = Status::Internal("checkpoint on_durable callback threw");
+      }
+    }
+    lock.lock();
+    if (!status.ok()) {
+      if (error_.ok()) error_ = status;
+      return;
+    }
+  }
 }
 
 Status CheckpointWriter::Close() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fd_ < 0) return error_;
+    closing_ = true;
+  }
+  unsynced_cv_.notify_one();
+  if (committer_.joinable()) committer_.join();
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return Status::Ok();
-  Status status = Status::Ok();
-  if (fsync_ && ::fsync(fd_) != 0) status = Errno("fsync", path_);
-  if (::close(fd_) != 0 && status.ok()) status = Errno("close", path_);
+  if (::close(fd_) != 0 && error_.ok()) error_ = Errno("close", path_);
   fd_ = -1;
-  return status;
+  return error_;
 }
 
 Status WriteFileAtomic(const std::string& path,

@@ -10,7 +10,7 @@ ChaosSchedule ChaosSchedule::Make(std::uint64_t seed, int kills,
   if (kills <= 0 && stops <= 0) return schedule;
   Rng rng(seed);
   // Interleave the two kinds by shuffling the kind sequence, then space
-  // the events with uniform heartbeat gaps so injections land mid-shard
+  // the events with uniform progress gaps so injections land mid-shard
   // rather than bunched at startup.
   std::vector<bool> kinds;
   kinds.reserve(static_cast<std::size_t>(kills + stops));
@@ -26,9 +26,9 @@ ChaosSchedule ChaosSchedule::Make(std::uint64_t seed, int kills,
   return schedule;
 }
 
-const ChaosEvent* ChaosSchedule::Due(std::uint64_t heartbeats) {
+const ChaosEvent* ChaosSchedule::Due(std::uint64_t progress) {
   if (next_ >= events_.size()) return nullptr;
-  if (heartbeats < events_[next_].at_heartbeat) return nullptr;
+  if (progress < events_[next_].at_progress) return nullptr;
   return &events_[next_++];
 }
 

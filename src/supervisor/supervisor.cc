@@ -4,6 +4,8 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/inotify.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -75,6 +77,16 @@ bool Supervisor::ShardBusy(int shard) const {
     if (worker.task.shard == shard) return true;
   }
   return false;
+}
+
+std::int64_t Supervisor::RangeJobs(const Task& task) const {
+  std::int64_t jobs = 0;
+  for (const CampaignJob& job : spec_.JobsForShard(task.shard)) {
+    if (task.lo >= 0 && job.id < task.lo) continue;
+    if (task.hi >= 0 && job.id >= task.hi) continue;
+    ++jobs;
+  }
+  return jobs;
 }
 
 StatusOr<std::vector<std::int64_t>> Supervisor::PendingJobs(
@@ -165,6 +177,14 @@ Status Supervisor::Spawn(const Task& task) {
   auto pending = PendingJobs(task);
   if (!pending.ok()) return pending.status();
   if (pending->empty()) return Status::Ok();  // finished by a prior worker
+  // The checkpoint's size before the worker can touch it: the chaos
+  // clock counts the records written past it.
+  std::int64_t ckpt_bytes = 0;
+  struct stat st;
+  if (::stat(Campaign::ShardPath(options_.out_dir, task.shard).c_str(),
+             &st) == 0) {
+    ckpt_bytes = st.st_size;
+  }
 
   int fds[2];
   if (::pipe(fds) != 0) return ErrnoStatus("pipe");
@@ -199,14 +219,9 @@ Status Supervisor::Spawn(const Task& task) {
   worker.task = task;
   worker.pid = pid;
   worker.hb_fd = fds[0];
-  std::int64_t range_jobs = 0;
-  for (const CampaignJob& job : spec_.JobsForShard(task.shard)) {
-    if (task.lo >= 0 && job.id < task.lo) continue;
-    if (task.hi >= 0 && job.id >= task.hi) continue;
-    ++range_jobs;
-  }
-  worker.recorded_at_spawn =
-      range_jobs - static_cast<std::int64_t>(pending->size());
+  worker.to_record = static_cast<std::int64_t>(pending->size());
+  worker.recorded_at_spawn = RangeJobs(task) - worker.to_record;
+  worker.ckpt_bytes = ckpt_bytes;
   worker.started = Clock::now();
   worker.last_beat = worker.started;
   live_.push_back(worker);
@@ -248,19 +263,60 @@ void Supervisor::DrainHeartbeats(std::size_t worker_index) {
   if (bytes == 0) return;
   stats_.heartbeats += bytes;
   worker.last_beat = Clock::now();
-  // Chaos injections ride on heartbeats: the schedule's clock is total
-  // campaign progress, and the victim is whichever worker just proved it
-  // was alive — the cruellest possible moment to kill it.
-  while (const ChaosEvent* event =
-             chaos_.Due(static_cast<std::uint64_t>(stats_.heartbeats))) {
+}
+
+void Supervisor::ScanProgress(Worker& worker) {
+  const std::string path =
+      Campaign::ShardPath(options_.out_dir, worker.task.shard);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return;  // not created yet
+  struct stat st;
+  if (::fstat(fd, &st) == 0) {
+    const std::int64_t size = st.st_size;
+    // Open() cut a torn tail: count from the new end.
+    worker.ckpt_bytes = std::min(worker.ckpt_bytes, size);
+    char buffer[4096];
+    while (worker.ckpt_bytes < size) {
+      const ssize_t n = ::pread(
+          fd, buffer,
+          static_cast<std::size_t>(std::min<std::int64_t>(
+              sizeof(buffer), size - worker.ckpt_bytes)),
+          static_cast<off_t>(worker.ckpt_bytes));
+      if (n <= 0) break;
+      std::int64_t lines = std::count(buffer, buffer + n, '\n');
+      // A fresh file starts with its header line, which is no record.
+      if (worker.ckpt_bytes == 0 && lines > 0) --lines;
+      worker.ckpt_bytes += n;
+      worker.written += lines;
+      records_written_ += lines;
+    }
+  }
+  ::close(fd);
+}
+
+void Supervisor::InjectDueChaos() {
+  // The schedule's clock is campaign progress: checkpoint records
+  // written, seen as the shard files grow (so it ticks per record even
+  // when the group fsync announces a whole shard in one burst of beats),
+  // plus workers spawned. A due event goes to a live worker that chaos has not hit yet and
+  // that has records left to write, so every injection lands on a
+  // process with work left (a second signal to a dead or frozen victim,
+  // or one to a worker with nothing left to lose, would count an
+  // injection that does nothing). With no such worker the event waits
+  // for one to spawn.
+  for (Worker& victim : live_) {
+    if (victim.chaos || victim.written >= victim.to_record) continue;
+    const ChaosEvent* event = chaos_.Due(static_cast<std::uint64_t>(
+        records_written_ + stats_.workers_spawned));
+    if (event == nullptr) return;
     if (event->kill) {
-      ::kill(worker.pid, SIGKILL);
+      ::kill(victim.pid, SIGKILL);
       ++stats_.chaos_kills_injected;
     } else {
-      ::kill(worker.pid, SIGSTOP);
+      ::kill(victim.pid, SIGSTOP);
       ++stats_.chaos_stops_injected;
     }
-    worker.chaos = true;
+    victim.chaos = true;
   }
 }
 
@@ -316,6 +372,8 @@ void Supervisor::HandleDeath(Worker worker, int wait_status) {
     fatal_status_ = pending.status();
     return;
   }
+  const std::int64_t recorded_after =
+      RangeJobs(task) - static_cast<std::int64_t>(pending->size());
 
   std::string death;
   if (exited) {
@@ -357,14 +415,6 @@ void Supervisor::HandleDeath(Worker worker, int wait_status) {
   // (A worker we SIGTERMed for stalling may still exit voluntarily with
   // pending jobs — that is an answer to OUR signal, but the stall itself
   // is evidence, so every death that reaches this point is judged.)
-  std::int64_t range_jobs = 0;
-  for (const CampaignJob& job : spec_.JobsForShard(task.shard)) {
-    if (task.lo >= 0 && job.id < task.lo) continue;
-    if (task.hi >= 0 && job.id >= task.hi) continue;
-    ++range_jobs;
-  }
-  const std::int64_t recorded_after =
-      range_jobs - static_cast<std::int64_t>(pending->size());
   const bool made_progress = recorded_after > worker.recorded_at_spawn;
 
   // Only process-killing deaths feed the bisection counter: a death by
@@ -447,6 +497,9 @@ void Supervisor::ReapAll() {
     // Drain any last heartbeats before judging progress — bytes written
     // just before death still count.
     DrainHeartbeats(static_cast<std::size_t>(it - live_.begin()));
+    // The file is final now: count the records written since the last
+    // scan so the chaos clock misses none.
+    if (chaos_.active()) ScanProgress(*it);
     Worker worker = *it;
     live_.erase(it);
     HandleDeath(std::move(worker), wait_status);
@@ -474,10 +527,28 @@ StatusOr<CampaignReport> Supervisor::Run() {
     }
   }
 
+  // Chaos clock: every write to a shard checkpoint wakes the loop, which
+  // then counts the new records (ScanProgress).
+  int progress_fd = -1;
+  if (chaos_.active()) {
+    progress_fd = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+    if (progress_fd < 0) return ErrnoStatus("inotify_init1");
+    if (::inotify_add_watch(progress_fd, options_.out_dir.c_str(),
+                            IN_MODIFY) < 0) {
+      const Status status = ErrnoStatus("inotify_add_watch");
+      ::close(progress_fd);
+      return status;
+    }
+  }
+
   // SIGCHLD self-pipe + handler. SA_NOCLDSTOP: chaos SIGSTOPs must not
   // look like deaths; only termination should wake the reaper.
   int sigchld_pipe[2];
-  if (::pipe(sigchld_pipe) != 0) return ErrnoStatus("pipe");
+  if (::pipe(sigchld_pipe) != 0) {
+    const Status status = ErrnoStatus("pipe");
+    if (progress_fd >= 0) ::close(progress_fd);
+    return status;
+  }
   for (int fd : {sigchld_pipe[0], sigchld_pipe[1]}) {
     ::fcntl(fd, F_SETFD, FD_CLOEXEC);
     ::fcntl(fd, F_SETFL, O_NONBLOCK);
@@ -524,6 +595,8 @@ StatusOr<CampaignReport> Supervisor::Run() {
     if (options_.signal_rfd >= 0) {
       fds.push_back({options_.signal_rfd, POLLIN, 0});
     }
+    const std::size_t progress_index = fds.size();
+    if (progress_fd >= 0) fds.push_back({progress_fd, POLLIN, 0});
     const std::size_t first_hb = fds.size();
     for (const Worker& worker : live_) {
       fds.push_back({worker.hb_fd, POLLIN, 0});
@@ -547,6 +620,12 @@ StatusOr<CampaignReport> Supervisor::Run() {
         }
         RequestStop();
       }
+      if (progress_fd >= 0 && (fds[progress_index].revents & POLLIN)) {
+        // The events only wake the loop; ScanProgress reads the files.
+        char sink[4096];
+        while (::read(progress_fd, sink, sizeof(sink)) > 0) {
+        }
+      }
       // Heartbeats before reaping: progress must be visible before the
       // death that follows it is judged. Index by position: live_ is
       // stable between the poll and these reads.
@@ -557,6 +636,10 @@ StatusOr<CampaignReport> Supervisor::Run() {
       }
     }
     ReapAll();
+    if (chaos_.active()) {
+      for (Worker& worker : live_) ScanProgress(worker);
+      InjectDueChaos();
+    }
     CheckStalls();
   }
 
@@ -577,6 +660,7 @@ StatusOr<CampaignReport> Supervisor::Run() {
   g_sigchld_wfd = -1;
   ::close(sigchld_pipe[0]);
   ::close(sigchld_pipe[1]);
+  if (progress_fd >= 0) ::close(progress_fd);
 
   if (fatal_) return fatal_status_;
   PCPDA_RETURN_IF_ERROR(loop_status);

@@ -33,13 +33,15 @@ struct SupervisorOptions {
   int max_workers = 2;
   /// --jobs forwarded to each worker (threads inside the process).
   int worker_jobs = 1;
-  /// fsync per record in workers (forwarded as --no-fsync when false).
+  /// Group-fsync checkpoint records in workers (forwarded as
+  /// --no-fsync when false).
   bool fsync = true;
 
   // --- hang detection and escalation -----------------------------------
   /// No heartbeat from a worker for this long → SIGTERM (cooperative
-  /// stop). Workers heartbeat once per durable record plus once at
-  /// startup, so this must comfortably exceed the slowest single job.
+  /// stop). Workers heartbeat once per durable record (after the group
+  /// fsync that covers it) plus once at startup, so this must
+  /// comfortably exceed the slowest single job plus one fsync.
   int stall_timeout_ms = 10'000;
   /// SIGTERM unanswered for this long → SIGKILL. Covers workers wedged
   /// in native code (or SIGSTOPped), which cooperative stop cannot reach.
@@ -160,6 +162,12 @@ class Supervisor {
     /// Records already present in the task range when it spawned — the
     /// progress baseline its death is judged against.
     std::int64_t recorded_at_spawn = 0;
+    /// Pending jobs of the range when it spawned: the records it owes.
+    std::int64_t to_record = 0;
+    /// Records it has written so far, and the checkpoint bytes counted
+    /// (chaos runs only; see ScanProgress).
+    std::int64_t written = 0;
+    std::int64_t ckpt_bytes = 0;
     Clock::time_point started{};
     Clock::time_point last_beat{};
     bool term_sent = false;
@@ -175,9 +183,17 @@ class Supervisor {
   void HandleDeath(Worker worker, int wait_status);
   void CheckStalls();
   void DrainHeartbeats(std::size_t worker_index);
+  /// Counts the records `worker` appended to its shard checkpoint since
+  /// the last scan into `written` and the chaos clock.
+  void ScanProgress(Worker& worker);
+  /// Fires the chaos events the clock has reached, one per live worker
+  /// that chaos has not hit and that has records left to write.
+  void InjectDueChaos();
   void RequestStop();
   /// Pending (unrecorded) job ids of a task's range, in id order.
   StatusOr<std::vector<std::int64_t>> PendingJobs(const Task& task) const;
+  /// Number of jobs in a task's range.
+  std::int64_t RangeJobs(const Task& task) const;
   std::vector<std::string> WorkerArgs(const Task& task, int hb_fd) const;
   int BackoffMs(const Task& task) const;
   bool ShardBusy(int shard) const;
@@ -187,6 +203,9 @@ class Supervisor {
   const SupervisorOptions options_;
   Campaign campaign_;  // merge / poison-record access to the checkpoints
   ChaosSchedule chaos_;
+  /// Checkpoint records written under this supervisor; plus
+  /// stats_.workers_spawned, the chaos clock.
+  std::int64_t records_written_ = 0;
   std::deque<Task> queue_;
   std::vector<Worker> live_;
   SupervisorStats stats_;

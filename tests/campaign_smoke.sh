@@ -3,7 +3,7 @@
 #
 #   campaign_smoke.sh <pcpda_campaign binary> <scratch dir>
 #
-# Three phases:
+# Four phases:
 #   a) a campaign with a seeded crash (job 3 throws every attempt) and a
 #      seeded hang (job 7 spins until the wall watchdog cancels it) must
 #      quarantine both, still merge, and exit 1;
@@ -11,13 +11,25 @@
 #      byte-identically to an uninterrupted twin;
 #   c) a campaign stopped gracefully (--stop-after, the deterministic
 #      SIGINT stand-in) must leave work pending without a BENCH, then
-#      resume to the same byte-identical merge.
+#      resume to the same byte-identical merge;
+#   d) a campaign at --jobs=4 killed by a SIGSEGV poison job mid-grid —
+#      a process death inside a group-commit batch, with other workers'
+#      records written but possibly not yet fsynced — must resume to the
+#      same byte-identical merge.
 
 BIN="$1"
 WORK="$2"
 [ -n "$BIN" ] && [ -n "$WORK" ] || { echo "usage: $0 BIN WORKDIR"; exit 2; }
 
 fail() { echo "campaign-smoke: FAIL: $*"; exit 1; }
+
+# ASan and TSan turn a SIGSEGV into a report and an exit code by default;
+# the injected SIGSEGV of --inject-crash-job must stay a signal death, so
+# the runs that inject one keep the signal (a no-op without a sanitizer).
+with_segv_signal() {
+  env "ASAN_OPTIONS=${ASAN_OPTIONS:+$ASAN_OPTIONS:}handle_segv=0" \
+      "TSAN_OPTIONS=${TSAN_OPTIONS:+$TSAN_OPTIONS:}handle_segv=0" "$@"
+}
 
 rm -rf "$WORK" || fail "cannot clean $WORK"
 mkdir -p "$WORK" || fail "cannot create $WORK"
@@ -81,6 +93,25 @@ rc=$?
 grep -q "resumed" "$WORK/c2.out" || fail "phase c: resume not reported"
 cmp -s "$WORK/c/BENCH_campaign.json" "$WORK/ref/BENCH_campaign.json" || \
   fail "phase c: resumed BENCH differs from uninterrupted run"
+
+# --- phase d: process death inside a group-commit batch, then resume ---
+# Job 25 sits mid-way through shard 1 and is among the last its executor
+# starts, so several records are appended around the moment it kills
+# the process. Every record whose write(2) returned survives a process
+# death; only a machine crash could lose the unsynced tail.
+with_segv_signal "$BIN" --out="$WORK/d" $GRID_BC --jobs=4 \
+  --inject-crash-job=25 > "$WORK/d.out" 2>&1
+rc=$?
+[ $rc -gt 128 ] || fail "phase d: expected death by signal, got exit $rc"
+[ ! -f "$WORK/d/BENCH_campaign.json" ] || \
+  fail "phase d: a killed campaign must not have merged"
+"$BIN" --out="$WORK/d" $GRID_BC --jobs=4 > "$WORK/d2.out" 2>&1
+rc=$?
+[ $rc -eq 0 ] || fail "phase d: resume expected exit 0, got $rc"
+grep -Eq ', [1-9][0-9]* resumed' "$WORK/d2.out" || \
+  fail "phase d: resume reused no checkpoint records"
+cmp -s "$WORK/d/BENCH_campaign.json" "$WORK/ref/BENCH_campaign.json" || \
+  fail "phase d: resumed BENCH differs from uninterrupted run"
 
 echo "campaign-smoke: PASS"
 exit 0

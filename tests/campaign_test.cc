@@ -1,6 +1,7 @@
 // Tests for the crash-safe campaign engine (src/campaign/): grid
 // indexing and shard partitioning, the checkpoint record codec and its
-// torn-tail handling, fingerprint guarding, and end-to-end campaigns —
+// torn-tail handling, the group-commit writer and its durability reports,
+// fingerprint guarding, and end-to-end campaigns —
 // byte-identical merges across shard layouts, resume after a torn
 // checkpoint, quarantine of crashing/hanging jobs, and graceful stop
 // with partial results.
@@ -8,11 +9,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -332,6 +337,135 @@ TEST(CheckpointTest, TornTailIsDiscardedAndTruncatedOnReopen) {
   EXPECT_EQ(reloaded->torn_bytes, 0);
 }
 
+// --- Group commit ----------------------------------------------------------
+
+/// Complete record lines in a checkpoint file (its header excluded).
+std::int64_t RecordLinesOnDisk(const std::string& path) {
+  const auto contents = ReadFileToString(path);
+  if (!contents.ok()) return 0;
+  const auto lines = std::count(contents->begin(), contents->end(), '\n');
+  return lines > 0 ? static_cast<std::int64_t>(lines) - 1 : 0;
+}
+
+TEST(CheckpointTest, GroupCommitFromFourThreadsMakesEveryAppendDurable) {
+  const fs::path dir = TestDir("group_commit");
+  const std::string path = (dir / "shard.ckpt").string();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+
+  // Only the committer reports with fsync on, one batch at a time; every
+  // line it calls durable must already be in the file.
+  std::atomic<std::int64_t> durable{0};
+  std::atomic<int> in_callback{0};
+  std::atomic<bool> overlapped{false};
+  std::atomic<bool> ahead_of_disk{false};
+  std::mutex appenders_mu;
+  std::set<std::thread::id> appenders;
+  std::atomic<bool> on_appender{false};
+  CheckpointWriter writer;
+  ASSERT_TRUE(writer
+                  .Open(path, "fp", 0, /*fsync=*/true,
+                        [&](std::int64_t count) {
+                          if (in_callback.fetch_add(1) != 0) {
+                            overlapped = true;
+                          }
+                          {
+                            std::lock_guard<std::mutex> lock(appenders_mu);
+                            if (appenders.count(std::this_thread::get_id())) {
+                              on_appender = true;
+                            }
+                          }
+                          const std::int64_t total = durable += count;
+                          if (total > RecordLinesOnDisk(path)) {
+                            ahead_of_disk = true;
+                          }
+                          in_callback.fetch_sub(1);
+                        })
+                  .ok());
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      {
+        std::lock_guard<std::mutex> lock(appenders_mu);
+        appenders.insert(std::this_thread::get_id());
+      }
+      for (int i = 0; i < kPerThread; ++i) {
+        JobRecord record = SampleRecord();
+        record.job_id = t * kPerThread + i;
+        EXPECT_TRUE(writer.Append(record).ok());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_TRUE(writer.Close().ok());
+
+  EXPECT_FALSE(overlapped) << "on_durable calls must not overlap";
+  EXPECT_FALSE(on_appender)
+      << "with fsync on, durability is reported by the committer, never "
+         "inline on an appending thread";
+  EXPECT_FALSE(ahead_of_disk)
+      << "on_durable counted a line that was not yet in the file";
+  EXPECT_EQ(durable.load(), kThreads * kPerThread)
+      << "Close must drain the committer: every append is reported";
+
+  const auto loaded = LoadCheckpoint(path, "fp");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->torn_bytes, 0);
+  ASSERT_EQ(loaded->records.size(),
+            static_cast<std::size_t>(kThreads * kPerThread));
+  std::set<std::int64_t> ids;
+  for (const JobRecord& record : loaded->records) ids.insert(record.job_id);
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kPerThread))
+      << "interleaved appends must not tear or duplicate lines";
+}
+
+TEST(CheckpointTest, AppendAfterCloseFailsAndCloseIsIdempotent) {
+  const fs::path dir = TestDir("closed");
+  const std::string path = (dir / "shard.ckpt").string();
+  CheckpointWriter writer;
+  ASSERT_TRUE(writer.Open(path, "fp", 0, /*fsync=*/true).ok());
+  ASSERT_TRUE(writer.Append(SampleRecord()).ok());
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_TRUE(writer.Close().ok());
+  const Status late = writer.Append(SampleRecord());
+  EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition)
+      << late.ToString();
+  EXPECT_TRUE(writer.Close().ok());
+
+  const auto loaded = LoadCheckpoint(path, "fp");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records, (std::vector<JobRecord>{SampleRecord()}));
+}
+
+TEST(CheckpointTest, WithoutFsyncDurabilityIsReportedInlinePerAppend) {
+  const fs::path dir = TestDir("inline_durable");
+  const std::string path = (dir / "shard.ckpt").string();
+  std::vector<std::int64_t> counts;
+  bool other_thread = false;
+  const std::thread::id self = std::this_thread::get_id();
+  CheckpointWriter writer;
+  ASSERT_TRUE(writer
+                  .Open(path, "fp", 0, /*fsync=*/false,
+                        [&](std::int64_t count) {
+                          counts.push_back(count);
+                          if (std::this_thread::get_id() != self) {
+                            other_thread = true;
+                          }
+                        })
+                  .ok());
+  for (int i = 0; i < 5; ++i) {
+    JobRecord record = SampleRecord();
+    record.job_id = i;
+    ASSERT_TRUE(writer.Append(record).ok());
+    EXPECT_EQ(counts.size(), static_cast<std::size_t>(i + 1))
+        << "the callback fires before Append returns";
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_EQ(counts, std::vector<std::int64_t>(5, 1));
+  EXPECT_FALSE(other_thread);
+}
+
 // --- Campaign end-to-end ---------------------------------------------------
 
 TEST(CampaignTest, CompletesMergesAndResumesAsNoOp) {
@@ -620,6 +754,88 @@ TEST(CampaignTest, AppendFailureAbortsCleanlyAndResumesByteIdentically) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->merged);
   EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
+}
+
+TEST(CampaignTest, HeartbeatsNeverExceedRecordsOnDiskUnderAppendFailure) {
+  const fs::path dir = TestDir("enospc_heartbeats");
+  const std::string path = Campaign::ShardPath(dir.string(), 0);
+  std::atomic<std::int64_t> beats{0};
+  std::atomic<bool> ahead_of_disk{false};
+  CampaignOptions options = DirOptions(dir, /*jobs=*/4);
+  options.fsync = true;
+  options.on_record = [&] {
+    if (++beats > RecordLinesOnDisk(path)) ahead_of_disk = true;
+  };
+  SetCheckpointAppendFailureForTest(5);
+  Campaign campaign(SmallSpec(), options);
+  const auto report = campaign.Run();
+  SetCheckpointAppendFailureForTest(-1);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("No space left"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_FALSE(ahead_of_disk) << "a heartbeat outran its record";
+  EXPECT_EQ(RecordLinesOnDisk(path), 5);
+  EXPECT_EQ(beats.load(), 5)
+      << "every record that reached the file is announced exactly once";
+}
+
+TEST(CampaignTest, OneHeartbeatPerCheckpointRecordAtFourJobs) {
+  const fs::path dir = TestDir("heartbeats_jobs4");
+  std::atomic<std::int64_t> beats{0};
+  CampaignOptions options = DirOptions(dir, /*jobs=*/4);
+  options.fsync = true;
+  options.on_record = [&] { ++beats; };
+  Campaign campaign(SmallSpec(), options);
+  const auto report = campaign.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->merged);
+  const auto loaded = LoadCheckpoint(Campaign::ShardPath(dir.string(), 0),
+                                     SmallSpec().Fingerprint());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(beats.load(),
+            static_cast<std::int64_t>(loaded->records.size()));
+  EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
+}
+
+TEST(CampaignTest, HeartbeatWaitsForTheCommitterWithFsyncOn) {
+  // At --jobs=1 every job completes on the calling thread. With fsync on
+  // its heartbeat must come from the committer, after the fsync that
+  // covers the record; with fsync off it is sent inline after the write.
+  for (const bool fsync : {true, false}) {
+    const fs::path dir = TestDir(fsync ? "beat_fsync" : "beat_nofsync");
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<std::int64_t> beats{0};
+    std::atomic<std::int64_t> inline_beats{0};
+    CampaignOptions options = DirOptions(dir, /*jobs=*/1);
+    options.fsync = fsync;
+    options.on_record = [&] {
+      ++beats;
+      if (std::this_thread::get_id() == self) ++inline_beats;
+    };
+    Campaign campaign(SmallSpec(), options);
+    const auto report = campaign.Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(beats.load(), report->total_jobs) << "fsync=" << fsync;
+    EXPECT_EQ(inline_beats.load(), fsync ? 0 : report->total_jobs)
+        << "fsync=" << fsync;
+  }
+}
+
+TEST(CampaignTest, StopAfterCountsCompletionsOnTheWorkerWithFsyncOn) {
+  const fs::path dir = TestDir("stop_after_fsync");
+  CampaignOptions options = DirOptions(dir, /*jobs=*/1);
+  options.fsync = true;
+  options.stop_after = 4;
+  Campaign campaign(SmallSpec(), options);
+  const auto report = campaign.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->stopped);
+  const auto loaded = LoadCheckpoint(Campaign::ShardPath(dir.string(), 0),
+                                     SmallSpec().Fingerprint());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records.size(), 4u)
+      << "a serial campaign stops after exactly stop_after records";
 }
 
 // --- new outcomes: generator_defect and crash ------------------------------

@@ -23,13 +23,21 @@ WORK="$2"
 
 fail() { echo "supervisor-smoke: FAIL: $*"; exit 1; }
 
+# ASan and TSan turn a SIGSEGV into a report and an exit code by default;
+# the injected SIGSEGV of --inject-crash-job must stay a signal death, so
+# the runs that inject one keep the signal (a no-op without a sanitizer).
+with_segv_signal() {
+  env "ASAN_OPTIONS=${ASAN_OPTIONS:+$ASAN_OPTIONS:}handle_segv=0" \
+      "TSAN_OPTIONS=${TSAN_OPTIONS:+$TSAN_OPTIONS:}handle_segv=0" "$@"
+}
+
 rm -rf "$WORK" || fail "cannot clean $WORK"
 mkdir -p "$WORK" || fail "cannot create $WORK"
 
 # Chaos grid: 25 scenarios x 2 utils x 2 protocols = 100 jobs over 3
-# shards. 100 durable records = 100 guaranteed heartbeats, comfortably
-# past the schedule's worst-case last event (12 events x max gap 8 = 96),
-# so all 12 injections always fire.
+# shards. The chaos clock counts records written plus workers spawned:
+# at least 103, past the schedule's worst-case last event (12 events x
+# max gap 8 = 96).
 GRID="--scenarios=25 --utils=0.3,0.6 --protocols=PCP-DA,2PL-HP \
   --shards=3 --horizon=300 --jobs=2"
 SUP="--supervise --workers=3 --backoff-ms=20 --backoff-cap-ms=100"
@@ -55,12 +63,17 @@ grep -q '"chaos_kills_injected": 10' "$WORK/chaos/SUPERVISOR.json" || \
   fail "phase a: not all 10 SIGKILL injections fired"
 grep -q '"chaos_stops_injected": 2' "$WORK/chaos/SUPERVISOR.json" || \
   fail "phase a: not all 2 SIGSTOP injections fired"
+# Chaos hits each worker at most once, so 12 injections need 12 workers.
+spawned=$(sed -n 's/.*"workers_spawned": \([0-9]*\).*/\1/p' \
+  "$WORK/chaos/SUPERVISOR.json")
+[ "${spawned:-0}" -ge 12 ] || \
+  fail "phase a: 12 injections hit only ${spawned:-0} workers"
 cmp -s "$WORK/chaos/BENCH_campaign.json" "$WORK/ref/BENCH_campaign.json" \
   || fail "phase a: chaos BENCH differs from undisturbed run"
 
 # --- phase b: poison job is bisected and quarantined -------------------
-"$BIN" --out="$WORK/poison" $SMALL $SUP --inject-crash-job=1 \
-  > "$WORK/poison.out" 2>&1
+with_segv_signal "$BIN" --out="$WORK/poison" $SMALL $SUP \
+  --inject-crash-job=1 > "$WORK/poison.out" 2>&1
 rc=$?
 [ $rc -eq 1 ] || fail "phase b: expected exit 1 (quarantined job), got $rc"
 [ -f "$WORK/poison/BENCH_campaign.json" ] || \

@@ -64,7 +64,7 @@ TEST(ChaosScheduleTest, SeedDeterminesEventsExactly) {
   const ChaosSchedule b = ChaosSchedule::Make(42, 10, 3);
   ASSERT_EQ(a.events().size(), 13u);
   for (std::size_t i = 0; i < a.events().size(); ++i) {
-    EXPECT_EQ(a.events()[i].at_heartbeat, b.events()[i].at_heartbeat);
+    EXPECT_EQ(a.events()[i].at_progress, b.events()[i].at_progress);
     EXPECT_EQ(a.events()[i].kill, b.events()[i].kill);
   }
   // A different seed must produce a different interleaving or spacing
@@ -73,7 +73,7 @@ TEST(ChaosScheduleTest, SeedDeterminesEventsExactly) {
   bool differs = false;
   for (std::size_t i = 0; i < c.events().size(); ++i) {
     differs = differs ||
-              c.events()[i].at_heartbeat != a.events()[i].at_heartbeat ||
+              c.events()[i].at_progress != a.events()[i].at_progress ||
               c.events()[i].kill != a.events()[i].kill;
   }
   EXPECT_TRUE(differs);
@@ -85,10 +85,10 @@ TEST(ChaosScheduleTest, KindCountsAndGapBoundsHold) {
   std::uint64_t prev = 0;
   for (const ChaosEvent& event : schedule.events()) {
     (event.kill ? kills : stops)++;
-    const std::uint64_t gap = event.at_heartbeat - prev;
+    const std::uint64_t gap = event.at_progress - prev;
     EXPECT_GE(gap, 2u);
     EXPECT_LE(gap, 8u);
-    prev = event.at_heartbeat;
+    prev = event.at_progress;
   }
   EXPECT_EQ(kills, 12);
   EXPECT_EQ(stops, 5);
@@ -197,6 +197,22 @@ SupervisorOptions FastOptions(const fs::path& dir) {
   return options;
 }
 
+/// ASan and TSan turn a SIGSEGV into a report and an exit code by
+/// default, but the supervisor classifies a worker's death by its
+/// signal. Appends `handle_segv=0` to the sanitizer options that forked
+/// workers inherit (a no-op without a sanitizer; this test process read
+/// its own options at start-up and keeps them).
+void KeepWorkerSegvSignal() {
+  for (const char* name : {"ASAN_OPTIONS", "TSAN_OPTIONS"}) {
+    const char* value = std::getenv(name);
+    std::string options = value != nullptr && *value != '\0'
+                              ? std::string(value) + ":"
+                              : std::string();
+    options += "handle_segv=0";
+    ::setenv(name, options.c_str(), 1);
+  }
+}
+
 /// The BENCH bytes of an undisturbed in-process run — the golden value
 /// every supervised run must reproduce byte-identically.
 const std::string& ReferenceBench() {
@@ -242,6 +258,7 @@ TEST(SupervisorTest, PoisonJobIsBisectedQuarantinedAndOnlyIt) {
   // only bisection can get them done.
   options.worker_jobs = 1;
   options.inject_segv_job = 1;
+  KeepWorkerSegvSignal();
   Supervisor supervisor(spec, options);
   const auto report = supervisor.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
