@@ -313,10 +313,11 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   policy.max_sim_ticks = spec_.effective_max_sim_ticks();
   policy.wall_budget_ms = spec_.wall_budget_ms;
   policy.max_retries = spec_.max_retries;
-  // External stop (the CLI's signal flag) wins; otherwise the engine's
-  // own flag serves stop_after and append-failure aborts.
-  policy.stop =
-      options_.stop != nullptr ? options_.stop : &internal_stop_;
+  // The runner watches both the external stop (the CLI's signal flag)
+  // and the engine's own flag, which serves stop_after and append-failure
+  // aborts.
+  policy.stop = options_.stop;
+  policy.also_stop = &internal_stop_;
 
   std::mutex io_mu;
   Status io_status;

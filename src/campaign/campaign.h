@@ -77,8 +77,9 @@ struct CampaignOptions {
   /// This job id spins until cancelled (trips the watchdog, quarantined).
   std::int64_t inject_hang_job = -1;
   /// Trip an internal stop flag after this many completions — a
-  /// deterministic stand-in for SIGINT mid-shard. When set it replaces
-  /// `stop` as the in-flight cancellation source. -1 = off.
+  /// deterministic stand-in for SIGINT mid-shard. The runner watches that
+  /// flag alongside `stop`, so in-flight jobs are cancelled and nothing
+  /// new starts as soon as it trips. -1 = off.
   std::int64_t stop_after = -1;
   /// This job id kills the whole *process* with SIGSEGV when it starts —
   /// the supervisor-level poison-job injection (a thrown exception never

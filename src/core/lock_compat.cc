@@ -14,7 +14,8 @@ Table1Compat LockCompatibility(LockMode held, LockMode requested) {
                                       : Table1Compat::kOk;
 }
 
-bool SetsIntersect(const std::set<ItemId>& a, const std::set<ItemId>& b) {
+bool SetsIntersect(const std::vector<ItemId>& a,
+                   const std::vector<ItemId>& b) {
   // Linear merge over the sorted sets.
   auto ia = a.begin();
   auto ib = b.begin();
@@ -31,8 +32,8 @@ bool SetsIntersect(const std::set<ItemId>& a, const std::set<ItemId>& b) {
 }
 
 bool Table1Allows(LockMode held, LockMode requested,
-                  const std::set<ItemId>& holder_data_read,
-                  const std::set<ItemId>& requester_write_set) {
+                  const std::vector<ItemId>& holder_data_read,
+                  const std::vector<ItemId>& requester_write_set) {
   switch (LockCompatibility(held, requested)) {
     case Table1Compat::kOk:
       return true;

@@ -1,7 +1,7 @@
 #ifndef PCPDA_CORE_LOCK_COMPAT_H_
 #define PCPDA_CORE_LOCK_COMPAT_H_
 
-#include <set>
+#include <vector>
 
 #include "common/types.h"
 
@@ -28,14 +28,16 @@ enum class Table1Compat : std::uint8_t {
 Table1Compat LockCompatibility(LockMode held, LockMode requested);
 
 /// Evaluates Table 1 including the starred condition against the holder's
-/// current DataRead set and the requester's declared WriteSet.
+/// current DataRead set and the requester's declared WriteSet, both
+/// sorted ascending (Job::data_read(), Workspace::items()).
 bool Table1Allows(LockMode held, LockMode requested,
-                  const std::set<ItemId>& holder_data_read,
-                  const std::set<ItemId>& requester_write_set);
+                  const std::vector<ItemId>& holder_data_read,
+                  const std::vector<ItemId>& requester_write_set);
 
-/// True when the two sets intersect (the paper's
+/// True when the two sorted item sets intersect (the paper's
 /// DataRead(T_L) ∩ WriteSet(T_H) ≠ ∅ test).
-bool SetsIntersect(const std::set<ItemId>& a, const std::set<ItemId>& b);
+bool SetsIntersect(const std::vector<ItemId>& a,
+                   const std::vector<ItemId>& b);
 
 }  // namespace pcpda
 

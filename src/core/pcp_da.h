@@ -55,7 +55,8 @@ class PcpDa : public Protocol {
     return CeilingRule::kWriteOnRead;
   }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
 
   /// Max Wceil over all currently read-locked items (write locks raise
   /// nothing).
@@ -64,14 +65,15 @@ class PcpDa : public Protocol {
   const PcpDaOptions& options() const { return options_; }
 
  private:
-  struct SysceilInfo {
-    Priority sysceil;          // dummy when nothing is read-locked
-    std::vector<JobId> tstar;  // holder(s) of the ceiling item(s)
-  };
+  /// Sysceil_i with respect to `self`: the highest Wceil over items
+  /// read-locked by transactions other than `self`; dummy when there are
+  /// none.
+  Priority Sysceil(JobId self) const;
 
-  /// Sysceil_i and T* with respect to `self`: computed over items
-  /// read-locked by transactions other than `self`.
-  SysceilInfo ComputeSysceil(JobId self) const;
+  /// Appends T* to `tstar`: the transactions other than `self`, ascending,
+  /// that read-lock an item whose Wceil equals `sysceil`.
+  void CollectTstar(JobId self, Priority sysceil,
+                    std::vector<JobId>& tstar) const;
 
   PcpDaOptions options_;
 };

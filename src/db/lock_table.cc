@@ -1,8 +1,7 @@
 #include "db/lock_table.h"
 
-#include <algorithm>
-
 #include "common/check.h"
+#include "common/sorted_vector.h"
 #include "common/strings.h"
 
 namespace pcpda {
@@ -10,24 +9,6 @@ namespace pcpda {
 namespace {
 
 const std::vector<ItemId> kNoItems;
-
-/// Inserts `value` into the sorted vector; false when already present.
-template <typename T>
-bool InsertSorted(std::vector<T>& sorted, T value) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
-  if (it != sorted.end() && *it == value) return false;
-  sorted.insert(it, value);
-  return true;
-}
-
-/// Erases `value` from the sorted vector; false when it was absent.
-template <typename T>
-bool EraseSorted(std::vector<T>& sorted, T value) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
-  if (it == sorted.end() || *it != value) return false;
-  sorted.erase(it);
-  return true;
-}
 
 }  // namespace
 
@@ -50,6 +31,7 @@ void LockTable::AcquireRead(JobId job, ItemId item) {
   if (InsertSorted(entry(item).readers, job)) {
     InsertSorted(by_job_[job].read_items, item);
     ++lock_count_;
+    ++version_;
   }
 }
 
@@ -57,6 +39,7 @@ void LockTable::AcquireWrite(JobId job, ItemId item) {
   if (InsertSorted(entry(item).writers, job)) {
     InsertSorted(by_job_[job].write_items, item);
     ++lock_count_;
+    ++version_;
   }
 }
 
@@ -72,6 +55,7 @@ void LockTable::Release(JobId job, ItemId item, LockMode mode) {
     EraseSorted(held->write_items, item);
   }
   --lock_count_;
+  ++version_;
   if (held->empty()) by_job_.erase(job);
 }
 
@@ -81,20 +65,22 @@ void LockTable::ReleaseAll(JobId job) {
   for (ItemId item : held->read_items) {
     EraseSorted(entries_[static_cast<std::size_t>(item)].readers, job);
     --lock_count_;
+    ++version_;
   }
   for (ItemId item : held->write_items) {
     EraseSorted(entries_[static_cast<std::size_t>(item)].writers, job);
     --lock_count_;
+    ++version_;
   }
   by_job_.erase(job);
 }
 
 bool LockTable::HoldsRead(JobId job, ItemId item) const {
-  return std::ranges::binary_search(entry(item).readers, job);
+  return ContainsSorted(entry(item).readers, job);
 }
 
 bool LockTable::HoldsWrite(JobId job, ItemId item) const {
-  return std::ranges::binary_search(entry(item).writers, job);
+  return ContainsSorted(entry(item).writers, job);
 }
 
 bool LockTable::HoldsAny(JobId job, ItemId item) const {

@@ -66,6 +66,9 @@ class LockTable {
 
   /// Total read + write locks currently held.
   std::size_t lock_count() const { return lock_count_; }
+  /// Counts the grants and releases so far: equal versions mean the
+  /// same locks are held.
+  std::uint64_t version() const { return version_; }
 
   std::string DebugString() const;
 
@@ -96,6 +99,7 @@ class LockTable {
   /// list is exactly the holder set.
   JobSlotMap<JobEntry> by_job_;
   std::size_t lock_count_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace pcpda

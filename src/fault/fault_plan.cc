@@ -77,13 +77,20 @@ FaultPlan::FaultPlan(const FaultConfig& config, const TransactionSet* set)
   PCPDA_CHECK(set != nullptr);
 }
 
-std::vector<Arrival> FaultPlan::TransformArrivals(Tick tick,
-                                                  std::vector<Arrival> due) {
+bool FaultPlan::Fires(FaultSpec& fault, Tick tick) {
+  if (fault.at == kNoTick) return rng_.Bernoulli(fault.probability);
+  if (tick < fault.at) return false;
+  fault.at = kNoTick;       // one-shot: disarm
+  fault.probability = 0.0;  // and keep the trigger unset
+  return true;
+}
+
+void FaultPlan::TransformArrivals(Tick tick, std::vector<Arrival>& due) {
   // Re-emit arrivals whose delay expires now, ahead of today's releases so
   // instance order stays close to release order.
-  std::vector<Arrival> out;
+  out_.clear();
   if (auto it = delayed_.find(tick); it != delayed_.end()) {
-    out = std::move(it->second);
+    out_.assign(it->second.begin(), it->second.end());
     delayed_.erase(it);
   }
   for (Arrival& arrival : due) {
@@ -91,17 +98,7 @@ std::vector<Arrival> FaultPlan::TransformArrivals(Tick tick,
     for (FaultSpec& fault : config_.faults) {
       if (fault.kind != FaultKind::kDelayArrival) continue;
       if (fault.spec != kInvalidSpec && fault.spec != arrival.spec) continue;
-      bool fires = false;
-      if (fault.at != kNoTick) {
-        if (tick >= fault.at) {
-          fires = true;
-          fault.at = kNoTick;            // one-shot: disarm
-          fault.probability = 0.0;       // and keep the trigger unset
-        }
-      } else {
-        fires = rng_.Bernoulli(fault.probability);
-      }
-      if (!fires) continue;
+      if (!Fires(fault, tick)) continue;
       const Tick delay = rng_.UniformInt(1, fault.extra);
       Arrival moved = arrival;
       moved.tick = tick + delay;
@@ -111,21 +108,11 @@ std::vector<Arrival> FaultPlan::TransformArrivals(Tick tick,
       delayed = true;
       break;
     }
-    if (!delayed) out.push_back(arrival);
+    if (!delayed) out_.push_back(arrival);
   }
   for (FaultSpec& fault : config_.faults) {
     if (fault.kind != FaultKind::kBurstArrival) continue;
-    bool fires = false;
-    if (fault.at != kNoTick) {
-      if (tick >= fault.at) {
-        fires = true;
-        fault.at = kNoTick;
-        fault.probability = 0.0;
-      }
-    } else {
-      fires = rng_.Bernoulli(fault.probability);
-    }
-    if (!fires) continue;
+    if (!Fires(fault, tick)) continue;
     // A burst of the target spec (or of every spec when unscoped).
     std::vector<SpecId> targets;
     if (fault.spec != kInvalidSpec) {
@@ -140,11 +127,11 @@ std::vector<Arrival> FaultPlan::TransformArrivals(Tick tick,
         extra.spec = spec;
         extra.instance = kBurstInstanceBase + burst_seq_[spec]++;
         ++burst_count_;
-        out.push_back(extra);
+        out_.push_back(extra);
       }
     }
   }
-  return out;
+  due.swap(out_);
 }
 
 std::vector<JobFault> FaultPlan::JobFaultsAt(

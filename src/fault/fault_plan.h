@@ -97,9 +97,9 @@ class FaultPlan {
   /// arrivals are withheld and re-emitted at their later tick (original
   /// instance number preserved); burst faults append fresh arrivals whose
   /// instance numbers start at kBurstInstanceBase to stay disjoint from
-  /// the calendar's.
-  std::vector<Arrival> TransformArrivals(Tick tick,
-                                         std::vector<Arrival> due);
+  /// the calendar's. Rewrites `due` in place; both it and the plan's
+  /// scratch buffer keep their capacity across ticks.
+  void TransformArrivals(Tick tick, std::vector<Arrival>& due);
 
   /// The job faults firing at `tick` against `active` (live jobs in id
   /// order). kAbort picks the lowest-id active job of the target spec;
@@ -118,6 +118,9 @@ class FaultPlan {
   static constexpr int kBurstInstanceBase = 1 << 20;
 
  private:
+  /// Whether an arrival fault triggers at `tick`: a one-shot (`at` set)
+  /// fires once from `at` on and disarms itself; otherwise one
+  /// Bernoulli draw.
   bool Fires(FaultSpec& fault, Tick tick);
 
   FaultConfig config_;
@@ -127,6 +130,9 @@ class FaultPlan {
   std::map<Tick, std::vector<Arrival>> delayed_;
   /// Per-spec sequence for burst instance numbering.
   std::map<SpecId, int> burst_seq_;
+  /// TransformArrivals builds the transformed list here, then swaps it
+  /// with the caller's buffer.
+  std::vector<Arrival> out_;
   Tick delay_ticks_ = 0;
   std::int64_t delayed_count_ = 0;
   std::int64_t burst_count_ = 0;

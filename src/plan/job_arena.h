@@ -113,6 +113,8 @@ class JobSlotMap {
   /// Moves every live entry into a fresh ring of `capacity` slots. Live
   /// ids that did not collide modulo the old capacity cannot collide
   /// modulo a larger power of two, so the rehash itself never collides.
+  /// The free slots' payloads move too, into free slots of the new ring,
+  /// so the capacity they keep for reuse survives the growth.
   void Rehash(std::size_t capacity) {
     std::vector<T> slots(capacity);
     std::vector<JobId> owner(capacity, kInvalidJob);
@@ -121,6 +123,12 @@ class JobSlotMap {
       const std::size_t to = static_cast<std::size_t>(id) & mask;
       slots[to] = std::move(slots_[SlotOf(id)]);
       owner[to] = id;
+    }
+    std::size_t to = 0;
+    for (std::size_t from = 0; from < slots_.size(); ++from) {
+      if (owner_[from] != kInvalidJob) continue;
+      while (owner[to] != kInvalidJob) ++to;
+      slots[to++] = std::move(slots_[from]);
     }
     slots_.swap(slots);
     owner_.swap(owner);

@@ -1,49 +1,60 @@
 #include "protocols/occ.h"
 
 #include "common/check.h"
+#include "common/sorted_vector.h"
 #include "core/lock_compat.h"
 
 namespace pcpda {
 
 namespace {
 
-/// Items the job will still read in its remaining steps.
-std::set<ItemId> FutureReads(const Job& job) {
-  std::set<ItemId> items;
-  const auto& body = job.spec().body;
-  for (std::size_t i = job.step_index(); i < body.size(); ++i) {
-    if (body[i].kind == StepKind::kRead) items.insert(body[i].item);
-  }
-  return items;
+/// True when `job` has read an item `committing` is about to install.
+bool ReadsCommitWrites(const Job& job, const Job& committing) {
+  return SetsIntersect(job.data_read(), committing.workspace().items());
 }
 
-/// Items the committing job is about to install.
-std::set<ItemId> CommitWrites(const Job& committing) {
-  std::set<ItemId> items;
-  for (const auto& [item, value] : committing.workspace().writes()) {
-    items.insert(item);
+/// True when `job` will re-read, in its remaining steps, an item it has
+/// already read and `committing` is about to overwrite.
+bool RereadsOverwritten(const Job& job, const Job& committing) {
+  const auto& body = job.spec().body;
+  for (std::size_t i = job.step_index(); i < body.size(); ++i) {
+    const Step& step = body[i];
+    if (step.kind == StepKind::kRead &&
+        committing.workspace().Contains(step.item) &&
+        ContainsSorted(job.data_read(), step.item)) {
+      return true;
+    }
   }
-  return items;
+  return false;
+}
+
+/// True when the spec's body writes nothing.
+bool ReadOnly(const TransactionSpec& spec) {
+  for (const Step& step : spec.body) {
+    if (step.kind == StepKind::kWrite) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 // --- OCC-BC -----------------------------------------------------------------
 
-LockDecision OccBc::Decide(const LockRequest& request) const {
+void OccBc::Decide(const LockRequest& request,
+                   LockDecision& decision) const {
   PCPDA_CHECK(request.job != nullptr);
   // Optimistic execution: data access never blocks.
-  return LockDecision::Grant("occ");
+  decision.Grant(DecisionRule::kOccGrant);
 }
 
 std::vector<JobId> OccBc::CommitVictims(const Job& committing) const {
   // Broadcast commit: every active transaction that has read an item the
   // committing transaction overwrites is restarted.
-  const std::set<ItemId> writes = CommitWrites(committing);
   std::vector<JobId> victims;
-  if (writes.empty()) return victims;
-  for (const Job* other : view().LiveJobs(committing.id())) {
-    if (SetsIntersect(other->data_read(), writes)) {
+  if (committing.workspace().empty()) return victims;
+  for (const Job* other : view().active_jobs()) {
+    if (other->id() != committing.id() &&
+        ReadsCommitWrites(*other, committing)) {
       victims.push_back(other->id());
     }
   }
@@ -52,7 +63,8 @@ std::vector<JobId> OccBc::CommitVictims(const Job& committing) const {
 
 // --- OCC-DA -----------------------------------------------------------------
 
-LockDecision OccDa::Decide(const LockRequest& request) const {
+void OccDa::Decide(const LockRequest& request,
+                   LockDecision& decision) const {
   PCPDA_CHECK(request.job != nullptr);
   if (request.mode == LockMode::kRead) {
     // A transaction constrained to serialize before some committed T_c
@@ -61,18 +73,20 @@ LockDecision OccDa::Decide(const LockRequest& request) const {
     auto it = snapshot_.find(request.job->id());
     if (it != snapshot_.end() &&
         view().database().Read(request.item).version > it->second) {
-      return LockDecision::AbortRequester("occ-da-constraint");
+      return decision.AbortRequester(DecisionRule::kOccDaConstraint);
     }
   }
-  return LockDecision::Grant("occ");
+  decision.Grant(DecisionRule::kOccGrant);
 }
 
 std::vector<JobId> OccDa::CommitVictims(const Job& committing) const {
-  const std::set<ItemId> writes = CommitWrites(committing);
   std::vector<JobId> victims;
-  if (writes.empty()) return victims;
-  for (const Job* other : view().LiveJobs(committing.id())) {
-    if (!SetsIntersect(other->data_read(), writes)) continue;
+  if (committing.workspace().empty()) return victims;
+  for (const Job* other : view().active_jobs()) {
+    if (other->id() == committing.id() ||
+        !ReadsCommitWrites(*other, committing)) {
+      continue;
+    }
     // `other` must serialize before the committing transaction. Only a
     // READ-ONLY transaction can be tolerated with a snapshot constraint:
     // its slot is its snapshot version, its reads-from writers sit at or
@@ -83,15 +97,7 @@ std::vector<JobId> OccDa::CommitVictims(const Job& committing) const {
     // restarts like under broadcast commit. Re-reads of an overwritten
     // item also restart: the single-version store cannot serve the old
     // value.
-    const bool read_only = other->spec().WriteSet().empty();
-    bool rereads_overwritten = false;
-    for (ItemId item : FutureReads(*other)) {
-      if (writes.contains(item) && other->data_read().contains(item)) {
-        rereads_overwritten = true;
-        break;
-      }
-    }
-    if (!read_only || rereads_overwritten) {
+    if (!ReadOnly(other->spec()) || RereadsOverwritten(*other, committing)) {
       victims.push_back(other->id());
     }
     // Otherwise: tolerated — OnCommitApplied records the constraint.
@@ -102,16 +108,16 @@ std::vector<JobId> OccDa::CommitVictims(const Job& committing) const {
 void OccDa::OnCommitApplied(const Job& committed) {
   before_.erase(committed.id());
   snapshot_.erase(committed.id());
-  const std::set<ItemId> writes = CommitWrites(committed);
-  if (writes.empty()) return;
+  if (committed.workspace().empty()) return;
   // The snapshot below excludes the committed writes: versions after the
   // pre-commit counter belong to T_c (or later) and are off-limits for
   // transactions serialized before it.
   const std::int64_t pre_commit_version =
       view().database().write_count() -
-      static_cast<std::int64_t>(writes.size());
-  for (const Job* other : view().LiveJobs(committed.id())) {
-    if (!SetsIntersect(other->data_read(), writes)) continue;
+      static_cast<std::int64_t>(committed.workspace().size());
+  // The committed job has left the active set already.
+  for (const Job* other : view().active_jobs()) {
+    if (!ReadsCommitWrites(*other, committed)) continue;
     before_[other->id()].insert(committed.id());
     auto [it, inserted] =
         snapshot_.try_emplace(other->id(), pre_commit_version);

@@ -27,7 +27,8 @@ class OccBc : public Protocol {
   }
   bool uses_priority_inheritance() const override { return false; }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
   std::vector<JobId> CommitVictims(const Job& committing) const override;
 };
 
@@ -48,7 +49,8 @@ class OccDa : public OccBc {
 
   const char* name() const override { return "OCC-DA"; }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
   std::vector<JobId> CommitVictims(const Job& committing) const override;
   void OnCommitApplied(const Job& committed) override;
   void OnAbortApplied(const Job& aborted) override;

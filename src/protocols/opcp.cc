@@ -6,7 +6,8 @@
 
 namespace pcpda {
 
-LockDecision Opcp::Decide(const LockRequest& request) const {
+void Opcp::Decide(const LockRequest& request,
+                  LockDecision& decision) const {
   PCPDA_CHECK(request.job != nullptr);
   const Job& job = *request.job;
   const JobId self = job.id();
@@ -14,7 +15,7 @@ LockDecision Opcp::Decide(const LockRequest& request) const {
   const LockTable& locks = view().locks();
 
   Priority sysceil = Priority::Dummy();
-  std::vector<JobId> holders;
+  std::vector<JobId>& holders = decision.jobs;
   auto consider = [&](JobId holder, ItemId item) {
     const Priority ceiling = view().ceilings().Aceil(item);
     if (ceiling.is_dummy()) return;
@@ -33,12 +34,11 @@ LockDecision Opcp::Decide(const LockRequest& request) const {
     for (ItemId item : locks.write_items(holder)) consider(holder, item);
   }
 
-  if (job.running_priority() > sysceil) return LockDecision::Grant();
+  if (job.running_priority() > sysceil) return decision.Grant();
   const bool direct_conflict = !locks.NoWriterOtherThan(self, x) ||
                                !locks.NoReaderOtherThan(self, x);
-  return LockDecision::Block(direct_conflict ? BlockReason::kConflict
-                                             : BlockReason::kCeiling,
-                             std::move(holders));
+  decision.Block(direct_conflict ? BlockReason::kConflict
+                                 : BlockReason::kCeiling);
 }
 
 Priority Opcp::CurrentCeiling() const {

@@ -22,7 +22,8 @@ class Opcp : public Protocol {
   UpdateModel update_model() const override { return UpdateModel::kInPlace; }
   CeilingRule ceiling_rule() const override { return CeilingRule::kAbsolute; }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
   Priority CurrentCeiling() const override;
 };
 

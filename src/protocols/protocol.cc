@@ -4,6 +4,35 @@
 
 namespace pcpda {
 
+const char* ToString(DecisionRule rule) {
+  switch (rule) {
+    case DecisionRule::kNone:
+      return "";
+    case DecisionRule::kLc1:
+      return "LC1";
+    case DecisionRule::kLc2:
+      return "LC2";
+    case DecisionRule::kLc3:
+      return "LC3";
+    case DecisionRule::kLc4:
+      return "LC4";
+    case DecisionRule::kLc1Denied:
+      return "LC1-denied";
+    case DecisionRule::kWrGuardDenied:
+      return "wr-guard";
+    case DecisionRule::kTstarGuardDenied:
+    case DecisionRule::kCeilingDenied:
+      return "LC-denied";
+    case DecisionRule::kHpAbort:
+      return "2PL-HP";
+    case DecisionRule::kOccGrant:
+      return "occ";
+    case DecisionRule::kOccDaConstraint:
+      return "occ-da-constraint";
+  }
+  return "unknown";
+}
+
 void Protocol::Attach(const SimView* view) {
   PCPDA_CHECK(view != nullptr);
   view_ = view;

@@ -1,7 +1,7 @@
 #ifndef PCPDA_PROTOCOLS_PROTOCOL_H_
 #define PCPDA_PROTOCOLS_PROTOCOL_H_
 
-#include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +21,40 @@ struct LockRequest {
   LockMode mode = LockMode::kRead;
 };
 
+/// The rule behind a lock decision: which locking condition granted the
+/// request, or which one denied or aborted it. Decisions carry the enum;
+/// it becomes text only where it is printed (ToString, in trace events
+/// and the restart note), so deciding allocates nothing.
+enum class DecisionRule : std::uint8_t {
+  /// No rule recorded (the baseline protocols' grants and denials).
+  kNone,
+  /// PCP-DA grants by the locking conditions LC1–LC4.
+  kLc1,
+  kLc2,
+  kLc3,
+  kLc4,
+  /// PCP-DA denials: LC1 (another job read-locks x), the Table-1
+  /// starred condition against a write-lock holder, the "x ∉
+  /// WriteSet(T*)" guard of LC3/LC4, and plain ceiling blocking.
+  kLc1Denied,
+  kWrGuardDenied,
+  kTstarGuardDenied,
+  kCeilingDenied,
+  /// 2PL-HP: the requester outranks every conflicting holder, which are
+  /// aborted.
+  kHpAbort,
+  /// Optimistic protocols: access never blocks.
+  kOccGrant,
+  /// OCC-DA: the requester would read past its serialization-order
+  /// constraint and aborts itself.
+  kOccDaConstraint,
+};
+
+/// The rule's printed form. The T*-guard and the ceiling denial share
+/// "LC-denied", so two rules may print alike: compare rendered text where
+/// output depends on it. kNone prints as "".
+const char* ToString(DecisionRule rule);
+
 /// A protocol's verdict on a lock request. Decisions are pure — the
 /// simulator applies all side effects (lock table updates, aborts,
 /// priority inheritance, tracing).
@@ -37,42 +71,41 @@ struct LockDecision {
 
   Kind kind = Kind::kGrant;
   BlockReason reason = BlockReason::kNone;
+  DecisionRule rule = DecisionRule::kNone;
   /// kBlock: the jobs blocking the requester (priority-inheritance
   /// targets). kAbortAndGrant: the victims to restart.
   std::vector<JobId> jobs;
-  /// Annotation, e.g. the locking condition that granted ("LC2").
-  std::string note;
 
-  static LockDecision Grant(std::string note = "") {
-    LockDecision d;
-    d.note = std::move(note);
-    return d;
+  /// Protocol::Decide fills a decision the caller reuses, so `jobs`
+  /// keeps its capacity and deciding allocates nothing once warm. clear()
+  /// resets it to an empty grant; the setters below pick the verdict and
+  /// keep whatever blockers or victims Decide put in `jobs`, except that
+  /// Grant and AbortRequester empty it.
+  void clear() {
+    kind = Kind::kGrant;
+    reason = BlockReason::kNone;
+    rule = DecisionRule::kNone;
+    jobs.clear();
   }
-  static LockDecision Block(BlockReason reason, std::vector<JobId> blockers,
-                            std::string note = "") {
-    LockDecision d;
-    d.kind = Kind::kBlock;
-    d.reason = reason;
-    d.jobs = std::move(blockers);
-    d.note = std::move(note);
-    return d;
+  void Grant(DecisionRule by = DecisionRule::kNone) {
+    clear();
+    rule = by;
   }
-  static LockDecision AbortAndGrant(std::vector<JobId> victims,
-                                    std::string note = "") {
-    LockDecision d;
-    d.kind = Kind::kAbortAndGrant;
-    d.jobs = std::move(victims);
-    d.note = std::move(note);
-    return d;
+  void Block(BlockReason why, DecisionRule by = DecisionRule::kNone) {
+    kind = Kind::kBlock;
+    reason = why;
+    rule = by;
   }
-  static LockDecision AbortRequester(std::string note = "") {
-    LockDecision d;
-    d.kind = Kind::kAbortRequester;
-    d.note = std::move(note);
-    return d;
+  void AbortAndGrant(DecisionRule by) {
+    kind = Kind::kAbortAndGrant;
+    reason = BlockReason::kNone;
+    rule = by;
   }
-
-  bool granted() const { return kind == Kind::kGrant; }
+  void AbortRequester(DecisionRule by) {
+    clear();
+    kind = Kind::kAbortRequester;
+    rule = by;
+  }
 };
 
 /// Which runtime priority-ceiling rule a protocol implements. The
@@ -113,8 +146,10 @@ class SimView {
   /// The job with `id`, or nullptr if it no longer exists.
   virtual const Job* job(JobId id) const = 0;
   virtual Tick now() const = 0;
-  /// Live (active) jobs other than `except`.
-  virtual std::vector<const Job*> LiveJobs(JobId except) const = 0;
+  /// The active jobs in id (= release) order. A view of the simulator's
+  /// scan set: valid until the next state change, and it includes the
+  /// requester or committing job itself while that job is active.
+  virtual std::span<const Job* const> active_jobs() const = 0;
 };
 
 /// A concurrency-control protocol. Implementations are stateless with
@@ -143,8 +178,11 @@ class Protocol {
   /// Binds the protocol to a run. Must be called before Decide.
   void Attach(const SimView* view);
 
-  /// Decides a lock request. Pure: must not mutate protocol state.
-  virtual LockDecision Decide(const LockRequest& request) const = 0;
+  /// Decides a lock request into `decision`, which arrives cleared (an
+  /// empty grant) and is reused across calls. Pure: must not mutate
+  /// protocol state.
+  virtual void Decide(const LockRequest& request,
+                      LockDecision& decision) const = 0;
 
   /// Locks (item, mode) the job may release before commit, evaluated after
   /// the job completes a step (CCP's convex early release). Default: none.
@@ -153,6 +191,8 @@ class Protocol {
 
   /// The highest priority ceiling currently raised by any held lock (the
   /// paper's Max_Sysceil sample); dummy for protocols without ceilings.
+  /// Must depend on nothing but the lock table and the static ceilings:
+  /// the simulator samples it again only after the lock table changes.
   virtual Priority CurrentCeiling() const { return Priority::Dummy(); }
 
   // --- Commit-time validation (optimistic protocols) ----------------------

@@ -12,19 +12,19 @@ Priority RwPcp::RuntimeCeiling(JobId holder, ItemId item) const {
   return view().ceilings().Wceil(item);
 }
 
-RwPcp::SysceilInfo RwPcp::ComputeSysceil(JobId self) const {
-  SysceilInfo info;
-  info.sysceil = Priority::Dummy();
+Priority RwPcp::ComputeSysceil(JobId self,
+                               std::vector<JobId>& holders) const {
+  Priority sysceil = Priority::Dummy();
   const LockTable& locks = view().locks();
   auto consider = [&](JobId holder, Priority ceiling) {
     if (ceiling.is_dummy()) return;
-    if (ceiling > info.sysceil) {
-      info.sysceil = ceiling;
-      info.holders.assign(1, holder);
-    } else if (ceiling == info.sysceil &&
-               std::find(info.holders.begin(), info.holders.end(),
-                         holder) == info.holders.end()) {
-      info.holders.push_back(holder);
+    if (ceiling > sysceil) {
+      sysceil = ceiling;
+      holders.assign(1, holder);
+    } else if (ceiling == sysceil &&
+               std::find(holders.begin(), holders.end(), holder) ==
+                   holders.end()) {
+      holders.push_back(holder);
     }
   };
   for (JobId holder : locks.holders()) {
@@ -36,21 +36,22 @@ RwPcp::SysceilInfo RwPcp::ComputeSysceil(JobId self) const {
       consider(holder, view().ceilings().Wceil(item));
     }
   }
-  return info;
+  return sysceil;
 }
 
-LockDecision RwPcp::Decide(const LockRequest& request) const {
+void RwPcp::Decide(const LockRequest& request,
+                   LockDecision& decision) const {
   PCPDA_CHECK(request.job != nullptr);
   const Job& job = *request.job;
   const JobId self = job.id();
   const ItemId x = request.item;
   const LockTable& locks = view().locks();
 
-  const SysceilInfo info = ComputeSysceil(self);
-  if (job.running_priority() > info.sysceil) {
+  const Priority sysceil = ComputeSysceil(self, decision.jobs);
+  if (job.running_priority() > sysceil) {
     // The ceiling test subsumes conflict checking: a conflicting holder of
     // x would have raised rwceil(x) to at least P_i.
-    return LockDecision::Grant();
+    return decision.Grant();
   }
   // Classify the blocking the way Section 3 does: conflict blocking when x
   // itself is held in an incompatible mode, ceiling blocking otherwise.
@@ -59,9 +60,8 @@ LockDecision RwPcp::Decide(const LockRequest& request) const {
       !locks.NoReaderOtherThan(self, x)) {
     direct_conflict = true;
   }
-  return LockDecision::Block(direct_conflict ? BlockReason::kConflict
-                                             : BlockReason::kCeiling,
-                             info.holders);
+  decision.Block(direct_conflict ? BlockReason::kConflict
+                                 : BlockReason::kCeiling);
 }
 
 Priority RwPcp::CurrentCeiling() const {

@@ -31,19 +31,16 @@ class RwPcp : public Protocol {
     return CeilingRule::kReadWrite;
   }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
 
   /// Max rwceil over all currently locked items.
   Priority CurrentCeiling() const override;
 
  protected:
-  struct SysceilInfo {
-    Priority sysceil;
-    std::vector<JobId> holders;  // holders of the ceiling item(s)
-  };
-
-  /// Sysceil_i with respect to `self`.
-  SysceilInfo ComputeSysceil(JobId self) const;
+  /// Sysceil_i with respect to `self`; `holders` (empty on entry) gets
+  /// the holders of the ceiling item(s).
+  Priority ComputeSysceil(JobId self, std::vector<JobId>& holders) const;
 
   /// The runtime rwceil contribution of `item` as locked by `holder`.
   Priority RuntimeCeiling(JobId holder, ItemId item) const;

@@ -4,14 +4,15 @@
 
 namespace pcpda {
 
-LockDecision TwoPlHp::Decide(const LockRequest& request) const {
+void TwoPlHp::Decide(const LockRequest& request,
+                     LockDecision& decision) const {
   PCPDA_CHECK(request.job != nullptr);
   const Job& job = *request.job;
   const JobId self = job.id();
   const ItemId x = request.item;
   const LockTable& locks = view().locks();
 
-  std::vector<JobId> conflicting;
+  std::vector<JobId>& conflicting = decision.jobs;
   for (JobId writer : locks.writers(x)) {
     if (writer != self) conflicting.push_back(writer);
   }
@@ -20,7 +21,7 @@ LockDecision TwoPlHp::Decide(const LockRequest& request) const {
       if (reader != self) conflicting.push_back(reader);
     }
   }
-  if (conflicting.empty()) return LockDecision::Grant();
+  if (conflicting.empty()) return;
 
   bool requester_wins = true;
   for (JobId holder_id : conflicting) {
@@ -32,9 +33,10 @@ LockDecision TwoPlHp::Decide(const LockRequest& request) const {
     }
   }
   if (requester_wins) {
-    return LockDecision::AbortAndGrant(std::move(conflicting), "2PL-HP");
+    decision.AbortAndGrant(DecisionRule::kHpAbort);
+  } else {
+    decision.Block(BlockReason::kConflict);
   }
-  return LockDecision::Block(BlockReason::kConflict, std::move(conflicting));
 }
 
 }  // namespace pcpda

@@ -21,7 +21,8 @@ class TwoPlHp : public Protocol {
   UpdateModel update_model() const override { return UpdateModel::kInPlace; }
   bool uses_priority_inheritance() const override { return false; }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
 };
 
 }  // namespace pcpda

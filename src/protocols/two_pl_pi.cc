@@ -4,13 +4,14 @@
 
 namespace pcpda {
 
-LockDecision TwoPlPi::Decide(const LockRequest& request) const {
+void TwoPlPi::Decide(const LockRequest& request,
+                     LockDecision& decision) const {
   PCPDA_CHECK(request.job != nullptr);
   const JobId self = request.job->id();
   const ItemId x = request.item;
   const LockTable& locks = view().locks();
 
-  std::vector<JobId> conflicting;
+  std::vector<JobId>& conflicting = decision.jobs;
   for (JobId writer : locks.writers(x)) {
     if (writer != self) conflicting.push_back(writer);
   }
@@ -19,8 +20,7 @@ LockDecision TwoPlPi::Decide(const LockRequest& request) const {
       if (reader != self) conflicting.push_back(reader);
     }
   }
-  if (conflicting.empty()) return LockDecision::Grant();
-  return LockDecision::Block(BlockReason::kConflict, std::move(conflicting));
+  if (!conflicting.empty()) decision.Block(BlockReason::kConflict);
 }
 
 }  // namespace pcpda

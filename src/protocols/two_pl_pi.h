@@ -18,7 +18,8 @@ class TwoPlPi : public Protocol {
   const char* name() const override { return "2PL-PI"; }
   UpdateModel update_model() const override { return UpdateModel::kInPlace; }
 
-  LockDecision Decide(const LockRequest& request) const override;
+  void Decide(const LockRequest& request,
+              LockDecision& decision) const override;
 };
 
 }  // namespace pcpda

@@ -26,8 +26,12 @@ SimResult GuardedCall(const std::function<SimResult()>& body) {
 }
 
 bool StopRequested(const JobPolicy& policy) {
-  return policy.stop != nullptr &&
-         policy.stop->load(std::memory_order_relaxed);
+  for (const std::atomic<bool>* stop : {policy.stop, policy.also_stop}) {
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -98,8 +102,9 @@ Watchdog& BatchRunner::watchdog() {
 JobResult BatchRunner::RunOnePolicy(const PolicyTask& task,
                                     const JobPolicy& policy) {
   JobResult job;
-  const bool needs_watchdog =
-      policy.wall_budget_ms > 0 || policy.stop != nullptr;
+  const bool needs_watchdog = policy.wall_budget_ms > 0 ||
+                              policy.stop != nullptr ||
+                              policy.also_stop != nullptr;
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     if (StopRequested(policy)) {
       // Not started (or not re-tried): resume re-runs it from scratch.
@@ -175,8 +180,9 @@ std::vector<JobResult> BatchRunner::RunTasksWithPolicy(
   std::vector<JobResult> results(tasks.size());
   // One stop source per batch; concurrent batches with different stop
   // flags on the same runner are not supported.
-  if (policy.wall_budget_ms > 0 || policy.stop != nullptr) {
-    watchdog().SetStopSource(policy.stop);
+  if (policy.wall_budget_ms > 0 || policy.stop != nullptr ||
+      policy.also_stop != nullptr) {
+    watchdog().SetStopSources(policy.stop, policy.also_stop);
   }
   pool_.ParallelFor(tasks.size(), [&](std::size_t i) {
     results[i] = RunOnePolicy(tasks[i], policy);

@@ -93,10 +93,13 @@ struct JobPolicy {
   /// every attempt and come out identical; a flake that passes on retry
   /// is reclassified as OK with attempts > 1.
   int max_retries = 0;
-  /// Graceful stop (SIGINT/SIGTERM): when the pointed-at flag becomes
+  /// Graceful stop (SIGINT/SIGTERM): when either pointed-at flag becomes
   /// true, jobs not yet started are skipped and in-flight jobs are
-  /// cancelled through the watchdog. Null never stops.
+  /// cancelled through the watchdog. Two sources let a caller watch an
+  /// external signal flag and its own flag at once (the campaign's
+  /// stop_after and append-failure stop). Null never stops.
   const std::atomic<bool>* stop = nullptr;
+  const std::atomic<bool>* also_stop = nullptr;
 };
 
 /// What a policy task sees about its own attempt.

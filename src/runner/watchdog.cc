@@ -18,10 +18,12 @@ Watchdog::~Watchdog() {
   monitor_.join();
 }
 
-void Watchdog::SetStopSource(const std::atomic<bool>* stop) {
+void Watchdog::SetStopSources(const std::atomic<bool>* stop,
+                              const std::atomic<bool>* also_stop) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_source_ = stop;
+    stop_sources_[0] = stop;
+    stop_sources_[1] = also_stop;
   }
   cv_.notify_all();
 }
@@ -59,14 +61,16 @@ void Watchdog::Loop() {
                [this] { return shutdown_ || !armed_.empty(); });
       continue;
     }
-    // The stop source has no edge to wait on (plain atomic, typically
+    // The stop sources have no edge to wait on (plain atomics, typically
     // set from a signal handler), so poll at the resolution while
     // anything is armed.
     cv_.wait_for(lock, resolution_);
     if (shutdown_) return;
-    const bool stop =
-        stop_source_ != nullptr &&
-        stop_source_->load(std::memory_order_relaxed);
+    bool stop = false;
+    for (const std::atomic<bool>* source : stop_sources_) {
+      stop = stop || (source != nullptr &&
+                      source->load(std::memory_order_relaxed));
+    }
     const auto now = std::chrono::steady_clock::now();
     for (auto it = armed_.begin(); it != armed_.end();) {
       if (stop || now >= it->second.deadline) {

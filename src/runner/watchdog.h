@@ -34,10 +34,11 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Fires every armed flag (current and future) as soon as `stop`
-  /// becomes true. Null clears the source. `stop` must outlive the
-  /// watchdog or the next SetStopSource call.
-  void SetStopSource(const std::atomic<bool>* stop);
+  /// Fires every armed flag (current and future) as soon as `stop` or
+  /// `also_stop` becomes true. Null clears a source. Both must outlive the
+  /// watchdog or the next SetStopSources call.
+  void SetStopSources(const std::atomic<bool>* stop,
+                      const std::atomic<bool>* also_stop = nullptr);
 
   /// Arms `flag` to be set after `budget` elapses; a zero/negative budget
   /// means no deadline (the flag then only fires via the stop source).
@@ -61,7 +62,7 @@ class Watchdog {
   std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint64_t, Entry> armed_;  // guarded by mu_
-  const std::atomic<bool>* stop_source_ = nullptr;  // guarded by mu_
+  const std::atomic<bool>* stop_sources_[2] = {};   // guarded by mu_
   std::uint64_t next_ticket_ = 1;                   // guarded by mu_
   bool shutdown_ = false;                           // guarded by mu_
   std::thread monitor_;

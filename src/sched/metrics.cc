@@ -27,6 +27,19 @@ Tick SpecMetrics::ResponsePercentile(double p) const {
   return ResponsePercentiles({p}).front();
 }
 
+void SpecMetrics::AddResponse(Tick response) {
+  const auto it = std::lower_bound(
+      response_counts.begin(), response_counts.end(), response,
+      [](const std::pair<Tick, std::int64_t>& entry, Tick key) {
+        return entry.first < key;
+      });
+  if (it != response_counts.end() && it->first == response) {
+    ++it->second;
+  } else {
+    response_counts.insert(it, {response, 1});
+  }
+}
+
 std::int64_t SpecMetrics::ResponseCount() const {
   std::int64_t n = 0;
   for (const auto& [response, count] : response_counts) n += count;

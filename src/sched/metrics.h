@@ -1,8 +1,8 @@
 #ifndef PCPDA_SCHED_METRICS_H_
 #define PCPDA_SCHED_METRICS_H_
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -43,13 +43,15 @@ struct SpecMetrics {
 
   Tick max_response = 0;
   double total_response = 0.0;
-  /// Response-time histogram of the committed instances: response tick ->
-  /// number of instances. One entry per distinct response, so the memory
-  /// does not grow with the horizon while percentiles stay exact.
-  std::map<Tick, std::int64_t> response_counts;
+  /// Response-time histogram of the committed instances: (response tick,
+  /// number of instances), ascending by response. One entry per distinct
+  /// response, so the memory does not grow with the horizon while
+  /// percentiles stay exact; a flat vector, so a commit only allocates
+  /// when a new distinct response outgrows its capacity.
+  std::vector<std::pair<Tick, std::int64_t>> response_counts;
 
   /// Records one committed instance's response time.
-  void AddResponse(Tick response) { ++response_counts[response]; }
+  void AddResponse(Tick response);
   /// Number of recorded response times.
   std::int64_t ResponseCount() const;
 

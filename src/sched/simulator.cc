@@ -1,6 +1,9 @@
 #include "sched/simulator.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -9,6 +12,17 @@
 #include "sim/calendar.h"
 
 namespace pcpda {
+
+namespace {
+
+/// The restart note of an abort a decision ordered: the rule's printed
+/// form, or `fallback` for a rule that prints nothing.
+const char* RuleNote(DecisionRule rule, const char* fallback) {
+  const char* text = ToString(rule);
+  return *text != '\0' ? text : fallback;
+}
+
+}  // namespace
 
 Simulator::Simulator(const TransactionSet* set, Protocol* protocol,
                      SimulatorOptions options)
@@ -43,20 +57,16 @@ Simulator::Simulator(const TransactionSet* set, const CompiledPlan* plan,
   }
 }
 
-Simulator::~Simulator() = default;
+Simulator::~Simulator() {
+  // Pooled jobs are poisoned; hand them back to ASan before they go.
+  for (const std::unique_ptr<Job>& pooled : free_jobs_) {
+    ASAN_UNPOISON_MEMORY_REGION(pooled.get(), sizeof(Job));
+  }
+}
 
 const Job* Simulator::job(JobId id) const {
   const std::unique_ptr<Job>* live = jobs_.find(id);
   return live != nullptr ? live->get() : nullptr;
-}
-
-std::vector<const Job*> Simulator::LiveJobs(JobId except) const {
-  std::vector<const Job*> live;
-  live.reserve(active_jobs_.size());
-  for (const Job* job : active_jobs_) {
-    if (job->id() != except) live.push_back(job);
-  }
-  return live;
 }
 
 SpecMetrics& Simulator::metrics_for(SpecId spec) {
@@ -85,21 +95,21 @@ LockMode Simulator::NeededMode(const Job& job) const {
                                                     : LockMode::kWrite;
 }
 
-std::vector<Arrival> Simulator::TakeDueArrivals() {
+void Simulator::TakeDueArrivals() {
+  due_.clear();
   if (options_.arrival_schedule != nullptr) {
     const std::vector<Arrival>& all =
         options_.arrival_schedule->arrivals();
-    std::vector<Arrival> due;
     while (schedule_pos_ < all.size() &&
            all[schedule_pos_].tick == tick_) {
-      due.push_back(all[schedule_pos_++]);
+      due_.push_back(all[schedule_pos_++]);
     }
     PCPDA_CHECK_MSG(
         schedule_pos_ >= all.size() || all[schedule_pos_].tick > tick_,
         "arrival schedule fell behind the simulation clock");
-    return due;
+    return;
   }
-  return calendar_cursor_->PopAt(tick_);
+  calendar_cursor_->PopAt(tick_, due_);
 }
 
 Tick Simulator::NextArrivalTick() const {
@@ -112,19 +122,26 @@ Tick Simulator::NextArrivalTick() const {
 }
 
 void Simulator::ReleaseArrivals() {
-  std::vector<Arrival> due = TakeDueArrivals();
-  if (fault_plan_ != nullptr) {
-    due = fault_plan_->TransformArrivals(tick_, std::move(due));
-  }
-  if (!due.empty()) dispatch_dirty_ = true;
-  for (const Arrival& arrival : due) {
+  TakeDueArrivals();
+  if (fault_plan_ != nullptr) fault_plan_->TransformArrivals(tick_, due_);
+  if (!due_.empty()) dispatch_dirty_ = true;
+  for (const Arrival& arrival : due_) {
     const Tick rel_deadline = set_->RelativeDeadline(arrival.spec);
     const Tick deadline =
         rel_deadline == kNoTick ? kNoTick : tick_ + rel_deadline;
     const JobId id = next_job_id_++;
     std::unique_ptr<Job>& slot = jobs_[id];
-    slot = std::make_unique<Job>(id, set_, arrival.spec, arrival.instance,
-                                 tick_, deadline);
+    if (free_jobs_.empty()) {
+      slot = std::make_unique<Job>(id, set_, arrival.spec, arrival.instance,
+                                   tick_, deadline);
+    } else {
+      // Recycle a retired job: same address for its whole new life, and
+      // its vectors keep their capacity.
+      slot = std::move(free_jobs_.back());
+      free_jobs_.pop_back();
+      ASAN_UNPOISON_MEMORY_REGION(slot.get(), sizeof(Job));
+      slot->Reset(id, set_, arrival.spec, arrival.instance, tick_, deadline);
+    }
     active_jobs_.push_back(slot.get());
     ++metrics_for(arrival.spec).released;
     if (options_.record_trace) {
@@ -153,8 +170,8 @@ void Simulator::CheckDeadlines() {
   // Nearly every tick has nothing due; find that out before copying.
   if (NextDeadline() > tick_) return;
   // kDrop retires jobs mid-loop, so walk a snapshot of the scan set.
-  const std::vector<Job*> snapshot = active_jobs_;
-  for (Job* active : snapshot) {
+  deadline_scratch_ = active_jobs_;
+  for (Job* active : deadline_scratch_) {
     Job& job = *active;
     if (job.deadline_miss_recorded() || job.absolute_deadline() > tick_) {
       continue;
@@ -253,7 +270,7 @@ Job* Simulator::ResolveDispatch() {
     // The wait graph persists across ticks (outstanding denied requests
     // keep donating priority); drop edges of jobs that are gone. A job
     // is in the active scan set iff it is still active() (RetireJob is
-    // only reached through MarkCommitted/MarkDropped) and a freed one no
+    // only reached through MarkCommitted/MarkDropped) and a pooled one no
     // longer resolves, so the live map answers membership without
     // building a key set. ClearWaits mutates the edge list, so collect
     // first.
@@ -308,7 +325,9 @@ Job* Simulator::ResolveDispatch() {
         }
         const Step& step = job->current_step();
         LockRequest request{job, step.item, NeededMode(*job)};
-        LockDecision decision = protocol_->Decide(request);
+        LockDecision& decision = decision_scratch_;
+        decision.clear();
+        protocol_->Decide(request, decision);
         ++metrics_.lock_decisions;
         if (decision.kind == LockDecision::Kind::kBlock) {
           holders_scratch_.assign(decision.jobs.begin(),
@@ -328,14 +347,18 @@ Job* Simulator::ResolveDispatch() {
           pb.mode = request.mode;
           pb.reason = decision.reason;
           pb.blockers = decision.jobs;
-          pb.note = std::move(decision.note);
+          pb.rule = decision.rule;
         } else {
           if (wait_graph_.IsWaiting(job->id())) {
             wait_graph_.ClearWaits(job->id());
             changed = true;
           }
           blocked_now_.erase(job->id());
-          granted_decision_[job->id()] = std::move(decision);
+          // A plain grant is only read back for its trace note.
+          if (decision.kind != LockDecision::Kind::kGrant ||
+              options_.record_trace) {
+            granted_decision_[job->id()] = decision;
+          }
         }
         if (changed) break;  // priorities moved: restart the sweep
       }
@@ -361,18 +384,14 @@ Job* Simulator::ResolveDispatch() {
           Job* victim = const_cast<Job*>(job(victim_id));
           PCPDA_CHECK_MSG(victim != nullptr && victim->active(),
                           "abort victim not active");
-          AbortAndRestart(*victim, granted->note.empty()
-                                       ? "abort"
-                                       : granted->note.c_str());
+          AbortAndRestart(*victim, RuleNote(granted->rule, "abort"));
         }
         continue;
       }
       if (granted != nullptr &&
           granted->kind == LockDecision::Kind::kAbortRequester) {
         // Optimistic self-abort: restart the requester, then re-resolve.
-        AbortAndRestart(*chosen, granted->note.empty()
-                                     ? "self-abort"
-                                     : granted->note.c_str());
+        AbortAndRestart(*chosen, RuleNote(granted->rule, "self-abort"));
         continue;
       }
     }
@@ -434,9 +453,6 @@ void Simulator::AdmitStep(Job& job) {
   dispatch_dirty_ = true;
   const bool needed_grant = NeedsLock(job);
   if (needed_grant) {
-    std::string note;
-    const LockDecision* granted = granted_decision_.find(job.id());
-    if (granted != nullptr) note = granted->note;
     if (step.kind == StepKind::kRead) {
       lock_table_.AcquireRead(job.id(), step.item);
     } else {
@@ -451,7 +467,8 @@ void Simulator::AdmitStep(Job& job) {
       event.instance = job.instance();
       event.item = step.item;
       event.mode = NeededMode(job);
-      event.note = std::move(note);
+      const LockDecision* granted = granted_decision_.find(job.id());
+      if (granted != nullptr) event.note = ToString(granted->rule);
       trace_.AddEvent(event);
     }
   }
@@ -514,7 +531,7 @@ void Simulator::Commit(Job& job) {
   }
   // Deferred updates reach the database atomically at commit.
   if (protocol_->update_model() == UpdateModel::kWorkspace) {
-    for (const auto& [item, unused] : job.workspace().writes()) {
+    for (ItemId item : job.workspace().items()) {
       database_.Write(item, job.id());
       if (options_.record_history) {
         history_.RecordWrite(job.id(), item, tick_, seq_++);
@@ -619,9 +636,12 @@ void Simulator::RetireJob(Job& job) {
 
 void Simulator::FreeRetiredJobs() {
   for (const Job* retired : retired_this_tick_) {
-    // Read the id first: the reset below frees `retired`.
+    // Read the id first: from the poisoning on, `retired` is off limits
+    // until ReleaseArrivals recycles it.
     const JobId id = retired->id();
-    jobs_.at(id).reset();
+    std::unique_ptr<Job>& slot = jobs_.at(id);
+    ASAN_POISON_MEMORY_REGION(slot.get(), sizeof(Job));
+    free_jobs_.push_back(std::move(slot));
     jobs_.erase(id);
   }
   retired_this_tick_.clear();
@@ -686,7 +706,7 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
     const PendingBlock& pb = blocked_now_.at(id);
     const Job* blocked = job(id);
     PCPDA_CHECK(blocked != nullptr);
-    blocked_scratch_[id] = pb.note;
+    blocked_scratch_[id] = pb.rule;
     SpecMetrics& m = metrics_for(blocked->spec_id());
     m.blocked_ticks += ticks;
     if (runner != nullptr &&
@@ -694,11 +714,14 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
       m.effective_blocking_ticks += ticks;
       effective_blocking_by_job_[id] += ticks;
     }
-    const std::string* prev = blocked_prev_.find(id);
+    const DecisionRule* prev = blocked_prev_.find(id);
     const bool new_episode = prev == nullptr;
-    if (new_episode || *prev != pb.note) {
-      // New blocking episode, or the denial reason changed mid-episode
-      // (e.g. a ceiling block turning into a wr-guard conflict).
+    if (new_episode ||
+        std::string_view(ToString(*prev)) != ToString(pb.rule)) {
+      // New blocking episode, or the printed denial changed mid-episode
+      // (e.g. a ceiling block turning into a wr-guard conflict). The
+      // T*-guard and the ceiling denial print alike, so a switch between
+      // them continues the episode, as the text notes did.
       if (new_episode) {
         if (pb.reason == BlockReason::kCeiling) {
           ++m.ceiling_blocks;
@@ -717,7 +740,7 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
         event.mode = pb.mode;
         event.reason = pb.reason;
         event.others = pb.blockers;
-        event.note = pb.note;
+        event.note = ToString(pb.rule);
         trace_.AddEvent(event);
       }
     }
@@ -730,7 +753,13 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
     }
   }
 
-  const Priority ceiling = protocol_->CurrentCeiling();
+  // The ceiling is a function of the lock table: sample it again only
+  // after a grant or release.
+  if (ceiling_version_ != lock_table_.version()) {
+    ceiling_ = protocol_->CurrentCeiling();
+    ceiling_version_ = lock_table_.version();
+  }
+  const Priority ceiling = ceiling_;
   metrics_.max_ceiling = Max(metrics_.max_ceiling, ceiling);
 
   if (!options_.record_trace) return;
@@ -767,7 +796,7 @@ void Simulator::AuditNow(bool resolved) {
   if (resolved || dispatch_dirty_) {
     // The audit scans the active set plus this tick's retirements (so a
     // commit/drop that leaks a lock or a workspace write is caught at
-    // retirement time); anything older has been freed.
+    // retirement time); anything older is back in the job pool.
     audit_jobs_.assign(active_jobs_.begin(), active_jobs_.end());
     audit_jobs_.insert(audit_jobs_.end(), retired_this_tick_.begin(),
                        retired_this_tick_.end());
@@ -789,7 +818,7 @@ void Simulator::AuditNow(bool resolved) {
   } else {
     // Nothing the audit reads has changed since the last audited tick:
     // every input moves only where dispatch_dirty_ is set, and a retired
-    // job is freed at the top of a tick that starts dirty.
+    // job returns to the pool at the top of a tick that starts dirty.
     auditor_->RepeatLastAudit(tick_);
   }
   if (options_.record_trace) {

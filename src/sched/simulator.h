@@ -4,7 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -115,9 +115,10 @@ struct SimResult {
 ///
 /// The inner loop is event-driven: arrivals come from a calendar cursor
 /// (O(log specs) per release instead of an O(specs) scan per tick), jobs
-/// leave the scan set the moment they commit or are dropped and are freed
-/// on the next tick, once the end-of-tick audit has seen their final
-/// state, and stretches where nothing can change — idle gaps up to the
+/// leave the scan set the moment they commit or are dropped and return to
+/// a job pool on the next tick, once the end-of-tick audit has seen their
+/// final state (the next release re-initialises one in place), and
+/// stretches where nothing can change — idle gaps up to the
 /// next arrival, and the inside of the runner's admitted step — are
 /// fast-forwarded while still being credited tick by tick, with traces,
 /// metrics and statuses bit-identical to the per-tick engine (pinned by
@@ -157,7 +158,9 @@ class Simulator : public SimView {
   const Database& database() const override { return database_; }
   const Job* job(JobId id) const override;
   Tick now() const override { return tick_; }
-  std::vector<const Job*> LiveJobs(JobId except) const override;
+  std::span<const Job* const> active_jobs() const override {
+    return active_jobs_;
+  }
 
  private:
   struct PendingBlock {
@@ -165,12 +168,22 @@ class Simulator : public SimView {
     LockMode mode = LockMode::kRead;
     BlockReason reason = BlockReason::kNone;
     std::vector<JobId> blockers;
-    std::string note;
+    DecisionRule rule = DecisionRule::kNone;
+
+    /// Lets blocked_now_ hand a slot to the next blocked job with the
+    /// blockers' capacity kept.
+    void clear() {
+      item = kInvalidItem;
+      mode = LockMode::kRead;
+      reason = BlockReason::kNone;
+      blockers.clear();
+      rule = DecisionRule::kNone;
+    }
   };
 
-  /// Pops the arrivals due at tick_ from the schedule override or the
-  /// calendar cursor (both yield (tick, spec) order).
-  std::vector<Arrival> TakeDueArrivals();
+  /// Fills due_ with the arrivals due at tick_ from the schedule override
+  /// or the calendar cursor (both yield (tick, spec) order).
+  void TakeDueArrivals();
   /// Tick of the next not-yet-released arrival, or kNoTick if none left.
   Tick NextArrivalTick() const;
   /// Jumps tick_ over ticks on which the per-tick loop could only repeat
@@ -221,8 +234,8 @@ class Simulator : public SimView {
   /// stays in jobs_ (and in retired_this_tick_ for this tick's audit)
   /// until FreeRetiredJobs runs at the top of the next tick.
   void RetireJob(Job& job);
-  /// Frees the jobs retired during the previous tick; from then on
-  /// job(id) answers nullptr for them.
+  /// Returns the jobs retired during the previous tick to the pool; from
+  /// then on job(id) answers nullptr for them.
   void FreeRetiredJobs();
   /// Credits `ticks` consecutive ticks that all ran `runner` (nullptr:
   /// idle) against the current blocked set, and traces one TickRecord for
@@ -260,10 +273,15 @@ class Simulator : public SimView {
   std::int64_t seq_ = 0;
   bool halted_ = false;
   /// Owning map of the live jobs: every job in flight plus the jobs that
-  /// retired during the current tick. Retired jobs are freed at the top
-  /// of the next tick, so its ring capacity follows the live-id span.
-  /// Metrics, trace and history record ids, never Job pointers.
+  /// retired during the current tick. Retired jobs go back to the pool at
+  /// the top of the next tick, so its ring capacity follows the live-id
+  /// span. Metrics, trace and history record ids, never Job pointers.
   JobSlotMap<std::unique_ptr<Job>> jobs_;
+  /// The job pool: retired jobs waiting to be re-initialised in place by
+  /// the next release. Its size peaks at the most jobs ever retired in
+  /// one tick, and under ASan its jobs are poisoned, so a stray read of a
+  /// retired job is still reported.
+  std::vector<std::unique_ptr<Job>> free_jobs_;
   /// Id of the next released job; also the count of jobs released.
   JobId next_job_id_ = 0;
   /// The per-tick scan set: jobs still in flight, in id (= release)
@@ -274,6 +292,8 @@ class Simulator : public SimView {
   std::vector<const Job*> retired_this_tick_;
   /// Event source when no arrival-schedule override is set.
   std::optional<ArrivalCalendar::Cursor> calendar_cursor_;
+  /// This tick's arrivals, refilled in place by TakeDueArrivals.
+  std::vector<Arrival> due_;
   /// Read position into options_.arrival_schedule->arrivals().
   std::size_t schedule_pos_ = 0;
   /// Jobs blocked this tick (job id -> details), rebuilt each tick.
@@ -282,21 +302,27 @@ class Simulator : public SimView {
   /// O(1) lookup, and slot storage that is reused across ticks and ids
   /// instead of reallocated.
   JobSlotMap<PendingBlock> blocked_now_;
-  /// Block annotation per job during the previous tick (for the kBlock
-  /// edge trigger: a new episode OR a changed reason re-traces) and
+  /// Denial rule per job during the previous tick (for the kBlock edge
+  /// trigger: a new episode OR a changed printed rule re-traces) and
   /// per-job effective-blocking accumulation.
-  JobSlotMap<std::string> blocked_prev_;
+  JobSlotMap<DecisionRule> blocked_prev_;
   /// Next tick's blocked_prev_, built during RecordTick then swapped in
   /// so both maps keep their slot capacity.
-  JobSlotMap<std::string> blocked_scratch_;
+  JobSlotMap<DecisionRule> blocked_scratch_;
   JobSlotMap<Tick> effective_blocking_by_job_;
-  /// The decision produced for the runner during dispatch resolution.
+  /// The non-blocking decisions of this dispatch resolution, by job: the
+  /// aborts, and with the trace on the plain grants too, whose rule
+  /// AdmitStep prints.
   JobSlotMap<LockDecision> granted_decision_;
+  /// The decision Protocol::Decide fills, reused across requests.
+  LockDecision decision_scratch_;
   /// Per-sweep scratch reused across dispatch resolutions: the running-
   /// priority fixpoint, the dispatch order, the sorted holder set of a
   /// kBlock decision, and the stale waiters to clear.
   JobSlotMap<Priority> running_scratch_;
   std::vector<Job*> dispatch_scratch_;
+  /// CheckDeadlines' snapshot of the scan set.
+  std::vector<Job*> deadline_scratch_;
   std::vector<JobId> holders_scratch_;
   std::vector<JobId> stale_waiters_scratch_;
   std::unique_ptr<FaultPlan> fault_plan_;
@@ -320,6 +346,10 @@ class Simulator : public SimView {
   /// blocked set) moves only at the same points or during resolution.
   bool dispatch_dirty_ = true;
   Job* last_runner_ = nullptr;
+  /// Protocol::CurrentCeiling as of lock-table version ceiling_version_
+  /// (none before the first sample).
+  Priority ceiling_;
+  std::optional<std::uint64_t> ceiling_version_;
 };
 
 }  // namespace pcpda

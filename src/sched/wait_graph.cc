@@ -37,11 +37,11 @@ std::vector<JobId> WaitGraph::waiters() const { return edges_.ids(); }
 
 std::optional<std::vector<JobId>> WaitGraph::FindCycle() const {
   if (edges_.empty()) return std::nullopt;
-  enum class Color : std::uint8_t { kWhite, kGray, kBlack };
   // Colors in a flat array parallel to the sorted ids the graph names.
   // The graph is only non-empty under contention, so it is small; an
   // array over [0, max id] would grow with the horizon.
-  std::vector<JobId> nodes;
+  std::vector<JobId>& nodes = dfs_nodes_;
+  nodes.clear();
   for (JobId waiter : edges_.ids()) {
     const std::vector<JobId>& holders = edges_.at(waiter);
     nodes.push_back(waiter);
@@ -49,26 +49,24 @@ std::optional<std::vector<JobId>> WaitGraph::FindCycle() const {
   }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  std::vector<Color> color(nodes.size(), Color::kWhite);
-  auto paint = [&color, &nodes](JobId id) -> Color& {
+  dfs_color_.assign(nodes.size(), Color::kWhite);
+  auto paint = [this, &nodes](JobId id) -> Color& {
     const auto at = std::lower_bound(nodes.begin(), nodes.end(), id);
-    return color[static_cast<std::size_t>(at - nodes.begin())];
+    return dfs_color_[static_cast<std::size_t>(at - nodes.begin())];
   };
-  std::vector<JobId> path;
+  std::vector<JobId>& path = dfs_path_;
   // Recursive DFS expressed iteratively via an explicit stack of
   // (node, next successor index).
-  auto successors = [this](JobId node) -> const std::vector<JobId>& {
-    return HoldersBlocking(node);
-  };
+  std::vector<std::pair<JobId, std::size_t>>& stack = dfs_stack_;
   for (JobId root : edges_.ids()) {
     if (paint(root) != Color::kWhite) continue;
-    std::vector<std::pair<JobId, std::size_t>> stack;
+    stack.clear();
     paint(root) = Color::kGray;
     stack.emplace_back(root, 0);
     path.assign(1, root);
     while (!stack.empty()) {
       auto& [node, next_index] = stack.back();
-      const std::vector<JobId>& succ = successors(node);
+      const std::vector<JobId>& succ = HoldersBlocking(node);
       if (next_index == succ.size()) {
         paint(node) = Color::kBlack;
         stack.pop_back();

@@ -1,8 +1,10 @@
 #ifndef PCPDA_SCHED_WAIT_GRAPH_H_
 #define PCPDA_SCHED_WAIT_GRAPH_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -37,13 +39,25 @@ class WaitGraph {
   const std::vector<JobId>& waiter_ids() const { return edges_.ids(); }
 
   /// Finds a wait-for cycle if one exists. The returned cycle lists each
-  /// member once, starting from the smallest job id in the cycle.
+  /// member once, starting from the smallest job id in the cycle. The
+  /// search itself allocates nothing once its scratch buffers are warm,
+  /// so the simulator can run it after every contended dispatch.
   std::optional<std::vector<JobId>> FindCycle() const;
 
   std::string DebugString() const;
 
  private:
+  enum class Color : std::uint8_t { kWhite, kGray, kBlack };
+
   JobSlotMap<std::vector<JobId>> edges_;
+  /// FindCycle's depth-first search state, kept between calls for its
+  /// capacity only: the sorted nodes the graph names, their colors, the
+  /// (node, next successor index) stack and the current path. A graph
+  /// belongs to one run, so the const search may reuse them.
+  mutable std::vector<JobId> dfs_nodes_;
+  mutable std::vector<Color> dfs_color_;
+  mutable std::vector<std::pair<JobId, std::size_t>> dfs_stack_;
+  mutable std::vector<JobId> dfs_path_;
 
   static const std::vector<JobId> kNoHolders;
 };

@@ -10,7 +10,8 @@ ArrivalCalendar::ArrivalCalendar(const TransactionSet* set) : set_(set) {
   PCPDA_CHECK(set != nullptr);
 }
 
-bool ArrivalCalendar::Cursor::Later(const Entry& a, const Entry& b) {
+bool ArrivalCalendar::Cursor::Later::operator()(const Entry& a,
+                                                const Entry& b) const {
   // std::push_heap builds a max-heap; invert to keep the earliest
   // (tick, spec) on top.
   if (a.tick != b.tick) return a.tick > b.tick;
@@ -23,17 +24,16 @@ ArrivalCalendar::Cursor::Cursor(const TransactionSet* set) : set_(set) {
   for (SpecId i = 0; i < set->size(); ++i) {
     heap_.push_back({set->spec(i).offset, i, 0});
   }
-  std::make_heap(heap_.begin(), heap_.end(), Later);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 Tick ArrivalCalendar::Cursor::NextTick() const {
   return heap_.empty() ? kNoTick : heap_.front().tick;
 }
 
-std::vector<Arrival> ArrivalCalendar::Cursor::PopAt(Tick tick) {
-  std::vector<Arrival> due;
+void ArrivalCalendar::Cursor::PopAt(Tick tick, std::vector<Arrival>& due) {
   while (!heap_.empty() && heap_.front().tick == tick) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Entry entry = heap_.back();
     heap_.pop_back();
     due.push_back({entry.tick, entry.spec, entry.instance});
@@ -41,12 +41,11 @@ std::vector<Arrival> ArrivalCalendar::Cursor::PopAt(Tick tick) {
     if (spec.period > 0) {
       heap_.push_back(
           {entry.tick + spec.period, entry.spec, entry.instance + 1});
-      std::push_heap(heap_.begin(), heap_.end(), Later);
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
   }
   PCPDA_CHECK_MSG(heap_.empty() || heap_.front().tick > tick,
                   "cursor moved past unpopped arrivals");
-  return due;
 }
 
 std::vector<Arrival> ArrivalCalendar::Before(Tick horizon) const {
@@ -57,9 +56,7 @@ std::vector<Arrival> ArrivalCalendar::Before(Tick horizon) const {
   Cursor cursor(set_);
   for (Tick next = cursor.NextTick();
        next != kNoTick && next < horizon; next = cursor.NextTick()) {
-    for (const Arrival& arrival : cursor.PopAt(next)) {
-      arrivals.push_back(arrival);
-    }
+    cursor.PopAt(next, arrivals);
   }
   return arrivals;
 }

@@ -48,10 +48,12 @@ class ArrivalCalendar {
     /// Tick of the earliest arrival not yet popped; kNoTick if exhausted.
     Tick NextTick() const;
 
-    /// Pops and returns the arrivals at exactly `tick` (spec-id order;
-    /// empty when `tick` has none). Requires every arrival before `tick`
-    /// to have been popped already — the cursor only moves forward.
-    std::vector<Arrival> PopAt(Tick tick);
+    /// Pops the arrivals at exactly `tick` and appends them to `due`
+    /// (spec-id order; nothing when `tick` has none). The caller owns the
+    /// buffer, so a reused one costs no allocation per release. Requires
+    /// every arrival before `tick` to have been popped already — the
+    /// cursor only moves forward.
+    void PopAt(Tick tick, std::vector<Arrival>& due);
 
    private:
     /// Min-heap on (tick, spec); periodic specs are re-armed on pop.
@@ -60,7 +62,10 @@ class ArrivalCalendar {
       SpecId spec = kInvalidSpec;
       int instance = 0;
     };
-    static bool Later(const Entry& a, const Entry& b);
+    /// Heap order as a function object, so the heap calls inline it.
+    struct Later {
+      bool operator()(const Entry& a, const Entry& b) const;
+    };
 
     const TransactionSet* set_;
     std::vector<Entry> heap_;

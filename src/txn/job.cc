@@ -1,6 +1,9 @@
 #include "txn/job.h"
 
+#include <algorithm>
+
 #include "common/check.h"
+#include "common/sorted_vector.h"
 #include "common/strings.h"
 
 namespace pcpda {
@@ -18,16 +21,31 @@ const char* ToString(JobState state) {
 }
 
 Job::Job(JobId id, const TransactionSet* set, SpecId spec_id, int instance,
-         Tick release_time, Tick absolute_deadline)
-    : id_(id),
-      spec_(&set->spec(spec_id)),
-      base_priority_(set->priority(spec_id)),
-      spec_id_(spec_id),
-      instance_(instance),
-      release_time_(release_time),
-      absolute_deadline_(absolute_deadline),
-      running_priority_(base_priority_),
-      remaining_in_step_(spec_->body.front().duration) {}
+         Tick release_time, Tick absolute_deadline) {
+  Reset(id, set, spec_id, instance, release_time, absolute_deadline);
+}
+
+void Job::Reset(JobId id, const TransactionSet* set, SpecId spec_id,
+                int instance, Tick release_time, Tick absolute_deadline) {
+  id_ = id;
+  spec_ = &set->spec(spec_id);
+  base_priority_ = set->priority(spec_id);
+  spec_id_ = spec_id;
+  instance_ = instance;
+  release_time_ = release_time;
+  absolute_deadline_ = absolute_deadline;
+  state_ = JobState::kActive;
+  running_priority_ = base_priority_;
+  step_index_ = 0;
+  remaining_in_step_ = spec_->body.front().duration;
+  step_admitted_ = false;
+  data_read_.clear();
+  workspace_.Clear();
+  undo_log_.clear();
+  commit_time_ = kNoTick;
+  restarts_ = 0;
+  deadline_miss_recorded_ = false;
+}
 
 bool Job::ExecuteTick() {
   PCPDA_CHECK(!BodyDone());
@@ -78,9 +96,15 @@ void Job::MarkCommitted(Tick tick) {
   commit_time_ = tick;
 }
 
+void Job::RecordRead(ItemId item) { InsertSorted(data_read_, item); }
+
 void Job::RecordUndo(ItemId item, const Value& before) {
   // First write wins: the oldest pre-image is what an abort must restore.
-  undo_log_.try_emplace(item, before);
+  const auto it = std::lower_bound(
+      undo_log_.begin(), undo_log_.end(), item,
+      [](const UndoEntry& entry, ItemId key) { return entry.item < key; });
+  if (it != undo_log_.end() && it->item == item) return;
+  undo_log_.insert(it, UndoEntry{item, before});
 }
 
 void Job::ResetForRestart() {

@@ -1,9 +1,8 @@
 #ifndef PCPDA_TXN_JOB_H_
 #define PCPDA_TXN_JOB_H_
 
-#include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
@@ -25,12 +24,30 @@ enum class JobState : std::uint8_t {
 
 const char* ToString(JobState state);
 
+/// One entry of a job's undo log: the value `item` held before the job's
+/// first in-place write of it.
+struct UndoEntry {
+  ItemId item = kInvalidItem;
+  Value before;
+};
+
 /// One released instance of a transaction spec. Owned by the simulator;
 /// protocols observe jobs through const references.
+///
+/// The per-job data state (read set, workspace, undo log) is held in
+/// sorted flat vectors. The simulator pools retired jobs and re-initialises
+/// one in place with Reset for each release, so the vectors keep their
+/// capacity and a steady-state release allocates nothing.
 class Job {
  public:
   Job(JobId id, const TransactionSet* set, SpecId spec_id, int instance,
       Tick release_time, Tick absolute_deadline);
+
+  /// Re-initialises the job as a fresh release with these arguments:
+  /// afterwards it equals Job(id, set, ...) in every observable, and only
+  /// the capacity of its vectors is kept.
+  void Reset(JobId id, const TransactionSet* set, SpecId spec_id,
+             int instance, Tick release_time, Tick absolute_deadline);
 
   JobId id() const { return id_; }
   SpecId spec_id() const { return spec_id_; }
@@ -85,9 +102,10 @@ class Job {
 
   // --- Data state ---------------------------------------------------------
 
-  /// DataRead(T_i) in the paper: the items this job has read so far.
-  const std::set<ItemId>& data_read() const { return data_read_; }
-  void RecordRead(ItemId item) { data_read_.insert(item); }
+  /// DataRead(T_i) in the paper: the items this job has read so far,
+  /// ascending.
+  const std::vector<ItemId>& data_read() const { return data_read_; }
+  void RecordRead(ItemId item);
 
   /// x ∈ WriteSet(T_i): the spec body declares a write of `item`. Walks
   /// the body instead of building the set, so it allocates nothing.
@@ -97,9 +115,10 @@ class Job {
   const Workspace& workspace() const { return workspace_; }
 
   /// Undo log for update-in-place protocols: the value each item held
-  /// before this job's first in-place write of it. Restored on abort.
+  /// before this job's first in-place write of it, ascending by item.
+  /// Restored on abort.
   void RecordUndo(ItemId item, const Value& before);
-  const std::map<ItemId, Value>& undo_log() const { return undo_log_; }
+  const std::vector<UndoEntry>& undo_log() const { return undo_log_; }
 
   // --- Lifecycle ----------------------------------------------------------
 
@@ -120,6 +139,7 @@ class Job {
   std::string DebugName() const;
 
  private:
+  // Every scalar below is assigned by Reset, which the constructor runs.
   JobId id_;
   /// The spec and its priority, resolved once: the set outlives the job
   /// and both are read on every dispatch.
@@ -130,20 +150,20 @@ class Job {
   Tick release_time_;
   Tick absolute_deadline_;
 
-  JobState state_ = JobState::kActive;
+  JobState state_;
   Priority running_priority_;
 
-  std::size_t step_index_ = 0;
+  std::size_t step_index_;
   Tick remaining_in_step_;
-  bool step_admitted_ = false;
+  bool step_admitted_;
 
-  std::set<ItemId> data_read_;
+  std::vector<ItemId> data_read_;
   Workspace workspace_;
-  std::map<ItemId, Value> undo_log_;
+  std::vector<UndoEntry> undo_log_;
 
-  Tick commit_time_ = kNoTick;
-  int restarts_ = 0;
-  bool deadline_miss_recorded_ = false;
+  Tick commit_time_;
+  int restarts_;
+  bool deadline_miss_recorded_;
 };
 
 }  // namespace pcpda

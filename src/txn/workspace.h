@@ -1,8 +1,8 @@
 #ifndef PCPDA_TXN_WORKSPACE_H_
 #define PCPDA_TXN_WORKSPACE_H_
 
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "common/types.h"
 #include "db/value.h"
@@ -13,6 +13,11 @@ namespace pcpda {
 /// Section 4 of the paper). Writes are buffered here during execution and
 /// reach the database only at commit; the owning transaction's own reads
 /// see the workspace first.
+///
+/// Flat storage: the written items as a sorted vector with their values
+/// in a parallel vector. A transaction writes a handful of items, and
+/// Clear keeps both capacities, so a job re-initialised from the
+/// simulator's pool buffers its writes without allocating.
 class Workspace {
  public:
   /// Buffers a write of `value` to `item`, replacing any earlier buffered
@@ -23,16 +28,22 @@ class Workspace {
   std::optional<Value> Get(ItemId item) const;
 
   bool Contains(ItemId item) const;
-  bool empty() const { return writes_.empty(); }
-  std::size_t size() const { return writes_.size(); }
+  bool empty() const { return items_.empty(); }
+  std::size_t size() const { return items_.size(); }
 
-  /// Buffered writes in item order (deterministic commit application).
-  const std::map<ItemId, Value>& writes() const { return writes_; }
+  /// The written items in ascending order (deterministic commit
+  /// application).
+  const std::vector<ItemId>& items() const { return items_; }
 
   void Clear();
 
  private:
-  std::map<ItemId, Value> writes_;
+  /// Position of `item` in items_, or size() when absent.
+  std::size_t Find(ItemId item) const;
+
+  std::vector<ItemId> items_;
+  /// values_[i] is the buffered value of items_[i].
+  std::vector<Value> values_;
 };
 
 }  // namespace pcpda

@@ -178,11 +178,11 @@ TEST(ArrivalCalendarTest, CursorMatchesBeforeAndOrdersSimultaneous) {
        next = cursor.NextTick()) {
     // PopAt on an arrival-free tick in between is a no-op.
     if (next > 0) {
-      EXPECT_TRUE(cursor.PopAt(next - 1).empty());
+      const std::size_t before = walked.size();
+      cursor.PopAt(next - 1, walked);
+      EXPECT_EQ(walked.size(), before);
     }
-    for (const Arrival& arrival : cursor.PopAt(next)) {
-      walked.push_back(arrival);
-    }
+    cursor.PopAt(next, walked);
   }
   EXPECT_EQ(walked, calendar.Before(35));
   // Simultaneous releases come out in spec-id (priority) order.
@@ -201,11 +201,13 @@ TEST(ArrivalCalendarTest, CursorExhaustsOneShots) {
   ASSERT_TRUE(set.ok());
   ArrivalCalendar::Cursor cursor = ArrivalCalendar(&*set).MakeCursor();
   EXPECT_EQ(cursor.NextTick(), 4);
-  const std::vector<Arrival> due = cursor.PopAt(4);
+  std::vector<Arrival> due;
+  cursor.PopAt(4, due);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0], (Arrival{4, 0, 0}));
   EXPECT_EQ(cursor.NextTick(), kNoTick);
-  EXPECT_TRUE(cursor.PopAt(5).empty());
+  cursor.PopAt(5, due);
+  EXPECT_EQ(due.size(), 1u);
 }
 
 // --- Simulator integration ---------------------------------------------------

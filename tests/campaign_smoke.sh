@@ -10,8 +10,8 @@
 #   b) a campaign SIGKILL'd mid-run and re-invoked must resume and merge
 #      byte-identically to an uninterrupted twin;
 #   c) a campaign stopped gracefully (--stop-after, the deterministic
-#      SIGINT stand-in) must leave work pending without a BENCH, then
-#      resume to the same byte-identical merge;
+#      SIGINT stand-in) must stop within the shard, leave work pending
+#      without a BENCH, then resume to the same byte-identical merge;
 #   d) a campaign at --jobs=4 killed by a SIGSEGV poison job mid-grid —
 #      a process death inside a group-commit batch, with other workers'
 #      records written but possibly not yet fsynced — must resume to the
@@ -87,6 +87,13 @@ rc=$?
 [ -f "$WORK/c/MANIFEST.json" ] || fail "phase c: no partial manifest"
 grep -q '"stopped": true' "$WORK/c/MANIFEST.json" || \
   fail "phase c: manifest does not record the stop"
+# The stop cancels in-flight work at once, not at the next shard
+# boundary: five completions plus at most the one other job in flight at
+# --jobs=2 are recorded.
+recorded=$(grep -o '"recorded": [0-9]*' "$WORK/c/MANIFEST.json" | \
+  awk '{ sum += $2 } END { print sum + 0 }')
+[ "$recorded" -ge 5 ] && [ "$recorded" -le 6 ] || \
+  fail "phase c: --stop-after=5 --jobs=2 recorded $recorded jobs (want 5-6)"
 "$BIN" --out="$WORK/c" $GRID_BC > "$WORK/c2.out" 2>&1
 rc=$?
 [ $rc -eq 0 ] || fail "phase c: resume expected exit 0, got $rc"

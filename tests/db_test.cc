@@ -72,9 +72,7 @@ TEST(WorkspaceTest, WritesOrderedByItem) {
   ws.Put(5, Value{});
   ws.Put(1, Value{});
   ws.Put(3, Value{});
-  std::vector<ItemId> items;
-  for (const auto& [item, value] : ws.writes()) items.push_back(item);
-  EXPECT_EQ(items, (std::vector<ItemId>{1, 3, 5}));
+  EXPECT_EQ(ws.items(), (std::vector<ItemId>{1, 3, 5}));
 }
 
 TEST(WorkspaceTest, Clear) {

@@ -88,8 +88,9 @@ TEST(CompiledPlanTest, CursorMatchesFreshCalendar) {
   ArrivalCalendar::Cursor want = fresh.MakeCursor();
   ArrivalCalendar::Cursor got = plan->MakeCursor();
   for (Tick t = 0; t < plan->horizon(); ++t) {
-    const auto a = want.PopAt(t);
-    const auto b = got.PopAt(t);
+    std::vector<Arrival> a, b;
+    want.PopAt(t, a);
+    got.PopAt(t, b);
     ASSERT_EQ(a.size(), b.size()) << "tick " << t;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].spec, b[i].spec) << "tick " << t;

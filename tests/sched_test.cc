@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/pcp_da.h"
+#include "protocols/protocol.h"
 #include "sched/inheritance.h"
 #include "sched/metrics.h"
 #include "sched/scheduler.h"
+#include "sched/simulator.h"
 #include "sched/wait_graph.h"
 #include "txn/job.h"
 #include "txn/spec.h"
@@ -308,7 +313,140 @@ TEST_F(JobTest, UndoLogKeepsOldestPreimage) {
   Job job(0, set_.get(), 0, 0, 0, kNoTick);
   job.RecordUndo(1, Value{7, 3});
   job.RecordUndo(1, Value{8, 4});  // ignored: first write wins
-  EXPECT_EQ(job.undo_log().at(1).writer, 7);
+  ASSERT_EQ(job.undo_log().size(), 1u);
+  EXPECT_EQ(job.undo_log()[0].item, 1);
+  EXPECT_EQ(job.undo_log()[0].before.writer, 7);
+}
+
+TEST(JobPoolTest, RecycledJobEqualsFreshOne) {
+  TransactionSpec low{.name = "L",
+                      .period = 40,
+                      .body = {Read(0), Write(1, 2), Read(2), Compute(3)}};
+  TransactionSpec high{
+      .name = "H", .period = 20, .body = {Compute(2), Read(1), Write(0)}};
+  auto set = TransactionSet::Create({high, low});
+  ASSERT_TRUE(set.ok());
+
+  // Drive a job of L through every piece of state a run can leave behind:
+  // step progress, read set, workspace, undo log, a restart, a recorded
+  // miss, a raised running priority and a commit.
+  Job used(4, &*set, 1, 2, 80, 120);
+  used.set_step_admitted(true);
+  used.RecordRead(0);
+  used.RecordRead(2);
+  used.workspace().Put(1, Value{4, 9});
+  used.RecordUndo(1, Value{3, 7});
+  used.ResetForRestart();
+  used.set_running_priority(Priority(99));
+  used.set_deadline_miss_recorded();
+  used.RecordRead(0);
+  while (!used.BodyDone()) used.ExecuteTick();
+  used.MarkCommitted(130);
+
+  used.Reset(11, &*set, 0, 5, 100, 140);
+  const Job fresh(11, &*set, 0, 5, 100, 140);
+  EXPECT_EQ(used.id(), fresh.id());
+  EXPECT_EQ(used.spec_id(), fresh.spec_id());
+  EXPECT_EQ(&used.spec(), &fresh.spec());
+  EXPECT_EQ(used.instance(), fresh.instance());
+  EXPECT_EQ(used.release_time(), fresh.release_time());
+  EXPECT_EQ(used.absolute_deadline(), fresh.absolute_deadline());
+  EXPECT_EQ(used.state(), fresh.state());
+  EXPECT_TRUE(used.active());
+  EXPECT_EQ(used.base_priority(), fresh.base_priority());
+  EXPECT_EQ(used.running_priority(), fresh.running_priority());
+  EXPECT_EQ(used.step_index(), fresh.step_index());
+  EXPECT_EQ(used.remaining_in_step(), fresh.remaining_in_step());
+  EXPECT_EQ(used.step_admitted(), fresh.step_admitted());
+  EXPECT_EQ(used.BodyDone(), fresh.BodyDone());
+  EXPECT_EQ(used.RemainingWork(), fresh.RemainingWork());
+  EXPECT_EQ(used.data_read(), fresh.data_read());
+  EXPECT_TRUE(used.data_read().empty());
+  EXPECT_EQ(used.workspace().items(), fresh.workspace().items());
+  EXPECT_TRUE(used.workspace().empty());
+  EXPECT_FALSE(used.workspace().Get(1).has_value());
+  EXPECT_TRUE(used.undo_log().empty());
+  EXPECT_EQ(used.commit_time(), fresh.commit_time());
+  EXPECT_EQ(used.restarts(), fresh.restarts());
+  EXPECT_EQ(used.deadline_miss_recorded(), fresh.deadline_miss_recorded());
+  EXPECT_EQ(used.DebugName(), fresh.DebugName());
+  EXPECT_EQ(used.MayWrite(0), fresh.MayWrite(0));
+  EXPECT_EQ(used.MayWrite(1), fresh.MayWrite(1));
+}
+
+TEST(DecisionRuleTest, RendersTheLegacyNotes) {
+  const std::pair<DecisionRule, std::string> rendered[] = {
+      {DecisionRule::kNone, ""},
+      {DecisionRule::kLc1, "LC1"},
+      {DecisionRule::kLc2, "LC2"},
+      {DecisionRule::kLc3, "LC3"},
+      {DecisionRule::kLc4, "LC4"},
+      {DecisionRule::kLc1Denied, "LC1-denied"},
+      {DecisionRule::kWrGuardDenied, "wr-guard"},
+      {DecisionRule::kTstarGuardDenied, "LC-denied"},
+      {DecisionRule::kCeilingDenied, "LC-denied"},
+      {DecisionRule::kHpAbort, "2PL-HP"},
+      {DecisionRule::kOccGrant, "occ"},
+      {DecisionRule::kOccDaConstraint, "occ-da-constraint"},
+  };
+  for (const auto& [rule, text] : rendered) {
+    EXPECT_EQ(ToString(rule), text) << static_cast<int>(rule);
+  }
+}
+
+// J's read of x is denied first by the T* guard (T* = L, which will write
+// x) and then, once M read-locks w above it, by the ceiling (T* = M, which
+// never writes x; LC4 fails on L's read lock). Both print "LC-denied", so
+// the switch continues J's episode: one block event, one ceiling block.
+TEST(DecisionRuleTest, TstarGuardTurningIntoCeilingKeepsTheEpisode) {
+  constexpr ItemId kX = 0;
+  constexpr ItemId kW = 1;
+  auto set = TransactionSet::Create({
+      {.name = "M",
+       .period = 100,
+       .offset = 3,
+       .body = {Read(kW), Compute(5), Write(kW)}},
+      {.name = "J", .period = 100, .offset = 1, .body = {Read(kX), Write(kX)}},
+      {.name = "L", .period = 100, .body = {Read(kX), Compute(5), Write(kX)}},
+  });
+  ASSERT_TRUE(set.ok());
+  PcpDa protocol;
+  SimulatorOptions options;
+  options.horizon = 30;
+  options.audit = true;
+  Simulator sim(&*set, &protocol, options);
+  const SimResult result = sim.Run();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  constexpr SpecId kJ = 1;
+
+  // Who J waits on, tick by tick: L under the T* guard, then M.
+  std::vector<JobId> blocker_at(12, kInvalidJob);
+  for (const TickRecord& record : result.trace.ticks()) {
+    for (const BlockedSample& sample : record.blocked) {
+      if (sample.spec == kJ && record.tick < 12) {
+        ASSERT_EQ(sample.blockers.size(), 1u) << "tick " << record.tick;
+        blocker_at[static_cast<std::size_t>(record.tick)] =
+            sample.blockers.front();
+      }
+    }
+  }
+  constexpr JobId kL = 0;
+  constexpr JobId kM = 2;
+  EXPECT_EQ(blocker_at[1], kL);
+  EXPECT_EQ(blocker_at[3], kL);
+  EXPECT_EQ(blocker_at[4], kM);
+
+  int block_events = 0;
+  for (const TraceEvent& event : result.trace.events()) {
+    if (event.kind == TraceKind::kBlock && event.spec == kJ) {
+      ++block_events;
+      EXPECT_EQ(event.note, "LC-denied");
+      EXPECT_EQ(event.tick, 1);
+    }
+  }
+  EXPECT_EQ(block_events, 1);
+  EXPECT_EQ(result.metrics.per_spec[kJ].ceiling_blocks, 1);
+  EXPECT_EQ(result.metrics.per_spec[kJ].conflict_blocks, 0);
 }
 
 TEST_F(JobTest, PrioritiesAndNames) {
