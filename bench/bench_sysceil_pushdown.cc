@@ -42,11 +42,11 @@ CeilingStats Measure(ProtocolKind kind, double utilization) {
                          static_cast<double>(top - bottom + 1);
     }
     Tick raised = 0;
-    for (const TickRecord& record : result.trace.ticks()) {
-      if (!record.ceiling.is_dummy()) ++raised;
+    for (const TickSpan& span : result.trace.spans()) {
+      if (!span.record.ceiling.is_dummy()) raised += span.length();
     }
     stats.raised_fraction += static_cast<double>(raised) /
-                             static_cast<double>(result.trace.ticks().size());
+                             static_cast<double>(result.trace.tick_count());
     ++runs;
   }
   if (runs > 0) {

@@ -31,18 +31,4 @@ bool SetsIntersect(const std::vector<ItemId>& a,
   return false;
 }
 
-bool Table1Allows(LockMode held, LockMode requested,
-                  const std::vector<ItemId>& holder_data_read,
-                  const std::vector<ItemId>& requester_write_set) {
-  switch (LockCompatibility(held, requested)) {
-    case Table1Compat::kOk:
-      return true;
-    case Table1Compat::kNotOk:
-      return false;
-    case Table1Compat::kConditional:
-      return !SetsIntersect(holder_data_read, requester_write_set);
-  }
-  return false;
-}
-
 }  // namespace pcpda

@@ -17,6 +17,9 @@ namespace pcpda {
 /// (*) only under DataRead(T_L) ∩ WriteSet(T_H) = ∅, which guarantees T_H
 /// is never blocked by T_L and hence commits first, fixing the
 /// serialization order T_H -> T_L.
+///
+/// PCP-DA applies the table in PcpDa::Decide (LC1 and its wr-guard);
+/// pcp_da_test checks that the two agree cell by cell.
 enum class Table1Compat : std::uint8_t {
   kOk,
   /// Compatible only when the starred condition holds.
@@ -26,13 +29,6 @@ enum class Table1Compat : std::uint8_t {
 
 /// The static entry of Table 1 for (held, requested).
 Table1Compat LockCompatibility(LockMode held, LockMode requested);
-
-/// Evaluates Table 1 including the starred condition against the holder's
-/// current DataRead set and the requester's declared WriteSet, both
-/// sorted ascending (Job::data_read(), Workspace::items()).
-bool Table1Allows(LockMode held, LockMode requested,
-                  const std::vector<ItemId>& holder_data_read,
-                  const std::vector<ItemId>& requester_write_set);
 
 /// True when the two sorted item sets intersect (the paper's
 /// DataRead(T_L) ∩ WriteSet(T_H) ≠ ∅ test).

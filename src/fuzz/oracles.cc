@@ -25,10 +25,11 @@ std::vector<ProtocolKind> ResolveKinds(const OracleOptions& options) {
   return options.protocols.empty() ? AllProtocolKinds() : options.protocols;
 }
 
-std::string RenderTick(const TickRecord& record) {
+/// One digest line of tick `tick`, which `record` describes.
+std::string RenderTick(Tick tick, const TickRecord& record) {
   std::string out = StrFormat(
       "t=%lld run=%lld spec=%d kind=%d ceil=%s",
-      static_cast<long long>(record.tick),
+      static_cast<long long>(tick),
       static_cast<long long>(record.running_job), record.running_spec,
       static_cast<int>(record.running_kind),
       record.ceiling.DebugString().c_str());
@@ -159,10 +160,11 @@ class OracleRunner {
       return;  // The run never completed; nothing further to check.
     }
 
-    // (b) committed history serializable, and the serial witness replays.
-    if (!IsSerializable(result.history)) {
-      const auto check =
-          SerializationGraph::Build(result.history).CheckAcyclic();
+    // (b) committed history serializable, and the serial witness replays;
+    // both read one build of SG(H).
+    const auto graph = SerializationGraph::Build(result.history);
+    const auto check = graph.CheckAcyclic();
+    if (!check.serializable) {
       std::vector<std::string> ids;
       for (JobId id : check.cycle) {
         ids.push_back(StrFormat("%lld", static_cast<long long>(id)));
@@ -171,7 +173,7 @@ class OracleRunner {
            "serialization graph cycle: " + Join(ids, " -> "));
     } else {
       const ReplayResult replay = ReplaySerialWitness(
-          result.history, scenario_.set.item_count());
+          result.history, scenario_.set.item_count(), graph, check);
       if (!replay.ok()) {
         Fail("replay", name,
              replay.mismatches.empty()
@@ -314,8 +316,10 @@ std::string RenderRunDigest(const TransactionSet& set,
   out << "[metrics]\n" << result.metrics.DebugString(set) << "\n";
   out << "[events]\n" << result.trace.DebugString() << "\n";
   out << "[ticks]\n";
-  for (const TickRecord& record : result.trace.ticks()) {
-    out << RenderTick(record) << "\n";
+  for (const TickSpan& span : result.trace.spans()) {
+    for (Tick t = span.begin; t < span.end; ++t) {
+      out << RenderTick(t, span.record) << "\n";
+    }
   }
   out << "[history]\n" << result.history.DebugString() << "\n";
   return out.str();

@@ -1,10 +1,8 @@
 #include "history/replay_checker.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/strings.h"
-#include "history/serialization_graph.h"
 
 namespace pcpda {
 
@@ -17,15 +15,23 @@ std::string ReplayMismatch::DebugString() const {
 
 ReplayResult ReplaySerialWitness(const History& history,
                                  ItemId item_count) {
+  const SerializationGraph graph = SerializationGraph::Build(history);
+  return ReplaySerialWitness(history, item_count, graph,
+                             graph.CheckAcyclic());
+}
+
+ReplayResult ReplaySerialWitness(const History& history, ItemId item_count,
+                                 const SerializationGraph& graph,
+                                 const SerializationGraph::Result& check) {
   ReplayResult result;
-  const auto graph = SerializationGraph::Build(history);
-  const auto check = graph.CheckAcyclic();
   result.serializable = check.serializable;
   if (!check.serializable) return result;
 
-  std::map<JobId, const CommittedTxn*> by_job;
+  // The committed transaction of each node, by the graph's dense index
+  // (a job committed twice maps to its last commit).
+  std::vector<const CommittedTxn*> txn_of(graph.node_count(), nullptr);
   for (const CommittedTxn& txn : history.committed()) {
-    by_job[txn.job] = &txn;
+    txn_of[static_cast<std::size_t>(graph.IndexOf(txn.job))] = &txn;
   }
 
   // Replay state: the job whose write each item currently carries
@@ -34,27 +40,32 @@ ReplayResult ReplaySerialWitness(const History& history,
   std::vector<JobId> last_writer(static_cast<std::size_t>(item_count),
                                  kInvalidJob);
 
+  std::vector<const HistoryOp*> ops;
+  std::vector<ItemId> own_writes;
   for (JobId job : check.serial_order) {
-    const CommittedTxn* txn = by_job.at(job);
-    // Ops within a transaction replay in effect order.
-    std::vector<const HistoryOp*> ops;
-    ops.reserve(txn->ops.size());
+    const CommittedTxn* txn =
+        txn_of[static_cast<std::size_t>(graph.IndexOf(job))];
+    // Ops within a transaction replay in effect order, which is the
+    // order they were recorded in.
+    ops.clear();
     for (const HistoryOp& op : txn->ops) ops.push_back(&op);
-    std::sort(ops.begin(), ops.end(),
-              [](const HistoryOp* a, const HistoryOp* b) {
-                return a->seq < b->seq;
-              });
-    // The transaction's own workspace during replay.
-    std::map<ItemId, JobId> own_writes;
+    const auto by_seq = [](const HistoryOp* a, const HistoryOp* b) {
+      return a->seq < b->seq;
+    };
+    if (!std::is_sorted(ops.begin(), ops.end(), by_seq)) {
+      std::stable_sort(ops.begin(), ops.end(), by_seq);
+    }
+    // Items the transaction has written so far: its own workspace.
+    own_writes.clear();
     for (const HistoryOp* op : ops) {
       if (op->kind == HistoryOp::Kind::kWrite) {
-        own_writes[op->item] = job;
+        own_writes.push_back(op->item);
         continue;
       }
       JobId expected;
       if (op->own_read) {
-        auto it = own_writes.find(op->item);
-        expected = it != own_writes.end() ? it->second : job;
+        // Served from the job's own workspace: it observes the job.
+        expected = job;
       } else {
         // A read that observed a writer absent from the committed
         // history (a job still in flight when the horizon ended — legal
@@ -65,7 +76,7 @@ ReplayResult ReplaySerialWitness(const History& history,
         // because strictness/workspace isolation (audited per tick)
         // keeps uncommitted-then-undone writes invisible.
         if (op->observed.writer != kInvalidJob &&
-            !by_job.contains(op->observed.writer)) {
+            graph.IndexOf(op->observed.writer) < 0) {
           ++result.censored_reads;
           continue;
         }
@@ -83,8 +94,8 @@ ReplayResult ReplaySerialWitness(const History& history,
       }
     }
     // Apply the transaction's writes at its (replayed) commit.
-    for (const auto& [item, writer] : own_writes) {
-      last_writer[static_cast<std::size_t>(item)] = writer;
+    for (ItemId item : own_writes) {
+      last_writer[static_cast<std::size_t>(item)] = job;
     }
   }
   return result;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "history/history.h"
+#include "history/serialization_graph.h"
 
 namespace pcpda {
 
@@ -45,6 +46,12 @@ struct ReplayResult {
 /// workspace are validated against its own preceding write.
 ReplayResult ReplaySerialWitness(const History& history,
                                  ItemId item_count);
+
+/// The replay half of the above, for a caller that has already built
+/// `graph` from `history` and has `check` = graph.CheckAcyclic().
+ReplayResult ReplaySerialWitness(const History& history, ItemId item_count,
+                                 const SerializationGraph& graph,
+                                 const SerializationGraph::Result& check);
 
 }  // namespace pcpda
 

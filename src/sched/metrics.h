@@ -109,9 +109,9 @@ struct RunMetrics {
   bool halted_on_deadlock = false;
   bool halted_on_miss = false;
   /// Lock requests evaluated by the protocol (Protocol::Decide calls),
-  /// including re-evaluations during dispatch fixpoint sweeps. Feeds the
-  /// ns-per-lock-decision figure in bench_engine_perf; deliberately absent
-  /// from DebugString so golden traces are unaffected.
+  /// including re-evaluations during dispatch fixpoint sweeps. Feeds
+  /// perfbench's sched.lock_decisions count; deliberately absent from
+  /// DebugString so golden traces are unaffected.
   std::int64_t lock_decisions = 0;
   FaultMetrics faults;
 

@@ -678,7 +678,9 @@ void Simulator::FastForward(Job* runner, StepKind runner_kind,
     metrics_for(runner->spec_id()).busy_ticks += span;
     *scheduled_ticks += span;
   }
-  RecordTick(runner, runner_kind, span);
+  // A busy stretch repeats the tick just run; an idle gap may follow a
+  // tick whose runner committed.
+  RecordTick(runner, runner_kind, span, /*repeats_last=*/runner != nullptr);
   if (auditor_ != nullptr) auditor_->RepeatLastAudit(tick_, span);
   tick_ = end;
 }
@@ -697,7 +699,7 @@ void Simulator::ExecuteTick(Job& job) {
 }
 
 void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
-                           Tick ticks) {
+                           Tick ticks, bool repeats_last) {
   if (runner == nullptr) metrics_.idle_ticks += ticks;
   // Blocking/preemption accounting. blocked_scratch_ becomes the next
   // tick's blocked_prev_ via the swap below, keeping both maps' slots.
@@ -755,7 +757,8 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
 
   // The ceiling is a function of the lock table: sample it again only
   // after a grant or release.
-  if (ceiling_version_ != lock_table_.version()) {
+  const bool locks_moved = ceiling_version_ != lock_table_.version();
+  if (locks_moved) {
     ceiling_ = protocol_->CurrentCeiling();
     ceiling_version_ = lock_table_.version();
   }
@@ -763,8 +766,11 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
   metrics_.max_ceiling = Max(metrics_.max_ceiling, ceiling);
 
   if (!options_.record_trace) return;
+  if (repeats_last && !locks_moved) {
+    trace_.ExtendLastSpan(ticks);
+    return;
+  }
   TickRecord record;
-  record.tick = tick_;
   record.ceiling = ceiling;
   if (runner != nullptr) {
     record.running_job = runner->id();
@@ -783,11 +789,7 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
     sample.blockers = pb.blockers;
     record.blocked.push_back(std::move(sample));
   }
-  // A fast-forwarded stretch gets one identical record per tick.
-  for (Tick last = tick_ + ticks - 1; record.tick < last; ++record.tick) {
-    trace_.AddTick(record);
-  }
-  trace_.AddTick(std::move(record));
+  trace_.AddTicks(tick_, ticks, std::move(record));
 }
 
 void Simulator::AuditNow(bool resolved) {
@@ -911,7 +913,7 @@ SimResult Simulator::Run() {
             ? runner->current_step().kind
             : StepKind::kCompute;
     if (runner != nullptr) ExecuteTick(*runner);
-    RecordTick(runner, runner_kind);
+    RecordTick(runner, runner_kind, 1, /*repeats_last=*/!resolved);
     AuditNow(resolved);
     ++tick_;
     if (may_fast_forward &&

@@ -238,9 +238,14 @@ class Simulator : public SimView {
   /// then on job(id) answers nullptr for them.
   void FreeRetiredJobs();
   /// Credits `ticks` consecutive ticks that all ran `runner` (nullptr:
-  /// idle) against the current blocked set, and traces one TickRecord for
-  /// each; block episodes are judged once, at the first of them.
-  void RecordTick(const Job* runner, StepKind runner_kind, Tick ticks = 1);
+  /// idle) against the current blocked set, and traces their TickRecord;
+  /// block episodes are judged once, at the first of them. `repeats_last`
+  /// says the runner, its step kind and the blocked set are those of the
+  /// last recorded tick (dispatch reused its resolution); with the lock
+  /// table unchanged too, the ticks extend the trace's last span without
+  /// building a record.
+  void RecordTick(const Job* runner, StepKind runner_kind, Tick ticks,
+                  bool repeats_last);
   SpecMetrics& metrics_for(SpecId spec);
 
   /// True when the job's current step requires a lock it does not hold.

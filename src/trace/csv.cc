@@ -28,7 +28,8 @@ std::string TraceEventsCsv(const Trace& trace) {
 std::string ScheduleCsv(const TransactionSet& set, const Trace& trace) {
   std::vector<std::string> lines;
   lines.push_back("tick,running_spec,running_kind,ceiling_level,blocked");
-  for (const TickRecord& r : trace.ticks()) {
+  for (const TickSpan& span : trace.spans()) {
+    const TickRecord& r = span.record;
     std::vector<std::string> blocked;
     blocked.reserve(r.blocked.size());
     for (const BlockedSample& b : r.blocked) {
@@ -37,8 +38,9 @@ std::string ScheduleCsv(const TransactionSet& set, const Trace& trace) {
     const char* kind = r.running_kind == StepKind::kRead    ? "read"
                        : r.running_kind == StepKind::kWrite ? "write"
                                                             : "compute";
-    lines.push_back(StrFormat(
-        "%lld,%s,%s,%s,%s", static_cast<long long>(r.tick),
+    // Everything after the tick column is the same for the whole span.
+    const std::string rest = StrFormat(
+        ",%s,%s,%s,%s",
         r.running_spec == kInvalidSpec
             ? "-"
             : set.spec(r.running_spec).name.c_str(),
@@ -46,7 +48,10 @@ std::string ScheduleCsv(const TransactionSet& set, const Trace& trace) {
         r.ceiling.is_dummy()
             ? std::string("-").c_str()
             : StrFormat("%d", r.ceiling.level()).c_str(),
-        Join(blocked, ";").c_str()));
+        Join(blocked, ";").c_str());
+    for (Tick t = span.begin; t < span.end; ++t) {
+      lines.push_back(StrFormat("%lld", static_cast<long long>(t)) + rest);
+    }
   }
   return Join(lines, "\n") + "\n";
 }

@@ -39,7 +39,7 @@ char CeilingChar(Priority ceiling, const TransactionSet& set) {
 
 std::string RenderGantt(const TransactionSet& set, const Trace& trace,
                         const GanttOptions& options) {
-  const std::size_t width = trace.ticks().size();
+  const std::size_t width = static_cast<std::size_t>(trace.tick_count());
   const std::size_t rows = static_cast<std::size_t>(set.size());
   std::vector<std::string> grid(rows, std::string(width + 1, ' '));
 
@@ -76,14 +76,18 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
   }
 
   // Per-tick running/blocked states.
-  for (const TickRecord& record : trace.ticks()) {
-    const auto t = static_cast<std::size_t>(record.tick);
+  for (const TickSpan& span : trace.spans()) {
+    const TickRecord& record = span.record;
+    const auto from = static_cast<std::size_t>(span.begin);
+    const auto to = static_cast<std::size_t>(span.end);
     if (record.running_spec != kInvalidSpec) {
-      grid[static_cast<std::size_t>(record.running_spec)][t] =
-          RunChar(record.running_kind);
+      std::string& row = grid[static_cast<std::size_t>(record.running_spec)];
+      std::fill(row.begin() + from, row.begin() + to,
+                RunChar(record.running_kind));
     }
     for (const BlockedSample& blocked : record.blocked) {
-      grid[static_cast<std::size_t>(blocked.spec)][t] = 'B';
+      std::string& row = grid[static_cast<std::size_t>(blocked.spec)];
+      std::fill(row.begin() + from, row.begin() + to, 'B');
     }
   }
 
@@ -123,9 +127,10 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
   }
   if (options.show_ceiling) {
     std::string ceiling_row(width, '-');
-    for (const TickRecord& record : trace.ticks()) {
-      ceiling_row[static_cast<std::size_t>(record.tick)] =
-          CeilingChar(record.ceiling, set);
+    for (const TickSpan& span : trace.spans()) {
+      std::fill(ceiling_row.begin() + span.begin,
+                ceiling_row.begin() + span.end,
+                CeilingChar(span.record.ceiling, set));
     }
     lines.push_back(PadRight("ceiling", 8) + "|" + ceiling_row);
   }

@@ -29,7 +29,7 @@ const char* FillFor(StepKind kind) {
 
 std::string RenderSvg(const TransactionSet& set, const Trace& trace,
                       const SvgOptions& options) {
-  const int ticks = static_cast<int>(trace.ticks().size());
+  const int ticks = static_cast<int>(trace.tick_count());
   const int rows = static_cast<int>(set.size());
   const int chart_w = ticks * options.tick_width;
   const int chart_h = rows * options.row_height;
@@ -76,20 +76,23 @@ std::string RenderSvg(const TransactionSet& set, const Trace& trace,
   // Execution and blocking cells.
   const int pad = 4;
   const int cell_h = options.row_height - 2 * pad;
-  for (const TickRecord& record : trace.ticks()) {
-    if (record.running_spec != kInvalidSpec) {
-      out.push_back(StrFormat(
-          "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
-          "fill=\"%s\"/>",
-          tick_x(record.tick), row_y(record.running_spec) + pad,
-          options.tick_width, cell_h, FillFor(record.running_kind)));
-    }
-    for (const BlockedSample& blocked : record.blocked) {
-      out.push_back(StrFormat(
-          "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
-          "fill=\"url(#blocked)\"/>",
-          tick_x(record.tick), row_y(blocked.spec) + pad,
-          options.tick_width, cell_h));
+  for (const TickSpan& span : trace.spans()) {
+    const TickRecord& record = span.record;
+    for (Tick t = span.begin; t < span.end; ++t) {
+      if (record.running_spec != kInvalidSpec) {
+        out.push_back(StrFormat(
+            "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
+            "fill=\"%s\"/>",
+            tick_x(t), row_y(record.running_spec) + pad,
+            options.tick_width, cell_h, FillFor(record.running_kind)));
+      }
+      for (const BlockedSample& blocked : record.blocked) {
+        out.push_back(StrFormat(
+            "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
+            "fill=\"url(#blocked)\"/>",
+            tick_x(t), row_y(blocked.spec) + pad, options.tick_width,
+            cell_h));
+      }
     }
   }
 
@@ -146,10 +149,11 @@ std::string RenderSvg(const TransactionSet& set, const Trace& trace,
       return base_y - rel * (kCeilingHeight - 12) / span;
     };
     std::string points;
-    for (const TickRecord& record : trace.ticks()) {
-      const int y = level_y(record.ceiling);
-      points += StrFormat("%d,%d %d,%d ", tick_x(record.tick), y,
-                          tick_x(record.tick + 1), y);
+    for (const TickSpan& run : trace.spans()) {
+      const int y = level_y(run.record.ceiling);
+      for (Tick t = run.begin; t < run.end; ++t) {
+        points += StrFormat("%d,%d %d,%d ", tick_x(t), y, tick_x(t + 1), y);
+      }
     }
     out.push_back(StrFormat(
         "<polyline points=\"%s\" fill=\"none\" stroke=\"#888888\" "

@@ -1,6 +1,8 @@
 #include "trace/trace.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -59,15 +61,14 @@ std::string TraceEvent::DebugString() const {
 
 namespace {
 
-/// Evicts the oldest entries once `buffer` holds twice the capacity,
+/// Evicts the oldest events once `events` holds twice the capacity,
 /// keeping the newest `capacity`. Amortized O(1) per append.
-template <typename T>
-std::int64_t CompactToCapacity(std::vector<T>& buffer,
-                               std::size_t capacity) {
-  if (capacity == 0 || buffer.size() < 2 * capacity) return 0;
-  const std::size_t evict = buffer.size() - capacity;
-  buffer.erase(buffer.begin(),
-               buffer.begin() + static_cast<std::ptrdiff_t>(evict));
+std::int64_t CompactEvents(std::vector<TraceEvent>& events,
+                           std::size_t capacity) {
+  if (capacity == 0 || events.size() < 2 * capacity) return 0;
+  const std::size_t evict = events.size() - capacity;
+  events.erase(events.begin(),
+               events.begin() + static_cast<std::ptrdiff_t>(evict));
   return static_cast<std::int64_t>(evict);
 }
 
@@ -75,19 +76,50 @@ std::int64_t CompactToCapacity(std::vector<T>& buffer,
 
 void Trace::SetCapacity(std::size_t max_events) {
   capacity_ = max_events;
-  dropped_events_ += CompactToCapacity(events_, capacity_);
-  dropped_ticks_ += CompactToCapacity(ticks_, capacity_);
+  dropped_events_ += CompactEvents(events_, capacity_);
+  CompactTicks(0);
 }
 
 void Trace::AddEvent(TraceEvent event) {
   events_.push_back(std::move(event));
-  dropped_events_ += CompactToCapacity(events_, capacity_);
+  dropped_events_ += CompactEvents(events_, capacity_);
 }
 
-void Trace::AddTick(TickRecord record) {
-  PCPDA_CHECK(ticks_.empty() || ticks_.back().tick + 1 == record.tick);
-  ticks_.push_back(std::move(record));
-  dropped_ticks_ += CompactToCapacity(ticks_, capacity_);
+void Trace::AddTicks(Tick tick, Tick count, TickRecord record) {
+  PCPDA_CHECK(count > 0);
+  PCPDA_CHECK(spans_.empty() || spans_.back().end == tick);
+  if (!spans_.empty() && spans_.back().record == record) {
+    spans_.back().end += count;
+  } else {
+    spans_.push_back({tick, tick + count, std::move(record)});
+  }
+  CompactTicks(count);
+}
+
+void Trace::ExtendLastSpan(Tick count) {
+  PCPDA_CHECK(!spans_.empty() && count > 0);
+  spans_.back().end += count;
+  CompactTicks(count);
+}
+
+void Trace::CompactTicks(Tick appended) {
+  if (capacity_ == 0) return;
+  const Tick capacity = static_cast<Tick>(capacity_);
+  const Tick retained = tick_count();
+  if (retained < 2 * capacity) return;
+  // One tick at a time, the window grows to twice the capacity, drops
+  // back to the capacity, and refills. A window that was already that
+  // full (a new, smaller capacity) drops to the capacity once.
+  const Tick keep = retained - appended < 2 * capacity
+                        ? capacity + (retained - 2 * capacity) % capacity
+                        : capacity;
+  const Tick first = end_tick() - keep;
+  std::size_t evict = 0;
+  while (spans_[evict].end <= first) ++evict;
+  spans_.erase(spans_.begin(),
+               spans_.begin() + static_cast<std::ptrdiff_t>(evict));
+  spans_.front().begin = first;
+  dropped_ticks_ += retained - keep;
 }
 
 std::vector<TraceEvent> Trace::EventsOfKind(TraceKind kind) const {
@@ -116,31 +148,27 @@ std::optional<TraceEvent> Trace::FirstEvent(TraceKind kind,
 }
 
 SpecId Trace::RunningSpecAt(Tick tick) const {
-  // Tick records are consecutive, so index relative to the first retained
-  // one (tick 0 unless a capacity bound evicted the front of the run).
-  if (ticks_.empty()) return kInvalidSpec;
-  const Tick first = ticks_.front().tick;
-  if (tick < first ||
-      static_cast<std::size_t>(tick - first) >= ticks_.size()) {
-    return kInvalidSpec;
-  }
-  return ticks_[static_cast<std::size_t>(tick - first)].running_spec;
+  if (tick < first_tick() || tick >= end_tick()) return kInvalidSpec;
+  const auto after = std::upper_bound(
+      spans_.begin(), spans_.end(), tick,
+      [](Tick t, const TickSpan& span) { return t < span.begin; });
+  return std::prev(after)->record.running_spec;
 }
 
 Tick Trace::RunningTicks(SpecId spec) const {
   Tick total = 0;
-  for (const TickRecord& r : ticks_) {
-    if (r.running_spec == spec) ++total;
+  for (const TickSpan& span : spans_) {
+    if (span.record.running_spec == spec) total += span.length();
   }
   return total;
 }
 
 Tick Trace::BlockedTicks(JobId job) const {
   Tick total = 0;
-  for (const TickRecord& r : ticks_) {
-    for (const BlockedSample& b : r.blocked) {
+  for (const TickSpan& span : spans_) {
+    for (const BlockedSample& b : span.record.blocked) {
       if (b.job == job) {
-        ++total;
+        total += span.length();
         break;
       }
     }
@@ -150,7 +178,7 @@ Tick Trace::BlockedTicks(JobId job) const {
 
 Priority Trace::MaxCeiling() const {
   Priority max = Priority::Dummy();
-  for (const TickRecord& r : ticks_) max = Max(max, r.ceiling);
+  for (const TickSpan& span : spans_) max = Max(max, span.record.ceiling);
   return max;
 }
 

@@ -101,8 +101,8 @@ struct EditableFields {
   HistoryOp* read = nullptr;
 
   explicit EditableFields(SimResult& run) {
-    for (TickRecord& tick : Mutable(run.trace.ticks())) {
-      for (BlockedSample& sample : tick.blocked) {
+    for (TickSpan& span : Mutable(run.trace.spans())) {
+      for (BlockedSample& sample : span.record.blocked) {
         if (blocked == nullptr && !sample.blockers.empty()) blocked = &sample;
       }
     }
@@ -239,7 +239,7 @@ TEST_F(DeterminismOracleTest, EachRenderedFieldDivergesOnce) {
   }
   {
     SimResult again = run();
-    TickRecord& tick = Mutable(again.trace.ticks()).front();
+    TickRecord& tick = Mutable(again.trace.spans()).front().record;
     tick.ceiling =
         Priority(tick.ceiling.is_dummy() ? 1 : tick.ceiling.level() + 1);
     ExpectOneFailure(again, "tick ceiling");

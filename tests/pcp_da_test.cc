@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/lock_compat.h"
 #include "core/pcp_da.h"
 #include "core/serialization_order.h"
 #include "history/serialization_graph.h"
@@ -103,6 +104,66 @@ TEST(PcpDaLockingTest, WrGuardBlocksCase2Preemption) {
   EXPECT_GT(CommitTime(result, 0, 0), CommitTime(result, 1, 0));
   EXPECT_TRUE(IsSerializable(result.history));
   (void)saw_wr_guard_block;
+}
+
+TEST(PcpDaLockingTest, DecideAgreesWithTable1) {
+  // L locks x at tick 0 or 1 and keeps it to its commit; H arrives at tick
+  // 2 and requests x. Whether Decide grants H's request must follow
+  // LockCompatibility, and the starred W/R cell must turn on
+  // DataRead(L) ∩ WriteSet(H): L reads y and H writes y when `overlap`.
+  struct Cell {
+    const char* label;
+    LockMode held;
+    LockMode requested;
+    bool overlap;
+    Table1Compat compat;
+    /// Decide's rule for H's request on x (grant note or block note).
+    const char* rule;
+  };
+  const Cell cells[] = {
+      {"R/W", LockMode::kRead, LockMode::kWrite, false, Table1Compat::kNotOk,
+       "LC1-denied"},
+      {"W/W", LockMode::kWrite, LockMode::kWrite, false, Table1Compat::kOk,
+       "LC1"},
+      {"W/R starred, disjoint", LockMode::kWrite, LockMode::kRead, false,
+       Table1Compat::kConditional, "LC2"},
+      {"W/R starred, overlapping", LockMode::kWrite, LockMode::kRead, true,
+       Table1Compat::kConditional, "wr-guard"},
+  };
+  constexpr ItemId kX = 0;
+  constexpr ItemId kY = 1;
+  for (const Cell& cell : cells) {
+    EXPECT_EQ(LockCompatibility(cell.held, cell.requested), cell.compat)
+        << cell.label;
+    std::vector<Step> low;
+    std::vector<Step> high;
+    if (cell.overlap) low.push_back(Read(kY));
+    low.push_back(cell.held == LockMode::kRead ? Read(kX) : Write(kX));
+    low.push_back(Compute(4));
+    high.push_back(cell.requested == LockMode::kRead ? Read(kX) : Write(kX));
+    if (cell.overlap) high.push_back(Write(kY));
+    TransactionSet set = MakeSet({
+        {.name = "H", .offset = 2, .body = high},
+        {.name = "L", .offset = 0, .body = low},
+    });
+    const SimResult result = RunWith(set, ProtocolKind::kPcpDa, 16);
+    ASSERT_TRUE(result.status.ok()) << cell.label;
+    std::string block_note;
+    for (const TraceEvent& e : result.trace.EventsOfKind(TraceKind::kBlock,
+                                                         0)) {
+      if (e.item == kX && block_note.empty()) block_note = e.note;
+    }
+    const std::string grant_note = GrantNote(result, 0, kX, cell.requested);
+    const bool granted_at_once = block_note.empty();
+    const bool table1_allows =
+        cell.compat == Table1Compat::kOk ||
+        (cell.compat == Table1Compat::kConditional && !cell.overlap);
+    EXPECT_EQ(granted_at_once, table1_allows)
+        << cell.label << "\n" << FailureContext(set, result);
+    EXPECT_EQ(granted_at_once ? grant_note : block_note, cell.rule)
+        << cell.label;
+    EXPECT_TRUE(IsSerializable(result.history)) << cell.label;
+  }
 }
 
 TEST(PcpDaLockingTest, Lc3GrantsWhenItemCeilingBelowPriority) {

@@ -60,8 +60,8 @@ class ProtocolPropertyTest : public ::testing::TestWithParam<SweepParam> {
     for (const TraceEvent& e : result.trace.events()) {
       if (e.kind == TraceKind::kArrival) spec_of[e.job] = e.spec;
     }
-    for (const TickRecord& record : result.trace.ticks()) {
-      for (const BlockedSample& sample : record.blocked) {
+    for (const TickSpan& span : result.trace.spans()) {
+      for (const BlockedSample& sample : span.record.blocked) {
         for (JobId blocker : sample.blockers) {
           auto it = spec_of.find(blocker);
           if (it == spec_of.end()) continue;

@@ -37,10 +37,10 @@ Scenario LoadFaultyScenario() {
   return std::move(scenario).value();
 }
 
-std::string RenderTick(const TickRecord& record) {
+std::string RenderTick(Tick tick, const TickRecord& record) {
   std::string out = StrFormat(
       "t=%lld run=%lld spec=%d kind=%d ceil=%s",
-      static_cast<long long>(record.tick),
+      static_cast<long long>(tick),
       static_cast<long long>(record.running_job), record.running_spec,
       static_cast<int>(record.running_kind),
       record.ceiling.DebugString().c_str());
@@ -69,8 +69,10 @@ std::string RenderResult(const TransactionSet& set,
   out << "[metrics]\n" << result.metrics.DebugString(set) << "\n";
   out << "[events]\n" << result.trace.DebugString() << "\n";
   out << "[ticks]\n";
-  for (const TickRecord& record : result.trace.ticks()) {
-    out << RenderTick(record) << "\n";
+  for (const TickSpan& span : result.trace.spans()) {
+    for (Tick t = span.begin; t < span.end; ++t) {
+      out << RenderTick(t, span.record) << "\n";
+    }
   }
   out << "[history]\n" << result.history.DebugString() << "\n";
   return out.str();

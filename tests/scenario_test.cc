@@ -56,10 +56,9 @@ TEST(ScenarioTest, ParsedExample4BehavesLikeBuiltin) {
       RunWith(scenario->set, ProtocolKind::kPcpDa, scenario->horizon);
   const PaperExample builtin = Example4();
   const SimResult expected = RunExample(builtin, ProtocolKind::kPcpDa);
-  ASSERT_EQ(parsed.trace.ticks().size(), expected.trace.ticks().size());
-  for (std::size_t t = 0; t < parsed.trace.ticks().size(); ++t) {
-    EXPECT_EQ(parsed.trace.ticks()[t].running_spec,
-              expected.trace.ticks()[t].running_spec)
+  ASSERT_EQ(parsed.trace.tick_count(), expected.trace.tick_count());
+  for (Tick t = 0; t < parsed.trace.tick_count(); ++t) {
+    EXPECT_EQ(parsed.trace.RunningSpecAt(t), expected.trace.RunningSpecAt(t))
         << "tick " << t;
   }
 }

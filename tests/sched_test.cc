@@ -421,12 +421,12 @@ TEST(DecisionRuleTest, TstarGuardTurningIntoCeilingKeepsTheEpisode) {
 
   // Who J waits on, tick by tick: L under the T* guard, then M.
   std::vector<JobId> blocker_at(12, kInvalidJob);
-  for (const TickRecord& record : result.trace.ticks()) {
-    for (const BlockedSample& sample : record.blocked) {
-      if (sample.spec == kJ && record.tick < 12) {
-        ASSERT_EQ(sample.blockers.size(), 1u) << "tick " << record.tick;
-        blocker_at[static_cast<std::size_t>(record.tick)] =
-            sample.blockers.front();
+  for (const TickSpan& span : result.trace.spans()) {
+    for (const BlockedSample& sample : span.record.blocked) {
+      if (sample.spec != kJ) continue;
+      for (Tick t = span.begin; t < std::min<Tick>(span.end, 12); ++t) {
+        ASSERT_EQ(sample.blockers.size(), 1u) << "tick " << t;
+        blocker_at[static_cast<std::size_t>(t)] = sample.blockers.front();
       }
     }
   }

@@ -111,7 +111,7 @@ TEST(SimulatorTest, DeadlineMissHaltPolicy) {
   Simulator sim(&set, protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_TRUE(result.metrics.halted_on_miss);
-  EXPECT_LT(result.trace.ticks().size(), 20u);
+  EXPECT_LT(result.trace.tick_count(), 20);
 }
 
 TEST(SimulatorTest, ReadObservesCommittedValue) {
@@ -184,10 +184,14 @@ TEST(SimulatorTest, InPlaceWritesApplyImmediately) {
 TEST(SimulatorTest, TraceTicksCoverHorizon) {
   TransactionSet set = MakeSet({{.name = "T", .body = {Compute(1)}}});
   const SimResult result = RunWith(set, ProtocolKind::kPcpDa, 7);
-  EXPECT_EQ(result.trace.ticks().size(), 7u);
-  for (std::size_t t = 0; t < 7; ++t) {
-    EXPECT_EQ(result.trace.ticks()[t].tick, static_cast<Tick>(t));
+  EXPECT_EQ(result.trace.tick_count(), 7);
+  // The spans tile [0, 7) in order.
+  Tick next = 0;
+  for (const TickSpan& span : result.trace.spans()) {
+    EXPECT_EQ(span.begin, next);
+    next = span.end;
   }
+  EXPECT_EQ(next, 7);
 }
 
 TEST(SimulatorTest, FastForwardStopsAtHorizonWithNoMoreArrivals) {
@@ -203,8 +207,8 @@ TEST(SimulatorTest, FastForwardStopsAtHorizonWithNoMoreArrivals) {
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.metrics.per_spec[0].committed, 1);
   EXPECT_EQ(result.metrics.idle_ticks, 5000 - 2);
-  EXPECT_EQ(result.trace.ticks().size(), 5000u);
-  EXPECT_EQ(result.trace.ticks().back().tick, 4999);
+  EXPECT_EQ(result.trace.tick_count(), 5000);
+  EXPECT_EQ(result.trace.end_tick() - 1, 4999);
 }
 
 TEST(SimulatorTest, MissRatioCensorsReleaseJustBeforeHorizon) {
@@ -253,7 +257,7 @@ TEST(SimulatorTest, RecordingCanBeDisabled) {
   Simulator sim(&set, protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_TRUE(result.trace.events().empty());
-  EXPECT_TRUE(result.trace.ticks().empty());
+  EXPECT_TRUE(result.trace.spans().empty());
   EXPECT_TRUE(result.history.committed().empty());
   EXPECT_EQ(result.metrics.per_spec[0].committed, 1);
 }
@@ -469,12 +473,9 @@ TEST(SimulatorTest, IdleFastForwardMatchesPerTickEngine) {
   EXPECT_EQ(audited.audit.ticks_audited, 1000);
   EXPECT_EQ(fast.metrics.idle_ticks, 1000 - 10 * 2);
   // Skipped ticks still produce their idle TickRecords, consecutively.
-  ASSERT_EQ(fast.trace.ticks().size(), 1000u);
-  for (std::size_t t = 0; t < 1000; ++t) {
-    EXPECT_EQ(fast.trace.ticks()[t].tick, static_cast<Tick>(t));
-    EXPECT_EQ(fast.trace.ticks()[t].running_job,
-              slow.trace.ticks()[t].running_job);
-  }
+  ASSERT_EQ(fast.trace.tick_count(), 1000);
+  EXPECT_EQ(fast.trace.first_tick(), 0);
+  EXPECT_TRUE(fast.trace.spans() == slow.trace.spans());
 }
 
 TEST(SimulatorTest, LeapMatchesPerTickAcrossProtocolsPoliciesAndArrivals) {
@@ -543,6 +544,131 @@ TEST(SimulatorTest, LeapMatchesPerTickWithBoundedTraceAndNoRecording) {
   }
 }
 
+/// The record the trace holds for `tick` (which must be retained).
+const TickRecord& RecordAt(const Trace& trace, Tick tick) {
+  for (const TickSpan& span : trace.spans()) {
+    if (span.begin <= tick && tick < span.end) return span.record;
+  }
+  ADD_FAILURE() << "tick " << tick << " not retained";
+  static const TickRecord kNone;
+  return kNone;
+}
+
+/// Spans tile the retained window in order, each non-empty, and no two
+/// neighbours hold equal records.
+void ExpectCanonicalSpans(const Trace& trace, const std::string& label) {
+  const std::vector<TickSpan>& spans = trace.spans();
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_LT(spans[i].begin, spans[i].end) << label << " span " << i;
+    if (i == 0) continue;
+    EXPECT_EQ(spans[i - 1].end, spans[i].begin) << label << " span " << i;
+    EXPECT_FALSE(spans[i - 1].record == spans[i].record)
+        << label << " spans " << i - 1 << " and " << i << " are equal";
+  }
+}
+
+TEST(SimulatorTest, TraceSpansAreCanonical) {
+  // A leapt run appends whole stretches, its per-tick twin one tick at a
+  // time; both must hold the same spans, each a maximal run of equal
+  // records.
+  Rng rng(20261019);
+  std::size_t spans = 0;
+  Tick ticks = 0;
+  for (int round = 0; round < 4; ++round) {
+    const TransactionSet set = RandomLongStepSet(rng);
+    SimulatorOptions options;
+    options.horizon = rng.UniformInt(300, 900);
+    options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+    for (ProtocolKind kind : AllProtocolKinds()) {
+      const std::string label =
+          StrFormat("round %d %s", round, ToString(kind));
+      const SimResult leapt = RunArm(set, kind, options, Arm::kLeap);
+      const SimResult walked = RunArm(set, kind, options, Arm::kPerTick);
+      ASSERT_TRUE(leapt.status.ok()) << label;
+      EXPECT_TRUE(leapt.trace == walked.trace) << label;
+      ExpectCanonicalSpans(leapt.trace, label + " leapt");
+      ExpectCanonicalSpans(walked.trace, label + " walked");
+      EXPECT_EQ(leapt.trace.tick_count(), SimulatedTicks(leapt.metrics))
+          << label;
+      spans += leapt.trace.spans().size();
+      ticks += leapt.trace.tick_count();
+    }
+  }
+  // The encoding is doing something: spans are several ticks long.
+  EXPECT_LT(static_cast<Tick>(2 * spans), ticks);
+}
+
+TEST(SimulatorTest, TraceCeilingDropsOnACommitInsideAStep) {
+  // L read-locks x, raising Max_Sysceil to Wceil(x) = P_H, and commits
+  // at the end of a three-tick compute step. That tick resolves no
+  // dispatch, yet its record must show the ceiling the commit released
+  // (ticks pinned from the per-tick record).
+  TransactionSet set = MakeSet({
+      {.name = "H", .offset = 20, .body = {Write(0)}},
+      {.name = "L", .body = {Read(0), Compute(3)}},
+  });
+  SimulatorOptions options;
+  options.horizon = 10;
+  for (Arm arm : {Arm::kLeap, Arm::kPerTick}) {
+    const SimResult result = RunArm(set, ProtocolKind::kPcpDa, options, arm);
+    ASSERT_TRUE(result.status.ok());
+    for (Tick t = 0; t < 3; ++t) {
+      EXPECT_EQ(RecordAt(result.trace, t).ceiling, set.priority(0))
+          << "tick " << t;
+    }
+    EXPECT_EQ(RecordAt(result.trace, 3).running_job, 0);
+    EXPECT_TRUE(RecordAt(result.trace, 3).ceiling.is_dummy());
+    // read, compute under the ceiling, the commit tick, idle.
+    EXPECT_EQ(result.trace.spans().size(), 4u);
+  }
+}
+
+TEST(SimulatorTest, BoundedTraceKeepsItsTickWindow) {
+  // The capacity counts ticks, not spans: the retained window and the
+  // dropped-tick count are those of the per-tick record the trace stored
+  // before spans (values pinned from that engine), and every retained
+  // tick carries the unbounded run's record.
+  struct Pin {
+    std::size_t capacity;
+    Tick first_tick;
+    Tick tick_count;
+    std::int64_t dropped_ticks;
+    std::int64_t dropped_events[8];  // per AllProtocolKinds() entry
+  };
+  const Pin pins[] = {
+      {40, 720, 57, 720, {120, 160, 200, 160, 160, 200, 120, 120}},
+      {7, 770, 7, 770, {189, 217, 252, 217, 217, 231, 189, 189}},
+  };
+  Rng rng(7);
+  const TransactionSet set = RandomLongStepSet(rng);
+  const std::vector<ProtocolKind> kinds = AllProtocolKinds();
+  ASSERT_EQ(kinds.size(), 8u);
+  for (const Pin& pin : pins) {
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      const std::string label =
+          StrFormat("capacity %zu %s", pin.capacity, ToString(kinds[k]));
+      SimulatorOptions options;
+      options.horizon = 777;
+      const SimResult full = RunArm(set, kinds[k], options, Arm::kLeap);
+      options.max_trace_events = pin.capacity;
+      const SimResult leapt = RunArm(set, kinds[k], options, Arm::kLeap);
+      const SimResult walked = RunArm(set, kinds[k], options, Arm::kPerTick);
+      EXPECT_TRUE(leapt.trace == walked.trace) << label;
+      ExpectCanonicalSpans(leapt.trace, label);
+      EXPECT_EQ(leapt.trace.first_tick(), pin.first_tick) << label;
+      EXPECT_EQ(leapt.trace.tick_count(), pin.tick_count) << label;
+      EXPECT_EQ(leapt.trace.dropped_ticks(), pin.dropped_ticks) << label;
+      EXPECT_EQ(leapt.trace.dropped_events(), pin.dropped_events[k])
+          << label;
+      for (Tick t = leapt.trace.first_tick(); t < leapt.trace.end_tick();
+           ++t) {
+        EXPECT_TRUE(RecordAt(leapt.trace, t) == RecordAt(full.trace, t))
+            << label << " tick " << t;
+      }
+    }
+  }
+}
+
 TEST(SimulatorTest, HorizonInsideALeapableStepCreditsOnlyTicksBeforeIt) {
   // One 10-tick step and a horizon of 7: the leap must stop at the
   // horizon, leaving the job pending three ticks short of its step's end.
@@ -555,9 +681,9 @@ TEST(SimulatorTest, HorizonInsideALeapableStepCreditsOnlyTicksBeforeIt) {
   EXPECT_EQ(fast.metrics.per_spec[0].busy_ticks, 7);
   EXPECT_EQ(fast.metrics.per_spec[0].committed, 0);
   EXPECT_EQ(fast.metrics.idle_ticks, 0);
-  ASSERT_EQ(fast.trace.ticks().size(), 7u);
-  EXPECT_EQ(fast.trace.ticks().back().tick, 6);
-  EXPECT_EQ(fast.trace.ticks().back().running_job, 0);
+  ASSERT_EQ(fast.trace.tick_count(), 7);
+  EXPECT_EQ(fast.trace.spans().back().end - 1, 6);
+  EXPECT_EQ(fast.trace.spans().back().record.running_job, 0);
   ExpectLeapMatchesPerTick(set, ProtocolKind::kPcpDa, options, "mid-step");
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "test_util.h"
 #include "trace/csv.h"
 #include "trace/gantt.h"
@@ -35,7 +36,6 @@ TEST(TraceTest, TickQueries) {
   Trace trace;
   for (Tick t = 0; t < 4; ++t) {
     TickRecord record;
-    record.tick = t;
     record.running_job = t < 2 ? 7 : kInvalidJob;
     record.running_spec = t < 2 ? 1 : kInvalidSpec;
     record.ceiling = t == 1 ? Priority(3) : Priority::Dummy();
@@ -45,7 +45,7 @@ TEST(TraceTest, TickQueries) {
       sample.spec = 0;
       record.blocked.push_back(sample);
     }
-    trace.AddTick(record);
+    trace.AddTicks(t, 1, record);
   }
   EXPECT_EQ(trace.RunningSpecAt(0), 1);
   EXPECT_EQ(trace.RunningSpecAt(3), kInvalidSpec);
@@ -66,9 +66,8 @@ TEST(TraceTest, CapacityBoundsRetainedWindow) {
     event.job = t;
     trace.AddEvent(event);
     TickRecord record;
-    record.tick = t;
     record.running_spec = static_cast<SpecId>(t % 3);
-    trace.AddTick(record);
+    trace.AddTicks(t, 1, record);
   }
   // Amortized compaction keeps at most 2x the capacity resident, the
   // newest entries survive, and every eviction is counted.
@@ -78,11 +77,9 @@ TEST(TraceTest, CapacityBoundsRetainedWindow) {
   EXPECT_EQ(trace.dropped_events() +
                 static_cast<std::int64_t>(trace.events().size()),
             20);
-  EXPECT_EQ(trace.dropped_ticks() +
-                static_cast<std::int64_t>(trace.ticks().size()),
-            20);
+  EXPECT_EQ(trace.dropped_ticks() + trace.tick_count(), 20);
   // Tick lookups answer over the retained window, offset-aware.
-  const Tick first = trace.ticks().front().tick;
+  const Tick first = trace.first_tick();
   EXPECT_GT(first, 0);
   EXPECT_EQ(trace.RunningSpecAt(first - 1), kInvalidSpec);
   EXPECT_EQ(trace.RunningSpecAt(19), static_cast<SpecId>(19 % 3));
@@ -92,12 +89,50 @@ TEST(TraceTest, ZeroCapacityKeepsEverything) {
   Trace trace;
   trace.SetCapacity(0);
   for (Tick t = 0; t < 50; ++t) {
-    TickRecord record;
-    record.tick = t;
-    trace.AddTick(record);
+    trace.AddTicks(t, 1, TickRecord{});
   }
-  EXPECT_EQ(trace.ticks().size(), 50u);
+  EXPECT_EQ(trace.tick_count(), 50);
   EXPECT_EQ(trace.dropped_ticks(), 0);
+}
+
+TEST(TraceTest, StretchAppendsEqualTickByTickAppends) {
+  // Equal neighbours merge into one span, and a capacity-bounded window
+  // evolves by ticks: appending a stretch at once, extending the last
+  // span, or appending tick by tick all give the same trace.
+  Rng rng(19);
+  for (std::size_t capacity : {0u, 1u, 3u, 8u}) {
+    for (int round = 0; round < 20; ++round) {
+      Trace stretches;
+      Trace singles;
+      stretches.SetCapacity(capacity);
+      singles.SetCapacity(capacity);
+      Tick tick = 0;
+      for (int k = 0; k < 12; ++k) {
+        TickRecord record;
+        record.running_spec = static_cast<SpecId>(rng.UniformInt(0, 1));
+        const Tick length = rng.UniformInt(1, 9);
+        if (k > 0 && rng.Bernoulli(0.3)) {
+          stretches.ExtendLastSpan(length);
+          record = singles.spans().back().record;
+        } else {
+          stretches.AddTicks(tick, length, record);
+        }
+        for (Tick t = tick; t < tick + length; ++t) {
+          singles.AddTicks(t, 1, record);
+        }
+        tick += length;
+      }
+      EXPECT_TRUE(stretches == singles) << "capacity " << capacity;
+      EXPECT_EQ(singles.dropped_ticks() + singles.tick_count(), tick);
+      if (capacity > 0) {
+        EXPECT_LT(singles.tick_count(), static_cast<Tick>(2 * capacity));
+      }
+      for (std::size_t i = 1; i < singles.spans().size(); ++i) {
+        EXPECT_FALSE(singles.spans()[i - 1].record ==
+                     singles.spans()[i].record);
+      }
+    }
+  }
 }
 
 TEST(TraceTest, BoundedTraceLeavesSimulationUnchanged) {
@@ -120,7 +155,7 @@ TEST(TraceTest, BoundedTraceLeavesSimulationUnchanged) {
   EXPECT_EQ(unbounded.trace.dropped_events(), 0);
   EXPECT_GT(bounded.trace.dropped_events(), 0);
   EXPECT_LE(bounded.trace.events().size(), 32u);
-  EXPECT_LE(bounded.trace.ticks().size(), 32u);
+  EXPECT_LE(bounded.trace.tick_count(), 32);
   // The retained suffix of the bounded trace equals the tail of the full
   // trace.
   const auto& full = unbounded.trace.events();
@@ -209,7 +244,7 @@ TEST(CsvTest, ScheduleCsvHasOneRowPerTick) {
   const SimResult result = RunExample(example, ProtocolKind::kRwPcp);
   const std::string csv = ScheduleCsv(example.set, result.trace);
   const std::size_t lines = std::count(csv.begin(), csv.end(), '\n');
-  EXPECT_EQ(lines, result.trace.ticks().size() + 1);
+  EXPECT_EQ(lines, static_cast<std::size_t>(result.trace.tick_count()) + 1);
   EXPECT_NE(csv.find("T3"), std::string::npos);
 }
 
