@@ -40,10 +40,19 @@ std::vector<Job*> DispatchOrder(
 }
 
 void SortDispatchOrder(std::vector<Job*>& order) {
-  std::sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
-    return DispatchBefore(a, a->running_priority(), b,
-                          b->running_priority());
-  });
+  // Insertion sort: the simulator's order is short and kept between
+  // calls, so it is sorted or nearly so.
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    Job* job = order[i];
+    std::size_t at = i;
+    for (; at > 0 && DispatchBefore(job, job->running_priority(),
+                                    order[at - 1],
+                                    order[at - 1]->running_priority());
+         --at) {
+      order[at] = order[at - 1];
+    }
+    order[at] = job;
+  }
 }
 
 }  // namespace pcpda

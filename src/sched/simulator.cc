@@ -123,6 +123,7 @@ Tick Simulator::NextArrivalTick() const {
 
 void Simulator::ReleaseArrivals() {
   TakeDueArrivals();
+  next_arrival_ = NextArrivalTick();
   if (fault_plan_ != nullptr) fault_plan_->TransformArrivals(tick_, due_);
   if (!due_.empty()) dispatch_dirty_ = true;
   for (const Arrival& arrival : due_) {
@@ -143,6 +144,8 @@ void Simulator::ReleaseArrivals() {
       slot->Reset(id, set_, arrival.spec, arrival.instance, tick_, deadline);
     }
     active_jobs_.push_back(slot.get());
+    dispatch_order_.push_back(slot.get());
+    next_deadline_ = std::min(next_deadline_, deadline);
     ++metrics_for(arrival.spec).released;
     if (options_.record_trace) {
       TraceEvent event;
@@ -156,14 +159,13 @@ void Simulator::ReleaseArrivals() {
   }
 }
 
-Tick Simulator::NextDeadline() const {
-  Tick next = kNoTick;
+void Simulator::RefreshNextDeadline() {
+  next_deadline_ = kNoTick;
   for (const Job* job : active_jobs_) {
     if (!job->deadline_miss_recorded()) {
-      next = std::min(next, job->absolute_deadline());
+      next_deadline_ = std::min(next_deadline_, job->absolute_deadline());
     }
   }
-  return next;
 }
 
 void Simulator::CheckDeadlines() {
@@ -177,6 +179,7 @@ void Simulator::CheckDeadlines() {
       continue;
     }
     job.set_deadline_miss_recorded();
+    RefreshNextDeadline();
     ++metrics_for(job.spec_id()).deadline_misses;
     if (options_.record_trace) {
       TraceEvent event;
@@ -264,25 +267,12 @@ Job* Simulator::ResolveDispatch() {
   for (;;) {
     PCPDA_CHECK_MSG(abort_rounds++ <= max_abort_rounds,
                     "dispatch resolution is not making progress");
-    blocked_now_.clear();
-    granted_decision_.clear();
-
-    // The wait graph persists across ticks (outstanding denied requests
-    // keep donating priority); drop edges of jobs that are gone. A job
-    // is in the active scan set iff it is still active() (RetireJob is
-    // only reached through MarkCommitted/MarkDropped) and a pooled one no
-    // longer resolves, so the live map answers membership without
-    // building a key set. ClearWaits mutates the edge list, so collect
-    // first.
-    stale_waiters_scratch_.clear();
-    for (JobId waiter : wait_graph_.waiter_ids()) {
-      const Job* live = job(waiter);
-      if (live == nullptr || !live->active()) {
-        stale_waiters_scratch_.push_back(waiter);
-      }
-    }
-    for (JobId waiter : stale_waiters_scratch_) {
-      wait_graph_.ClearWaits(waiter);
+    // Every active job's verdict is derived afresh. The wait graph
+    // persists across ticks (outstanding denied requests keep donating
+    // priority); RetireJob drops the edges of jobs that leave.
+    for (Job* job : active_jobs_) {
+      job->dispatch().blocked = false;
+      job->dispatch().granted.clear();
     }
 
     // Evaluate every outstanding lock request against the protocol. The
@@ -294,9 +284,9 @@ Job* Simulator::ResolveDispatch() {
     // denial raises its blocker before the blocker is evaluated; the
     // sweep cap guards against pathological oscillation.
     const std::size_t max_sweeps = 4 * active_jobs_.size() + 8;
+    const bool inherits = protocol_->uses_priority_inheritance();
     for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      if (protocol_->uses_priority_inheritance() &&
-          !wait_graph_.waiter_ids().empty()) {
+      if (inherits && !wait_graph_.waiter_ids().empty()) {
         running_scratch_.clear();
         for (Job* job : active_jobs_) {
           running_scratch_[job->id()] = job->base_priority();
@@ -305,22 +295,26 @@ Job* Simulator::ResolveDispatch() {
         for (Job* job : active_jobs_) {
           job->set_running_priority(running_scratch_.at(job->id()));
         }
-      } else {
-        // Nobody donates priority: every job runs at its base priority.
+        priorities_inherited_ = true;
+      } else if (priorities_inherited_) {
+        // Nobody donates priority any more: back to base priorities.
+        // Otherwise every job runs at its base priority already, which
+        // is where a release starts.
         for (Job* job : active_jobs_) {
           job->set_running_priority(job->base_priority());
         }
+        priorities_inherited_ = false;
       }
-      dispatch_scratch_ = active_jobs_;
-      SortDispatchOrder(dispatch_scratch_);
+      SortDispatchOrder(dispatch_order_);
       bool changed = false;
-      for (Job* job : dispatch_scratch_) {
+      for (Job* job : dispatch_order_) {
+        DispatchState& state = job->dispatch();
         if (!NeedsLock(*job)) {
           if (wait_graph_.IsWaiting(job->id())) {
             wait_graph_.ClearWaits(job->id());
             changed = true;
           }
-          blocked_now_.erase(job->id());
+          state.blocked = false;
           continue;
         }
         const Step& step = job->current_step();
@@ -342,22 +336,22 @@ Job* Simulator::ResolveDispatch() {
             wait_graph_.SetWaits(job->id(), decision.jobs);
             changed = true;
           }
-          PendingBlock& pb = blocked_now_[job->id()];
-          pb.item = request.item;
-          pb.mode = request.mode;
-          pb.reason = decision.reason;
-          pb.blockers = decision.jobs;
-          pb.rule = decision.rule;
+          state.blocked = true;
+          state.item = request.item;
+          state.mode = request.mode;
+          state.reason = decision.reason;
+          state.rule = decision.rule;
+          state.blockers = decision.jobs;
         } else {
           if (wait_graph_.IsWaiting(job->id())) {
             wait_graph_.ClearWaits(job->id());
             changed = true;
           }
-          blocked_now_.erase(job->id());
+          state.blocked = false;
           // A plain grant is only read back for its trace note.
           if (decision.kind != LockDecision::Kind::kGrant ||
               options_.record_trace) {
-            granted_decision_[job->id()] = decision;
+            state.granted = decision;
           }
         }
         if (changed) break;  // priorities moved: restart the sweep
@@ -366,32 +360,30 @@ Job* Simulator::ResolveDispatch() {
     }
 
     // Dispatch the highest running-priority job that is not blocked.
-    // dispatch_scratch_ still holds the final sweep's order — the same
+    // dispatch_order_ still holds the final sweep's order — the same
     // order the running map from that sweep would produce.
     Job* chosen = nullptr;
-    for (Job* job : dispatch_scratch_) {
-      if (!blocked_now_.contains(job->id())) {
+    for (Job* job : dispatch_order_) {
+      if (!job->dispatch().blocked) {
         chosen = job;
         break;
       }
     }
     if (chosen != nullptr) {
-      const LockDecision* granted = granted_decision_.find(chosen->id());
-      if (granted != nullptr &&
-          granted->kind == LockDecision::Kind::kAbortAndGrant) {
+      const LockDecision& granted = chosen->dispatch().granted;
+      if (granted.kind == LockDecision::Kind::kAbortAndGrant) {
         // Apply the aborts, then re-resolve against the new lock state.
-        for (JobId victim_id : granted->jobs) {
+        for (JobId victim_id : granted.jobs) {
           Job* victim = const_cast<Job*>(job(victim_id));
           PCPDA_CHECK_MSG(victim != nullptr && victim->active(),
                           "abort victim not active");
-          AbortAndRestart(*victim, RuleNote(granted->rule, "abort"));
+          AbortAndRestart(*victim, RuleNote(granted.rule, "abort"));
         }
         continue;
       }
-      if (granted != nullptr &&
-          granted->kind == LockDecision::Kind::kAbortRequester) {
+      if (granted.kind == LockDecision::Kind::kAbortRequester) {
         // Optimistic self-abort: restart the requester, then re-resolve.
-        AbortAndRestart(*chosen, RuleNote(granted->rule, "self-abort"));
+        AbortAndRestart(*chosen, RuleNote(granted.rule, "self-abort"));
         continue;
       }
     }
@@ -400,8 +392,14 @@ Job* Simulator::ResolveDispatch() {
 }
 
 bool Simulator::HandleOneDeadlock() {
+  // Only an added edge can close a cycle, so while none was added since
+  // the last search came up empty the graph is still acyclic.
+  if (wait_graph_.edge_additions() == acyclic_at_) return false;
   auto cycle = wait_graph_.FindCycle();
-  if (!cycle.has_value()) return false;
+  if (!cycle.has_value()) {
+    acyclic_at_ = wait_graph_.edge_additions();
+    return false;
+  }
   ++metrics_.deadlocks;
   if (options_.record_trace) {
     TraceEvent event;
@@ -467,8 +465,7 @@ void Simulator::AdmitStep(Job& job) {
       event.instance = job.instance();
       event.item = step.item;
       event.mode = NeededMode(job);
-      const LockDecision* granted = granted_decision_.find(job.id());
-      if (granted != nullptr) event.note = ToString(granted->rule);
+      event.note = ToString(job.dispatch().granted.rule);
       trace_.AddEvent(event);
     }
   }
@@ -559,11 +556,8 @@ void Simulator::Commit(Job& job) {
   m.max_response = std::max(m.max_response, response);
   m.total_response += static_cast<double>(response);
   m.AddResponse(response);
-  const Tick* eb = effective_blocking_by_job_.find(job.id());
-  if (eb != nullptr) {
-    m.max_effective_blocking = std::max(m.max_effective_blocking, *eb);
-    effective_blocking_by_job_.erase(job.id());
-  }
+  m.max_effective_blocking =
+      std::max(m.max_effective_blocking, job.dispatch().effective_blocking);
   job.MarkCommitted(commit_time);
   RetireJob(job);
   protocol_->OnCommitApplied(job);
@@ -600,7 +594,6 @@ void Simulator::DropJob(Job& job) {
     database_.Restore(item, before);
   }
   lock_table_.ReleaseAll(job.id());
-  wait_graph_.ClearWaits(job.id());
   history_.DiscardPending(job.id());
   ++metrics_for(job.spec_id()).dropped;
   if (options_.record_trace) {
@@ -612,12 +605,9 @@ void Simulator::DropJob(Job& job) {
     event.instance = job.instance();
     trace_.AddEvent(event);
   }
-  const Tick* eb = effective_blocking_by_job_.find(job.id());
-  if (eb != nullptr) {
-    SpecMetrics& m = metrics_for(job.spec_id());
-    m.max_effective_blocking = std::max(m.max_effective_blocking, *eb);
-    effective_blocking_by_job_.erase(job.id());
-  }
+  SpecMetrics& m = metrics_for(job.spec_id());
+  m.max_effective_blocking =
+      std::max(m.max_effective_blocking, job.dispatch().effective_blocking);
   job.MarkDropped();
   RetireJob(job);
   protocol_->OnAbortApplied(job);
@@ -631,7 +621,11 @@ void Simulator::RetireJob(Job& job) {
   PCPDA_CHECK_MSG(it != active_jobs_.end(),
                   "retiring a job that was not in the active set");
   active_jobs_.erase(it);
+  dispatch_order_.erase(
+      std::find(dispatch_order_.begin(), dispatch_order_.end(), &job));
+  wait_graph_.ClearWaits(job.id());
   retired_this_tick_.push_back(&job);
+  RefreshNextDeadline();
 }
 
 void Simulator::FreeRetiredJobs() {
@@ -657,12 +651,13 @@ void Simulator::FastForward(Job* runner, StepKind runner_kind,
   // the resolution, run the same step and credit the same counters. The
   // leap stops one tick short of the step's end, so the per-tick loop
   // still completes the step and fires whatever follows.
-  Tick end = NextArrivalTick();
-  if (end == kNoTick || end > options_.horizon) end = options_.horizon;
+  if (!active_jobs_.empty() && (dispatch_dirty_ || runner == nullptr)) {
+    return;
+  }
+  Tick end = std::min(next_arrival_, options_.horizon);
   if (active_jobs_.empty()) {
     runner = nullptr;
   } else {
-    if (dispatch_dirty_ || runner == nullptr) return;
     end = std::min({end, tick_ + runner->remaining_in_step() - 1,
                     NextDeadline()});
     // Leapt busy ticks are scheduled ticks: the budget runs out at the
@@ -701,31 +696,34 @@ void Simulator::ExecuteTick(Job& job) {
 void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
                            Tick ticks, bool repeats_last) {
   if (runner == nullptr) metrics_.idle_ticks += ticks;
-  // Blocking/preemption accounting. blocked_scratch_ becomes the next
-  // tick's blocked_prev_ via the swap below, keeping both maps' slots.
-  blocked_scratch_.clear();
-  for (JobId id : blocked_now_.ids()) {
-    const PendingBlock& pb = blocked_now_.at(id);
-    const Job* blocked = job(id);
-    PCPDA_CHECK(blocked != nullptr);
-    blocked_scratch_[id] = pb.rule;
-    SpecMetrics& m = metrics_for(blocked->spec_id());
+  // Blocking/preemption accounting, in id order (the kBlock events'
+  // order). Every active job's verdict is from the last resolution: any
+  // arrival or retirement since then dirtied the memo.
+  for (Job* job : active_jobs_) {
+    DispatchState& state = job->dispatch();
+    SpecMetrics& m = metrics_for(job->spec_id());
+    if (!state.blocked) {
+      state.blocked_last_tick = false;
+      if (job != runner) m.preempted_ticks += ticks;
+      continue;
+    }
     m.blocked_ticks += ticks;
     if (runner != nullptr &&
-        runner->base_priority() < blocked->base_priority()) {
+        runner->base_priority() < job->base_priority()) {
       m.effective_blocking_ticks += ticks;
-      effective_blocking_by_job_[id] += ticks;
+      state.effective_blocking += ticks;
     }
-    const DecisionRule* prev = blocked_prev_.find(id);
-    const bool new_episode = prev == nullptr;
+    const bool new_episode = !state.blocked_last_tick;
     if (new_episode ||
-        std::string_view(ToString(*prev)) != ToString(pb.rule)) {
+        (state.last_tick_rule != state.rule &&
+         std::string_view(ToString(state.last_tick_rule)) !=
+             ToString(state.rule))) {
       // New blocking episode, or the printed denial changed mid-episode
       // (e.g. a ceiling block turning into a wr-guard conflict). The
       // T*-guard and the ceiling denial print alike, so a switch between
       // them continues the episode, as the text notes did.
       if (new_episode) {
-        if (pb.reason == BlockReason::kCeiling) {
+        if (state.reason == BlockReason::kCeiling) {
           ++m.ceiling_blocks;
         } else {
           ++m.conflict_blocks;
@@ -735,24 +733,19 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
         TraceEvent event;
         event.tick = tick_;
         event.kind = TraceKind::kBlock;
-        event.job = id;
-        event.spec = blocked->spec_id();
-        event.instance = blocked->instance();
-        event.item = pb.item;
-        event.mode = pb.mode;
-        event.reason = pb.reason;
-        event.others = pb.blockers;
-        event.note = ToString(pb.rule);
+        event.job = job->id();
+        event.spec = job->spec_id();
+        event.instance = job->instance();
+        event.item = state.item;
+        event.mode = state.mode;
+        event.reason = state.reason;
+        event.others = state.blockers;
+        event.note = ToString(state.rule);
         trace_.AddEvent(event);
       }
     }
-  }
-  blocked_prev_.swap(blocked_scratch_);
-  for (const Job* j : active_jobs_) {
-    if (runner != nullptr && j->id() == runner->id()) continue;
-    if (!blocked_now_.contains(j->id())) {
-      metrics_for(j->spec_id()).preempted_ticks += ticks;
-    }
+    state.blocked_last_tick = true;
+    state.last_tick_rule = state.rule;
   }
 
   // The ceiling is a function of the lock table: sample it again only
@@ -777,16 +770,16 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
     record.running_spec = runner->spec_id();
     record.running_kind = runner_kind;
   }
-  for (JobId id : blocked_now_.ids()) {
-    const PendingBlock& pb = blocked_now_.at(id);
-    const Job* blocked = job(id);
+  for (const Job* job : active_jobs_) {
+    const DispatchState& state = job->dispatch();
+    if (!state.blocked) continue;
     BlockedSample sample;
-    sample.job = id;
-    sample.spec = blocked->spec_id();
-    sample.item = pb.item;
-    sample.mode = pb.mode;
-    sample.reason = pb.reason;
-    sample.blockers = pb.blockers;
+    sample.job = job->id();
+    sample.spec = job->spec_id();
+    sample.item = state.item;
+    sample.mode = state.mode;
+    sample.reason = state.reason;
+    sample.blockers = state.blockers;
     record.blocked.push_back(std::move(sample));
   }
   trace_.AddTicks(tick_, ticks, std::move(record));
@@ -803,8 +796,10 @@ void Simulator::AuditNow(bool resolved) {
     audit_jobs_.insert(audit_jobs_.end(), retired_this_tick_.begin(),
                        retired_this_tick_.end());
     audit_blocked_.clear();
-    for (JobId id : blocked_now_.ids()) {
-      audit_blocked_.push_back({id, &blocked_now_.at(id).blockers});
+    for (const Job* job : active_jobs_) {
+      if (job->dispatch().blocked) {
+        audit_blocked_.push_back({job->id(), &job->dispatch().blockers});
+      }
     }
     AuditScope scope;
     scope.tick = tick_;
@@ -865,6 +860,7 @@ SimResult Simulator::Run() {
   const bool may_fast_forward = fault_plan_ == nullptr;
 
   tick_ = 0;
+  next_arrival_ = NextArrivalTick();
   Status watchdog_status;
   Tick scheduled_ticks = 0;
   while (tick_ < options_.horizon && !halted_) {
@@ -886,8 +882,9 @@ SimResult Simulator::Run() {
       break;
     }
     ++scheduled_ticks;
-    FreeRetiredJobs();
-    ReleaseArrivals();
+    if (!retired_this_tick_.empty()) FreeRetiredJobs();
+    // A fault plan may move or add arrivals on any tick.
+    if (next_arrival_ <= tick_ || fault_plan_ != nullptr) ReleaseArrivals();
     CheckDeadlines();
     if (halted_) break;
     ApplyFaults();
@@ -900,7 +897,7 @@ SimResult Simulator::Run() {
         runner = ResolveDispatch();
       }
       if (halted_) break;
-      // The resolution (blocked_now_, wait edges, runner) stays valid
+      // The resolution (blocked verdicts, wait edges, runner) stays valid
       // until one of the marked mutation points fires; the deadlock scan
       // is covered too — an unchanged wait graph cannot grow a cycle.
       dispatch_dirty_ = false;
@@ -922,21 +919,14 @@ SimResult Simulator::Run() {
     }
   }
 
-  // Jobs still in flight whose deadline lies beyond the horizon never got
-  // the chance to miss (or meet) it; MissRatio excludes them.
   for (const Job* pending : active_jobs_) {
-    if (!pending->deadline_miss_recorded()) {
-      ++metrics_for(pending->spec_id()).pending_at_horizon;
-    }
-  }
-
-  // Fold leftover per-job blocking maxima into the per-spec metrics.
-  for (JobId id : effective_blocking_by_job_.ids()) {
-    const Job* j = job(id);
-    if (j == nullptr) continue;
-    SpecMetrics& m = metrics_for(j->spec_id());
-    m.max_effective_blocking =
-        std::max(m.max_effective_blocking, effective_blocking_by_job_.at(id));
+    SpecMetrics& m = metrics_for(pending->spec_id());
+    // Jobs still in flight whose deadline lies beyond the horizon never
+    // got the chance to miss (or meet) it; MissRatio excludes them.
+    if (!pending->deadline_miss_recorded()) ++m.pending_at_horizon;
+    // Fold the leftover per-job blocking tallies into the maxima.
+    m.max_effective_blocking = std::max(
+        m.max_effective_blocking, pending->dispatch().effective_blocking);
   }
 
   if (fault_plan_ != nullptr) {

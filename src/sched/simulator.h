@@ -163,24 +163,6 @@ class Simulator : public SimView {
   }
 
  private:
-  struct PendingBlock {
-    ItemId item = kInvalidItem;
-    LockMode mode = LockMode::kRead;
-    BlockReason reason = BlockReason::kNone;
-    std::vector<JobId> blockers;
-    DecisionRule rule = DecisionRule::kNone;
-
-    /// Lets blocked_now_ hand a slot to the next blocked job with the
-    /// blockers' capacity kept.
-    void clear() {
-      item = kInvalidItem;
-      mode = LockMode::kRead;
-      reason = BlockReason::kNone;
-      blockers.clear();
-      rule = DecisionRule::kNone;
-    }
-  };
-
   /// Fills due_ with the arrivals due at tick_ from the schedule override
   /// or the calendar cursor (both yield (tick, spec) order).
   void TakeDueArrivals();
@@ -201,8 +183,10 @@ class Simulator : public SimView {
   void FastForward(Job* runner, StepKind runner_kind,
                    Tick* scheduled_ticks);
   /// Earliest absolute deadline among active jobs whose miss is not yet
-  /// recorded, or kNoTick.
-  Tick NextDeadline() const;
+  /// recorded, or kNoTick. Cached: RefreshNextDeadline recomputes it
+  /// where the answer can move (release, retirement, a recorded miss).
+  Tick NextDeadline() const { return next_deadline_; }
+  void RefreshNextDeadline();
   void ReleaseArrivals();
   void CheckDeadlines();
   /// Applies this tick's job faults (aborts, spurious restarts, WCET
@@ -214,11 +198,12 @@ class Simulator : public SimView {
   void AuditNow(bool resolved);
   /// Resolves this tick's dispatch: rebuilds blocking edges to a fixpoint
   /// and picks the runner. Returns the chosen job (nullptr if idle) and
-  /// fills blocked_now_.
+  /// leaves each active job's blocked verdict in its DispatchState.
   Job* ResolveDispatch();
   /// Handles at most one wait-for cycle per policy. Returns true when a
   /// cycle was found (the caller must re-resolve dispatch unless the run
-  /// halted).
+  /// halted). Searches only when an edge was added since the last search
+  /// that found none.
   bool HandleOneDeadlock();
   /// Grants the pending lock for `job`'s current step, recording effects.
   void AdmitStep(Job& job);
@@ -230,9 +215,10 @@ class Simulator : public SimView {
   /// writes, releases locks, restarts from the first step.
   void AbortAndRestart(Job& victim, const char* why);
   void DropJob(Job& job);
-  /// Moves a just-committed/dropped job out of the active scan set; it
-  /// stays in jobs_ (and in retired_this_tick_ for this tick's audit)
-  /// until FreeRetiredJobs runs at the top of the next tick.
+  /// Moves a just-committed/dropped job out of the active scan set and
+  /// the dispatch order and clears its waits; it stays in jobs_ (and in
+  /// retired_this_tick_ for this tick's audit) until FreeRetiredJobs
+  /// runs at the top of the next tick.
   void RetireJob(Job& job);
   /// Returns the jobs retired during the previous tick to the pool; from
   /// then on job(id) answers nullptr for them.
@@ -301,35 +287,27 @@ class Simulator : public SimView {
   std::vector<Arrival> due_;
   /// Read position into options_.arrival_schedule->arrivals().
   std::size_t schedule_pos_ = 0;
-  /// Jobs blocked this tick (job id -> details), rebuilt each tick.
-  /// Ring slot maps (plan/job_arena.h) replace the former
-  /// std::map<JobId, ...> hot state: same ascending-id iteration order,
-  /// O(1) lookup, and slot storage that is reused across ticks and ids
-  /// instead of reallocated.
-  JobSlotMap<PendingBlock> blocked_now_;
-  /// Denial rule per job during the previous tick (for the kBlock edge
-  /// trigger: a new episode OR a changed printed rule re-traces) and
-  /// per-job effective-blocking accumulation.
-  JobSlotMap<DecisionRule> blocked_prev_;
-  /// Next tick's blocked_prev_, built during RecordTick then swapped in
-  /// so both maps keep their slot capacity.
-  JobSlotMap<DecisionRule> blocked_scratch_;
-  JobSlotMap<Tick> effective_blocking_by_job_;
-  /// The non-blocking decisions of this dispatch resolution, by job: the
-  /// aborts, and with the trace on the plain grants too, whose rule
-  /// AdmitStep prints.
-  JobSlotMap<LockDecision> granted_decision_;
   /// The decision Protocol::Decide fills, reused across requests.
   LockDecision decision_scratch_;
+  /// The active jobs in dispatch order as of the last sweep. It follows
+  /// active_jobs_ (ReleaseArrivals appends, RetireJob erases) and each
+  /// sweep re-sorts it in place; the order is a strict total one, so the
+  /// result does not depend on where the sort starts.
+  std::vector<Job*> dispatch_order_;
   /// Per-sweep scratch reused across dispatch resolutions: the running-
-  /// priority fixpoint, the dispatch order, the sorted holder set of a
-  /// kBlock decision, and the stale waiters to clear.
+  /// priority fixpoint and the sorted holder set of a kBlock decision.
   JobSlotMap<Priority> running_scratch_;
-  std::vector<Job*> dispatch_scratch_;
+  std::vector<JobId> holders_scratch_;
   /// CheckDeadlines' snapshot of the scan set.
   std::vector<Job*> deadline_scratch_;
-  std::vector<JobId> holders_scratch_;
-  std::vector<JobId> stale_waiters_scratch_;
+  /// NextDeadline's cached answer.
+  Tick next_deadline_ = kNoTick;
+  /// NextArrivalTick() as of the last release: the next tick that
+  /// releases a job (kNoTick when none is left).
+  Tick next_arrival_ = kNoTick;
+  /// wait_graph_.edge_additions() at the last deadlock search that found
+  /// no cycle: until an edge is added, none can form.
+  std::uint64_t acyclic_at_ = 0;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<InvariantAuditor> auditor_;
   /// The audit's view of a tick, rebuilt in place on each full audit.
@@ -343,14 +321,17 @@ class Simulator : public SimView {
   /// mutation points (arrival, admission of a lock step, step
   /// completion, commit/drop/abort, fault application). Decide is pure
   /// by contract, so while dispatch_dirty_ stays false the previous
-  /// tick's resolution (last_runner_, blocked_now_, wait edges) is
-  /// reused verbatim; a job executing a k-tick step resolves O(1) times
-  /// instead of k. Byte-identical by construction, pinned by
+  /// tick's resolution (last_runner_, the jobs' blocked verdicts, wait
+  /// edges) is reused verbatim; a job executing a k-tick step resolves
+  /// O(1) times instead of k. Byte-identical by construction, pinned by
   /// tests/determinism_test.cc. The audit gates on the same flag: what it
   /// reads beyond these inputs (database, undo logs, running priorities,
   /// blocked set) moves only at the same points or during resolution.
   bool dispatch_dirty_ = true;
   Job* last_runner_ = nullptr;
+  /// Whether the last sweep left inherited running priorities behind.
+  /// While false, every active job runs at its base priority.
+  bool priorities_inherited_ = false;
   /// Protocol::CurrentCeiling as of lock-table version ceiling_version_
   /// (none before the first sample).
   Priority ceiling_;

@@ -17,16 +17,18 @@ void WaitGraph::SetWaits(JobId waiter, const std::vector<JobId>& holders) {
   }
   // Fill the slot's own vector so it keeps its capacity across edges.
   std::vector<JobId>& edges = edges_[waiter];
+  for (JobId holder : holders) {
+    if (!std::binary_search(edges.begin(), edges.end(), holder)) {
+      ++edge_additions_;
+      break;
+    }
+  }
   edges.assign(holders.begin(), holders.end());
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 }
 
 void WaitGraph::ClearWaits(JobId waiter) { edges_.erase(waiter); }
-
-bool WaitGraph::IsWaiting(JobId waiter) const {
-  return edges_.contains(waiter);
-}
 
 const std::vector<JobId>& WaitGraph::HoldersBlocking(JobId waiter) const {
   const std::vector<JobId>* holders = edges_.find(waiter);

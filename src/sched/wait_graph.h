@@ -13,8 +13,8 @@
 namespace pcpda {
 
 /// The wait-for graph: an edge waiter -> holder means the waiter's lock
-/// request is currently denied because of the holder. Rebuilt every tick by
-/// the simulator; a cycle is a deadlock.
+/// request is currently denied because of the holder. The simulator
+/// updates it at each dispatch resolution; a cycle is a deadlock.
 ///
 /// Edges live in a ring-keyed JobId slot map (see plan/job_arena.h):
 /// holder lists are sorted-unique vectors, so lookups are O(1), iteration
@@ -30,7 +30,12 @@ class WaitGraph {
   void SetWaits(JobId waiter, const std::vector<JobId>& holders);
   void ClearWaits(JobId waiter);
 
-  bool IsWaiting(JobId waiter) const;
+  /// Counts the SetWaits calls that added an edge (named a holder the
+  /// waiter did not already wait for). Removing edges never closes a
+  /// cycle, so a graph found acyclic stays acyclic while this holds.
+  std::uint64_t edge_additions() const { return edge_additions_; }
+
+  bool IsWaiting(JobId waiter) const { return edges_.contains(waiter); }
   /// Holders blocking `waiter`, ascending by id; empty when not waiting.
   const std::vector<JobId>& HoldersBlocking(JobId waiter) const;
   /// Jobs currently waiting (have outgoing edges), ascending by id.
@@ -50,6 +55,7 @@ class WaitGraph {
   enum class Color : std::uint8_t { kWhite, kGray, kBlack };
 
   JobSlotMap<std::vector<JobId>> edges_;
+  std::uint64_t edge_additions_ = 0;
   /// FindCycle's depth-first search state, kept between calls for its
   /// capacity only: the sorted nodes the graph names, their colors, the
   /// (node, next successor index) stack and the current path. A graph

@@ -226,6 +226,9 @@ Status Supervisor::Spawn(const Task& task) {
   worker.last_beat = worker.started;
   live_.push_back(worker);
   ++stats_.workers_spawned;
+  // The new worker is the one victim sure to have records left, however
+  // fast the others run: an event already due lands on it now.
+  if (chaos_.active()) InjectDueChaos(live_.back());
   return Status::Ok();
 }
 
@@ -298,26 +301,32 @@ void Supervisor::InjectDueChaos() {
   // The schedule's clock is campaign progress: checkpoint records
   // written, seen as the shard files grow (so it ticks per record even
   // when the group fsync announces a whole shard in one burst of beats),
-  // plus workers spawned. A due event goes to a live worker that chaos has not hit yet and
-  // that has records left to write, so every injection lands on a
-  // process with work left (a second signal to a dead or frozen victim,
-  // or one to a worker with nothing left to lose, would count an
-  // injection that does nothing). With no such worker the event waits
-  // for one to spawn.
+  // plus workers spawned. A due event goes to a live worker that chaos
+  // has not hit yet and that has records left to write, so every
+  // injection lands on a process with work left (a second signal to a
+  // dead or frozen victim, or one to a worker with nothing left to lose,
+  // would count an injection that does nothing). With no such worker the
+  // event waits for one to spawn, and Spawn offers it the new worker
+  // before that worker can write a record.
   for (Worker& victim : live_) {
-    if (victim.chaos || victim.written >= victim.to_record) continue;
-    const ChaosEvent* event = chaos_.Due(static_cast<std::uint64_t>(
-        records_written_ + stats_.workers_spawned));
-    if (event == nullptr) return;
-    if (event->kill) {
-      ::kill(victim.pid, SIGKILL);
-      ++stats_.chaos_kills_injected;
-    } else {
-      ::kill(victim.pid, SIGSTOP);
-      ++stats_.chaos_stops_injected;
-    }
-    victim.chaos = true;
+    if (!InjectDueChaos(victim)) return;
   }
+}
+
+bool Supervisor::InjectDueChaos(Worker& victim) {
+  if (victim.chaos || victim.written >= victim.to_record) return true;
+  const ChaosEvent* event = chaos_.Due(static_cast<std::uint64_t>(
+      records_written_ + stats_.workers_spawned));
+  if (event == nullptr) return false;
+  if (event->kill) {
+    ::kill(victim.pid, SIGKILL);
+    ++stats_.chaos_kills_injected;
+  } else {
+    ::kill(victim.pid, SIGSTOP);
+    ++stats_.chaos_stops_injected;
+  }
+  victim.chaos = true;
+  return true;
 }
 
 void Supervisor::CheckStalls() {

@@ -189,6 +189,9 @@ class Supervisor {
   /// Fires the chaos events the clock has reached, one per live worker
   /// that chaos has not hit and that has records left to write.
   void InjectDueChaos();
+  /// Sends the due event, if any, to `victim` when it is such a worker.
+  /// Returns false when no event is due.
+  bool InjectDueChaos(Worker& victim);
   void RequestStop();
   /// Pending (unrecorded) job ids of a task's range, in id order.
   StatusOr<std::vector<std::int64_t>> PendingJobs(const Task& task) const;

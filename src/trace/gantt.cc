@@ -39,7 +39,14 @@ char CeilingChar(Priority ceiling, const TransactionSet& set) {
 
 std::string RenderGantt(const TransactionSet& set, const Trace& trace,
                         const GanttOptions& options) {
-  const std::size_t width = static_cast<std::size_t>(trace.tick_count());
+  // Columns cover the retained ticks [first, end]; a capacity-bounded
+  // trace may have dropped the ticks before `first`.
+  const Tick first = trace.first_tick();
+  const Tick end = trace.end_tick();
+  const auto column = [first](Tick t) {
+    return static_cast<std::size_t>(t - first);
+  };
+  const std::size_t width = static_cast<std::size_t>(end - first);
   const std::size_t rows = static_cast<std::size_t>(set.size());
   std::vector<std::string> grid(rows, std::string(width + 1, ' '));
 
@@ -53,7 +60,7 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
   for (const TraceEvent& e : trace.events()) {
     switch (e.kind) {
       case TraceKind::kArrival:
-        spans[e.job] = {e.spec, e.tick, static_cast<Tick>(width)};
+        spans[e.job] = {e.spec, e.tick, end};
         break;
       case TraceKind::kCommit:
       case TraceKind::kDrop:
@@ -67,19 +74,16 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
   }
   for (const auto& [job, span] : spans) {
     auto& row = grid[static_cast<std::size_t>(span.spec)];
-    for (Tick t = span.from; t < span.to && t <= static_cast<Tick>(width);
-         ++t) {
-      if (row[static_cast<std::size_t>(t)] == ' ') {
-        row[static_cast<std::size_t>(t)] = '.';
-      }
+    for (Tick t = std::max(span.from, first); t < span.to && t <= end; ++t) {
+      if (row[column(t)] == ' ') row[column(t)] = '.';
     }
   }
 
   // Per-tick running/blocked states.
   for (const TickSpan& span : trace.spans()) {
     const TickRecord& record = span.record;
-    const auto from = static_cast<std::size_t>(span.begin);
-    const auto to = static_cast<std::size_t>(span.end);
+    const std::size_t from = column(span.begin);
+    const std::size_t to = column(span.end);
     if (record.running_spec != kInvalidSpec) {
       std::string& row = grid[static_cast<std::size_t>(record.running_spec)];
       std::fill(row.begin() + from, row.begin() + to,
@@ -93,12 +97,8 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
 
   // Event markers.
   for (const TraceEvent& e : trace.events()) {
-    if (e.spec == kInvalidSpec || e.tick < 0 ||
-        static_cast<std::size_t>(e.tick) > width) {
-      continue;
-    }
-    auto& cell = grid[static_cast<std::size_t>(e.spec)]
-                     [static_cast<std::size_t>(e.tick)];
+    if (e.spec == kInvalidSpec || e.tick < first || e.tick > end) continue;
+    auto& cell = grid[static_cast<std::size_t>(e.spec)][column(e.tick)];
     switch (e.kind) {
       case TraceKind::kArrival:
         if (cell == ' ' || cell == '.') cell = '^';
@@ -117,8 +117,8 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
   // Assemble: tick ruler, rows, ceiling row.
   std::vector<std::string> lines;
   std::string ruler = PadRight("", 9);
-  for (std::size_t t = 0; t <= width; ++t) {
-    ruler += (t % 5 == 0) ? StrFormat("%zu", t % 10)[0] : ' ';
+  for (Tick t = first; t <= end; ++t) {
+    ruler += (t % 5 == 0) ? static_cast<char>('0' + t % 10) : ' ';
   }
   lines.push_back(ruler);
   for (SpecId i = 0; i < set.size(); ++i) {
@@ -128,8 +128,8 @@ std::string RenderGantt(const TransactionSet& set, const Trace& trace,
   if (options.show_ceiling) {
     std::string ceiling_row(width, '-');
     for (const TickSpan& span : trace.spans()) {
-      std::fill(ceiling_row.begin() + span.begin,
-                ceiling_row.begin() + span.end,
+      std::fill(ceiling_row.begin() + column(span.begin),
+                ceiling_row.begin() + column(span.end),
                 CeilingChar(span.record.ceiling, set));
     }
     lines.push_back(PadRight("ceiling", 8) + "|" + ceiling_row);

@@ -20,6 +20,19 @@ const char* ToString(JobState state) {
   return "unknown";
 }
 
+void DispatchState::Clear() {
+  blocked = false;
+  item = kInvalidItem;
+  mode = LockMode::kRead;
+  reason = BlockReason::kNone;
+  rule = DecisionRule::kNone;
+  blockers.clear();
+  blocked_last_tick = false;
+  last_tick_rule = DecisionRule::kNone;
+  granted.clear();
+  effective_blocking = 0;
+}
+
 Job::Job(JobId id, const TransactionSet* set, SpecId spec_id, int instance,
          Tick release_time, Tick absolute_deadline) {
   Reset(id, set, spec_id, instance, release_time, absolute_deadline);
@@ -45,6 +58,7 @@ void Job::Reset(JobId id, const TransactionSet* set, SpecId spec_id,
   commit_time_ = kNoTick;
   restarts_ = 0;
   deadline_miss_recorded_ = false;
+  dispatch_.Clear();
 }
 
 bool Job::ExecuteTick() {

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "db/value.h"
+#include "txn/lock_decision.h"
 #include "txn/spec.h"
 #include "txn/workspace.h"
 
@@ -29,6 +30,35 @@ const char* ToString(JobState state);
 struct UndoEntry {
   ItemId item = kInvalidItem;
   Value before;
+};
+
+/// The simulator's dispatch bookkeeping for one job. It lives on the
+/// pooled job, so a dispatch resolution, the tick's accounting and the
+/// audit walk only the jobs in flight, and a recycled job keeps its
+/// vectors' capacity. Job::Reset clears it; ResetForRestart keeps it, so
+/// a restarted job's blocking episode and effective-blocking tally carry
+/// on.
+struct DispatchState {
+  /// Denied at the last dispatch resolution: the request and the verdict.
+  bool blocked = false;
+  ItemId item = kInvalidItem;
+  LockMode mode = LockMode::kRead;
+  BlockReason reason = BlockReason::kNone;
+  DecisionRule rule = DecisionRule::kNone;
+  std::vector<JobId> blockers;
+  /// Blocked on the last recorded tick, and by which rule: a kBlock trace
+  /// event marks a new episode or a change of the printed rule.
+  bool blocked_last_tick = false;
+  DecisionRule last_tick_rule = DecisionRule::kNone;
+  /// The last resolution's non-blocking decision: the aborts it ordered,
+  /// and with the trace on the plain grant whose rule AdmitStep prints. A
+  /// cleared decision (a grant by no rule) stands for none.
+  LockDecision granted;
+  /// Ticks this release spent blocked while a lower-base-priority job ran.
+  Tick effective_blocking = 0;
+
+  /// Back to a fresh release's state, keeping the vectors' capacity.
+  void Clear();
 };
 
 /// One released instance of a transaction spec. Owned by the simulator;
@@ -138,6 +168,10 @@ class Job {
   /// "T3#2" style label.
   std::string DebugName() const;
 
+  /// The simulator's per-job dispatch state.
+  DispatchState& dispatch() { return dispatch_; }
+  const DispatchState& dispatch() const { return dispatch_; }
+
  private:
   // Every scalar below is assigned by Reset, which the constructor runs.
   JobId id_;
@@ -164,6 +198,8 @@ class Job {
   Tick commit_time_;
   int restarts_;
   bool deadline_miss_recorded_;
+
+  DispatchState dispatch_;
 };
 
 }  // namespace pcpda

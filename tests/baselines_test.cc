@@ -149,6 +149,76 @@ TEST(TwoPlPiTest, DeadlockResolvedByAbort) {
   EXPECT_TRUE(IsSerializable(result.history));
 }
 
+TEST(TwoPlPiTest, RecurringDeadlocksKeepTicksVictimsAndEvents) {
+  // A waits for C (item 0), C for B (item 1), B for A (item 2): a
+  // three-way cycle closes once every 60 ticks, each time by the last of
+  // three wait edges added over several dispatch resolutions. The
+  // deadlock scan runs only after an edge is added, so this pins that it
+  // still finds every cycle at the tick it closes, with the same victim
+  // and events (values from the engine that searched after every
+  // resolution).
+  TransactionSet set = MakeSet({
+      {.name = "A",
+       .period = 15,
+       .offset = 2,
+       .body = {Write(2, 1), Compute(1), Write(0, 1)}},
+      {.name = "B",
+       .period = 15,
+       .offset = 1,
+       .body = {Write(1, 1), Compute(2), Write(2, 1)}},
+      {.name = "C",
+       .period = 20,
+       .body = {Read(3), Write(0, 1), Compute(3), Write(1, 1)}},
+      {.name = "D",
+       .period = 30,
+       .offset = 3,
+       .body = {Write(3, 1), Compute(2), Read(0)}},
+  });
+  const SimResult result = RunWith(set, ProtocolKind::kTwoPlPi, 400,
+                                   DeadlockPolicy::kAbortLowestPriority);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  std::vector<std::string> deadlock_events;
+  for (const TraceEvent& event : result.trace.events()) {
+    if (event.kind == TraceKind::kDeadlock ||
+        (event.kind == TraceKind::kRestart &&
+         event.note == "deadlock-victim")) {
+      deadlock_events.push_back(event.DebugString());
+    }
+  }
+  const std::vector<std::string> expected = {
+      "t=52 deadlock job=10 spec=2 others=[10,11,12]",
+      "t=52 restart job=10 spec=2 note=deadlock-victim",
+      "t=112 deadlock job=23 spec=2 others=[23,24,25]",
+      "t=112 restart job=23 spec=2 note=deadlock-victim",
+      "t=172 deadlock job=36 spec=2 others=[36,37,38]",
+      "t=172 restart job=36 spec=2 note=deadlock-victim",
+      "t=232 deadlock job=49 spec=2 others=[49,50,51]",
+      "t=232 restart job=49 spec=2 note=deadlock-victim",
+      "t=292 deadlock job=62 spec=2 others=[62,63,64]",
+      "t=292 restart job=62 spec=2 note=deadlock-victim",
+      "t=352 deadlock job=75 spec=2 others=[75,76,77]",
+      "t=352 restart job=75 spec=2 note=deadlock-victim",
+  };
+  EXPECT_EQ(deadlock_events, expected);
+  EXPECT_EQ(result.metrics.deadlocks, 6);
+  EXPECT_FALSE(result.metrics.halted_on_deadlock);
+  EXPECT_EQ(result.metrics.DebugString(set),
+            "horizon=400 idle=7 deadlocks=6 max_ceiling=dummy\n"
+            "A: released=27 committed=27 missed=0 restarts=0 busy=81 "
+            "blocked=18 effective_block=18 (max 3) preempted=0 "
+            "blocks[ceil=0 conf=6] max_resp=6\n"
+            "B: released=27 committed=27 missed=0 restarts=0 busy=108 "
+            "blocked=6 effective_block=0 (max 0) preempted=81 "
+            "blocks[ceil=0 conf=6] max_resp=8\n"
+            "C: released=20 committed=20 missed=0 restarts=6 busy=150 "
+            "blocked=52 effective_block=19 (max 2) preempted=79 "
+            "blocks[ceil=0 conf=19] max_resp=20\n"
+            "D: released=14 committed=13 missed=0 restarts=0 busy=54 "
+            "blocked=70 effective_block=0 (max 0) preempted=84 "
+            "blocks[ceil=0 conf=7] max_resp=21");
+  EXPECT_TRUE(IsSerializable(result.history));
+}
+
 TEST(TwoPlPiTest, ChainedBlockingPossible) {
   // H is blocked by M's lock on y, and (after M completes) by L's lock on
   // x — more than one lower-priority blocker, which PCPs forbid.

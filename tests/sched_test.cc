@@ -36,6 +36,28 @@ TEST(WaitGraphTest, SetAndClearWaits) {
   EXPECT_FALSE(graph.IsWaiting(1));
 }
 
+TEST(WaitGraphTest, EdgeAdditionsCountOnlyNewEdges) {
+  WaitGraph graph;
+  EXPECT_EQ(graph.edge_additions(), 0u);
+  graph.SetWaits(1, {3, 2, 3});  // a new waiter: adds edges
+  EXPECT_EQ(graph.edge_additions(), 1u);
+  graph.SetWaits(1, {2, 3});  // the same holders
+  graph.SetWaits(1, {3, 3, 2});
+  EXPECT_EQ(graph.edge_additions(), 1u);
+  graph.SetWaits(1, {3});  // a subset only drops an edge
+  EXPECT_EQ(graph.edge_additions(), 1u);
+  graph.SetWaits(1, {3, 4});  // 1 -> 4 is new
+  EXPECT_EQ(graph.edge_additions(), 2u);
+  graph.ClearWaits(1);
+  graph.ClearWaits(9);
+  graph.SetWaits(5, {});
+  EXPECT_EQ(graph.edge_additions(), 2u);
+  graph.SetWaits(1, {3, 4});  // cleared before, so the edges are new again
+  EXPECT_EQ(graph.edge_additions(), 3u);
+  graph.SetWaits(2, {1});
+  EXPECT_EQ(graph.edge_additions(), 4u);
+}
+
 TEST(WaitGraphTest, ChainHasNoCycle) {
   WaitGraph graph;
   graph.SetWaits(1, {2});
@@ -343,8 +365,58 @@ TEST(JobPoolTest, RecycledJobEqualsFreshOne) {
   while (!used.BodyDone()) used.ExecuteTick();
   used.MarkCommitted(130);
 
+  // The simulator's dispatch state as a block, an abort-restart and a
+  // drop leave it: a restart keeps it (the episode and the tally carry
+  // on), a drop leaves it to Reset.
+  Job dropped(5, &*set, 1, 3, 120, 160);
+  auto block = [](Job& job) {
+    DispatchState& state = job.dispatch();
+    state.blocked = true;
+    state.item = 1;
+    state.mode = LockMode::kWrite;
+    state.reason = BlockReason::kCeiling;
+    state.rule = DecisionRule::kWrGuardDenied;
+    state.blockers = {2, 3};
+    state.blocked_last_tick = true;
+    state.last_tick_rule = DecisionRule::kCeilingDenied;
+    state.granted.jobs = {7};
+    state.granted.AbortAndGrant(DecisionRule::kHpAbort);
+    state.effective_blocking = 6;
+  };
+  block(used);
+  block(dropped);
+  dropped.ResetForRestart();
+  EXPECT_TRUE(dropped.dispatch().blocked);
+  EXPECT_EQ(dropped.dispatch().blockers, (std::vector<JobId>{2, 3}));
+  EXPECT_EQ(dropped.dispatch().granted.kind,
+            LockDecision::Kind::kAbortAndGrant);
+  EXPECT_EQ(dropped.dispatch().effective_blocking, 6);
+  dropped.MarkDropped();
+
   used.Reset(11, &*set, 0, 5, 100, 140);
+  dropped.Reset(11, &*set, 0, 5, 100, 140);
   const Job fresh(11, &*set, 0, 5, 100, 140);
+  for (const Job* recycled : {&used, &dropped}) {
+    const DispatchState& got = recycled->dispatch();
+    const DispatchState& want = fresh.dispatch();
+    EXPECT_EQ(got.blocked, want.blocked);
+    EXPECT_FALSE(got.blocked);
+    EXPECT_EQ(got.item, want.item);
+    EXPECT_EQ(got.mode, want.mode);
+    EXPECT_EQ(got.reason, want.reason);
+    EXPECT_EQ(got.rule, want.rule);
+    EXPECT_EQ(got.blockers, want.blockers);
+    EXPECT_TRUE(got.blockers.empty());
+    EXPECT_EQ(got.blocked_last_tick, want.blocked_last_tick);
+    EXPECT_EQ(got.last_tick_rule, want.last_tick_rule);
+    EXPECT_EQ(got.granted.kind, want.granted.kind);
+    EXPECT_EQ(got.granted.reason, want.granted.reason);
+    EXPECT_EQ(got.granted.rule, want.granted.rule);
+    EXPECT_EQ(got.granted.jobs, want.granted.jobs);
+    EXPECT_EQ(got.effective_blocking, want.effective_blocking);
+    EXPECT_EQ(got.effective_blocking, 0);
+    EXPECT_EQ(recycled->state(), fresh.state());
+  }
   EXPECT_EQ(used.id(), fresh.id());
   EXPECT_EQ(used.spec_id(), fresh.spec_id());
   EXPECT_EQ(&used.spec(), &fresh.spec());

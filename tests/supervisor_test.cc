@@ -299,6 +299,12 @@ TEST(SupervisorTest, ChaosKillsCostRetriesNeverResults) {
   SupervisorOptions options = FastOptions(dir);
   options.chaos_seed = 1234;
   options.chaos_kills = 4;  // sized to the 12-job grid's heartbeat count
+  // One worker at a time, so the second shard's worker spawns only after
+  // the first shard's 6 records are counted: the clock then reads 8, at
+  // or past the first event (gaps are at most 8), and Spawn hands that
+  // event to the new worker before it can write. Two concurrent workers
+  // could both finish before the clock got there.
+  options.max_workers = 1;
   Supervisor supervisor(SmallSpec(), options);
   const auto report = supervisor.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();

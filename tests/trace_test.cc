@@ -227,6 +227,59 @@ TEST(GanttTest, OptionsDisableRows) {
   EXPECT_EQ(chart.find("legend"), std::string::npos);
 }
 
+// A capacity-bounded trace keeps only its most recent ticks, so its first
+// retained tick is past 0; the chart spans exactly that window.
+TEST(GanttTest, BoundedTraceRendersItsTickWindow) {
+  const PaperExample example = Example3();
+  auto run = [&example](std::size_t cap) {
+    auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
+    SimulatorOptions options;
+    options.horizon = 200;
+    options.max_trace_events = cap;
+    Simulator sim(&example.set, protocol.get(), options);
+    return sim.Run();
+  };
+  const SimResult full = run(0);
+  const SimResult bounded = run(8);
+  const Tick first = bounded.trace.first_tick();
+  ASSERT_GT(first, 0);
+  ASSERT_EQ(bounded.trace.end_tick(), 200);
+
+  auto rows = [](const std::string& chart) {
+    std::vector<std::string> lines;
+    std::size_t at = 0;
+    while (at <= chart.size()) {
+      const std::size_t nl = std::min(chart.find('\n', at), chart.size());
+      lines.push_back(chart.substr(at, nl - at));
+      at = nl + 1;
+    }
+    return lines;
+  };
+  const std::vector<std::string> kept =
+      rows(RenderGantt(example.set, bounded.trace));
+  const std::vector<std::string> whole =
+      rows(RenderGantt(example.set, full.trace));
+  ASSERT_EQ(kept.size(), whole.size());
+  const std::size_t columns = static_cast<std::size_t>(200 - first) + 1;
+  // The ruler labels absolute ticks: the window's columns of the full
+  // chart's ruler.
+  EXPECT_EQ(kept[0].substr(9),
+            whole[0].substr(9 + static_cast<std::size_t>(first), columns));
+  for (std::size_t i = 1; i + 1 < kept.size(); ++i) {
+    const std::size_t bar = kept[i].find('|');
+    ASSERT_NE(bar, std::string::npos) << kept[i];
+    if (kept[i].rfind("ceiling", 0) == 0) {
+      // The ceiling row comes from the spans alone: the full chart's
+      // ceiling over the same ticks.
+      EXPECT_EQ(kept[i].substr(bar + 1),
+                whole[i].substr(bar + 1 + static_cast<std::size_t>(first),
+                                columns - 1));
+    } else {
+      EXPECT_EQ(kept[i].size() - bar - 1, columns) << kept[i];
+    }
+  }
+}
+
 // --- CSV -----------------------------------------------------------------
 
 TEST(CsvTest, EventsCsvWellFormed) {
