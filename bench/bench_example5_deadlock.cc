@@ -16,7 +16,10 @@ SimResult RunProtocol(const TransactionSet& set, Protocol* protocol,
   SimulatorOptions options;
   options.horizon = horizon;
   options.deadlock_policy = policy;
-  Simulator sim(&set, protocol, options);
+  Simulator sim(
+      CompiledPlan::Compile("example5", set, horizon, {.lint = false})
+          .value(),
+      protocol, options);
   return sim.Run();
 }
 
@@ -63,13 +66,17 @@ void BM_DeadlockDetection(benchmark::State& state) {
   const PaperExample example = Example5();
   PcpDaOptions options;
   options.enable_tstar_guard = false;
+  const CompiledPlan plan =
+      CompiledPlan::Compile(example.name, example.set, example.horizon,
+                            {.lint = false})
+          .value();
   for (auto _ : state) {
     PcpDa naive(options);
     SimulatorOptions sim_options;
     sim_options.horizon = example.horizon;
     sim_options.record_trace = false;
     sim_options.record_history = false;
-    Simulator sim(&example.set, &naive, sim_options);
+    Simulator sim(plan, &naive, sim_options);
     SimResult result = sim.Run();
     benchmark::DoNotOptimize(result.metrics.deadlocks);
   }

@@ -76,7 +76,10 @@ StormStats Measure(ProtocolKind kind, double rate) {
     options.audit = true;
     options.faults =
         StormConfig(rate, static_cast<std::uint64_t>(trial) + 1);
-    Simulator sim(&*set, protocol.get(), options);
+    Simulator sim(
+        CompiledPlan::Compile("storm", *set, kHorizon, {.lint = false})
+            .value(),
+        protocol.get(), options);
     const SimResult result = sim.Run();
     stats.injected += result.metrics.faults.TotalInjected();
     stats.skipped += result.metrics.faults.skipped_aborts;

@@ -143,6 +143,9 @@ void BM_SimulatedRun(benchmark::State& state) {
   WorkloadParams params;
   params.total_utilization = 0.6;
   auto set = GenerateWorkload(params, rng);
+  const CompiledPlan plan =
+      CompiledPlan::Compile("sweep", *set, kHorizon, {.lint = false})
+          .value();
   const auto kind = static_cast<ProtocolKind>(state.range(0));
   for (auto _ : state) {
     auto protocol = MakeProtocol(kind);
@@ -151,7 +154,7 @@ void BM_SimulatedRun(benchmark::State& state) {
     options.record_trace = false;
     options.record_history = false;
     options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-    Simulator sim(&*set, protocol.get(), options);
+    Simulator sim(plan, protocol.get(), options);
     SimResult result = sim.Run();
     benchmark::DoNotOptimize(result.metrics.TotalCommitted());
   }

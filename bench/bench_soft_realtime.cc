@@ -46,7 +46,10 @@ Point RunPoint(ProtocolKind kind, double load) {
     options.record_trace = false;
     options.record_history = false;
     options.arrival_schedule = &schedule;
-    Simulator sim(&*set, protocol.get(), options);
+    Simulator sim(
+        CompiledPlan::Compile("soft", *set, kHorizon, {.lint = false})
+            .value(),
+        protocol.get(), options);
     const SimResult result = sim.Run();
     point.miss_ratio += result.metrics.MissRatio();
     double responses = 0;

@@ -30,7 +30,9 @@ inline SimResult BenchRun(const TransactionSet& set, ProtocolKind kind,
   options.deadlock_policy = deadlock_policy;
   options.record_trace = record;
   options.record_history = record;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(
+      CompiledPlan::Compile("bench", set, horizon, {.lint = false}).value(),
+      protocol.get(), options);
   return sim.Run();
 }
 
@@ -49,10 +51,9 @@ inline int BenchJobs() {
 /// Shared batch helper for design-point grids: one RunSpec per
 /// (protocol, scenario) pair, protocol-major, executed on `runner`.
 /// Result index = kind_index * scenarios.size() + scenario_index.
-/// Each scenario is compiled once up front; all protocol runs over it
-/// share the plan (the interpreted path is the fallback for a scenario
-/// the compiler rejects, preserving the old behavior for bench inputs
-/// that carry lint warnings).
+/// Each scenario is compiled once up front, without the lint gate (bench
+/// scenarios come from validated generators); all protocol runs over it
+/// share the plan.
 inline std::vector<SimResult> RunGrid(BatchRunner& runner,
                                       const std::vector<Scenario>& scenarios,
                                       const std::vector<ProtocolKind>& kinds,
@@ -61,10 +62,7 @@ inline std::vector<SimResult> RunGrid(BatchRunner& runner,
   std::vector<CompiledPlan> plans;
   plans.reserve(scenarios.size());
   for (const Scenario& scenario : scenarios) {
-    CompileOptions compile;
-    compile.lint = false;  // bench scenarios are pre-validated generators
-    auto plan = CompiledPlan::Compile(scenario, compile);
-    plans.push_back(plan.ok() ? std::move(plan).value() : CompiledPlan{});
+    plans.push_back(CompiledPlan::Compile(scenario, {.lint = false}).value());
   }
   std::vector<RunSpec> specs;
   specs.reserve(kinds.size() * scenarios.size());
@@ -75,7 +73,7 @@ inline std::vector<SimResult> RunGrid(BatchRunner& runner,
       spec.protocol = kind;
       spec.options = base_options;
       spec.pcp_da = pcp_da;
-      if (plans[i].ok()) spec.plan = &plans[i];
+      spec.plan = &plans[i];
       specs.push_back(std::move(spec));
     }
   }

@@ -12,6 +12,7 @@
 
 #include "analysis/report.h"
 #include "history/serialization_graph.h"
+#include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
 #include "trace/gantt.h"
@@ -81,6 +82,9 @@ int main() {
               SchedulabilityReport(set).c_str());
 
   const Tick horizon = 2 * set.Hyperperiod();
+  const CompiledPlan plan =
+      CompiledPlan::Compile("avionics", set, horizon, {.lint = false})
+          .value();
   std::printf("%-8s %-6s %-8s %-10s %-9s %-9s %-8s\n", "proto", "miss",
               "commits", "blockticks", "restarts", "deadlock", "serial");
   for (ProtocolKind kind : AllProtocolKinds()) {
@@ -88,7 +92,7 @@ int main() {
     SimulatorOptions options;
     options.horizon = horizon;
     options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-    Simulator simulator(&set, protocol.get(), options);
+    Simulator simulator(plan, protocol.get(), options);
     const SimResult result = simulator.Run();
     Tick blocking = 0;
     for (const auto& m : result.metrics.per_spec) {
@@ -108,7 +112,7 @@ int main() {
   auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
   SimulatorOptions options;
   options.horizon = set.Hyperperiod();
-  Simulator simulator(&set, protocol.get(), options);
+  Simulator simulator(plan, protocol.get(), options);
   const SimResult result = simulator.Run();
   std::printf("\nPCP-DA schedule, first hyperperiod:\n%s\n",
               RenderGantt(set, result.trace).c_str());

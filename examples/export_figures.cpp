@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
 #include "trace/csv.h"
@@ -35,7 +36,11 @@ bool Export(const std::filesystem::path& dir, const std::string& stem,
   SimulatorOptions options;
   options.horizon = example.horizon;
   options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-  Simulator simulator(&example.set, protocol.get(), options);
+  Simulator simulator(
+      CompiledPlan::Compile(example.name, example.set, example.horizon,
+                            {.lint = false})
+          .value(),
+      protocol.get(), options);
   const SimResult result = simulator.Run();
 
   SvgOptions svg;

@@ -171,16 +171,11 @@ int main(int argc, char** argv) {
   }
 
   // Compile each scenario once (lint has already run above when it was
-  // requested); the 8 protocol runs share the lowered plan. A scenario
-  // the compiler rejects simply runs interpreted.
+  // requested); the 8 protocol runs share the lowered plan.
   std::vector<CompiledPlan> plans;
   plans.reserve(scenarios.size());
   for (const Scenario& scenario : scenarios) {
-    CompileOptions compile_options;
-    compile_options.lint = false;
-    auto compiled = CompiledPlan::Compile(scenario, compile_options);
-    plans.push_back(compiled.ok() ? std::move(compiled).value()
-                                  : CompiledPlan{});
+    plans.push_back(CompiledPlan::Compile(scenario, {.lint = false}).value());
   }
 
   const std::vector<ProtocolKind> kinds = AllProtocolKinds();
@@ -191,7 +186,7 @@ int main(int argc, char** argv) {
     for (ProtocolKind kind : kinds) {
       RunSpec spec;
       spec.scenario = &scenario;
-      if (plans[s].ok()) spec.plan = &plans[s];
+      spec.plan = &plans[s];
       spec.protocol = kind;
       spec.options.horizon = FallbackHorizon(scenario, horizon_override);
       spec.options.audit = true;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
 #include "trace/gantt.h"
@@ -22,12 +23,16 @@ void ShowExample(const PaperExample& example) {
               example.name.c_str());
   std::printf("%s\n", example.set.DebugString().c_str());
   std::printf("paper expectation: %s\n", example.notes.c_str());
+  const CompiledPlan plan =
+      CompiledPlan::Compile(example.name, example.set, example.horizon,
+                            {.lint = false})
+          .value();
   for (ProtocolKind kind : AllProtocolKinds()) {
     auto protocol = MakeProtocol(kind);
     SimulatorOptions options;
     options.horizon = example.horizon;
     options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-    Simulator simulator(&example.set, protocol.get(), options);
+    Simulator simulator(plan, protocol.get(), options);
     const SimResult result = simulator.Run();
     GanttOptions gantt;
     gantt.show_legend = false;

@@ -8,6 +8,7 @@
 
 #include "core/pcp_da.h"
 #include "history/serialization_graph.h"
+#include "plan/compiled_plan.h"
 #include "sched/simulator.h"
 #include "trace/gantt.h"
 #include "txn/spec.h"
@@ -44,11 +45,16 @@ int main() {
     return 1;
   }
 
-  // Run two hyperperiods under the paper's protocol.
+  // Lower the set once (static ceilings, arrival calendar), then run two
+  // hyperperiods under the paper's protocol.
+  const Tick horizon = 2 * set->Hyperperiod();
+  const CompiledPlan plan =
+      CompiledPlan::Compile("quickstart", *set, horizon, {.lint = false})
+          .value();
   PcpDa protocol;
   SimulatorOptions options;
-  options.horizon = 2 * set->Hyperperiod();
-  Simulator simulator(&*set, &protocol, options);
+  options.horizon = horizon;
+  Simulator simulator(plan, &protocol, options);
   const SimResult result = simulator.Run();
   if (!result.status.ok()) {
     std::fprintf(stderr, "simulation failed: %s\n",

@@ -29,26 +29,16 @@ using namespace pcpda;
 
 namespace {
 
-SimResult Simulate(const Scenario& scenario, const CompiledPlan* plan,
-                   Protocol* protocol, const SimulatorOptions& options) {
-  if (plan != nullptr && plan->ok()) {
-    Simulator simulator(*plan, protocol, options);
-    return simulator.Run();
-  }
-  Simulator simulator(&scenario.set, protocol, options);
-  return simulator.Run();
-}
-
-bool RunOne(const Scenario& scenario, const CompiledPlan* plan,
-            ProtocolKind kind, Tick horizon) {
+bool RunOne(const CompiledPlan& plan, ProtocolKind kind, Tick horizon) {
+  const Scenario& scenario = plan.scenario();
   auto protocol = MakeProtocol(kind);
   SimulatorOptions options;
   options.horizon = horizon;
   options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
   options.faults = scenario.faults;
   options.audit = true;
-  const SimResult result =
-      Simulate(scenario, plan, protocol.get(), options);
+  Simulator simulator(plan, protocol.get(), options);
+  const SimResult result = simulator.Run();
   if (!result.status.ok() && result.audit.ok()) {
     std::printf("--- %s ---\n%s\n\n", ToString(kind),
                 result.status.ToString().c_str());
@@ -123,12 +113,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(horizon));
 
   // Lower the scenario once; every protocol run below shares the plan.
-  // (Lint already ran above when requested, so compile without it; a
-  // scenario the compiler rejects runs interpreted as before.)
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(*scenario, compile_options);
-  const CompiledPlan* plan = compiled.ok() ? &compiled.value() : nullptr;
+  // (Lint already ran above when requested, so compile without it.)
+  const CompiledPlan plan =
+      CompiledPlan::Compile(*scenario, {.lint = false}).value();
 
   bool all_ok = true;
   if (argc > 2) {
@@ -137,10 +124,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown protocol %s\n", argv[2]);
       return 2;
     }
-    all_ok = RunOne(*scenario, plan, *kind, horizon);
+    all_ok = RunOne(plan, *kind, horizon);
   } else {
     for (ProtocolKind kind : AllProtocolKinds()) {
-      all_ok = RunOne(*scenario, plan, kind, horizon) && all_ok;
+      all_ok = RunOne(plan, kind, horizon) && all_ok;
     }
   }
   return all_ok ? 0 : 1;

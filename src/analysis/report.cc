@@ -8,37 +8,6 @@
 namespace pcpda {
 namespace {
 
-/// JSON string escaping (same rules as the lint/campaign renderers):
-/// names are plain ASCII by construction, but escape the structural
-/// characters so arbitrary scenario names cannot corrupt the framing.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Prefixes every line of `text` with `pad` spaces.
 std::string Indent(const std::string& text, int pad) {
   const std::string prefix(static_cast<std::size_t>(pad), ' ');

@@ -241,11 +241,12 @@ Status Campaign::WriteQuarantine(const CampaignJob& job,
       "}\n",
       static_cast<long long>(job.id), job.scenario_index, job.util_index,
       spec_.utilizations[static_cast<std::size_t>(job.util_index)],
-      ToString(
-          spec_.protocols[static_cast<std::size_t>(job.protocol_index)]),
+      JsonEscape(ToString(spec_.protocols[static_cast<std::size_t>(
+                     job.protocol_index)]))
+          .c_str(),
       static_cast<unsigned long long>(job.scenario_seed),
-      record.outcome.c_str(), record.attempts, record.code.c_str(),
-      record.message.c_str());
+      JsonEscape(record.outcome).c_str(), record.attempts,
+      JsonEscape(record.code).c_str(), JsonEscape(record.message).c_str());
   PCPDA_RETURN_IF_ERROR(WriteFileAtomic(stem + ".json", info));
 
   // Reproduce the poisoned workload as a replayable .scn (deterministic

@@ -16,40 +16,6 @@
 namespace pcpda {
 namespace {
 
-/// JSON string escaping for the few characters our own status messages
-/// can contain. Control characters become \u00XX so a message can never
-/// smuggle a newline into the line-oriented checkpoint.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Strict cursor-based scanner for the fixed record shape. Any deviation
 /// fails the whole line; the loader then treats it as torn.
 class LineScanner {

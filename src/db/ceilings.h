@@ -1,7 +1,6 @@
 #ifndef PCPDA_DB_CEILINGS_H_
 #define PCPDA_DB_CEILINGS_H_
 
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -31,18 +30,9 @@ class StaticCeilings {
   /// Aceil(x).
   Priority Aceil(ItemId item) const;
 
-  /// Specs that may write `item`, highest priority first.
-  const std::vector<SpecId>& WritersOf(ItemId item) const;
-  /// Specs that may read `item`, highest priority first.
-  const std::vector<SpecId>& ReadersOf(ItemId item) const;
-
-  std::string DebugString(const TransactionSet& set) const;
-
  private:
   std::vector<Priority> wceil_;
   std::vector<Priority> aceil_;
-  std::vector<std::vector<SpecId>> writers_;
-  std::vector<std::vector<SpecId>> readers_;
 };
 
 }  // namespace pcpda

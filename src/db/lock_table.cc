@@ -83,10 +83,6 @@ bool LockTable::HoldsWrite(JobId job, ItemId item) const {
   return ContainsSorted(entry(item).writers, job);
 }
 
-bool LockTable::HoldsAny(JobId job, ItemId item) const {
-  return HoldsRead(job, item) || HoldsWrite(job, item);
-}
-
 const std::vector<JobId>& LockTable::readers(ItemId item) const {
   return entry(item).readers;
 }

@@ -43,8 +43,6 @@ class LockTable {
 
   bool HoldsRead(JobId job, ItemId item) const;
   bool HoldsWrite(JobId job, ItemId item) const;
-  /// Holds either mode.
-  bool HoldsAny(JobId job, ItemId item) const;
 
   /// Jobs holding a read lock on `item`, ascending by job id.
   const std::vector<JobId>& readers(ItemId item) const;

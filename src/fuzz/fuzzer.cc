@@ -137,15 +137,11 @@ bool ScenarioFuzzer::CheckScenario(BatchRunner& runner,
 
   // Compile once (the lint gate already ran above; replayed corpus files
   // skip it the same way they always did), so the protocol x repeat
-  // fan-out shares one ceiling/calendar lowering. A scenario the
-  // compiler cannot take falls back to the interpreted fan-out.
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(scenario, compile_options);
-  const std::vector<RunSpec> plan =
-      compiled.ok() ? PlanOracleRuns(compiled.value(), options_.oracles)
-                    : PlanOracleRuns(scenario, options_.oracles);
-  const std::vector<SimResult> results = runner.Run(plan);
+  // fan-out shares one ceiling/calendar lowering.
+  const CompiledPlan compiled =
+      CompiledPlan::Compile(scenario, {.lint = false}).value();
+  const std::vector<SimResult> results =
+      runner.Run(PlanOracleRuns(compiled, options_.oracles));
   const OracleVerdict verdict =
       EvaluateOracleRuns(scenario, options_.oracles, results);
   if (verdict.ok()) return false;

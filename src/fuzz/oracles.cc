@@ -342,10 +342,12 @@ std::string OracleVerdict::DebugString() const {
 
 OracleVerdict RunOracles(const Scenario& scenario,
                          const OracleOptions& options) {
-  const std::vector<RunSpec> plan = PlanOracleRuns(scenario, options);
+  const CompiledPlan plan =
+      CompiledPlan::Compile(scenario, {.lint = false}).value();
+  const std::vector<RunSpec> specs = PlanOracleRuns(plan, options);
   std::vector<SimResult> results;
-  results.reserve(plan.size());
-  for (const RunSpec& spec : plan) {
+  results.reserve(specs.size());
+  for (const RunSpec& spec : specs) {
     results.push_back(BatchRunner::RunOne(spec));
   }
   return EvaluateOracleRuns(scenario, options, results);

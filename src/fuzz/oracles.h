@@ -113,7 +113,8 @@ OracleVerdict RunOracles(const Scenario& scenario,
 /// configured protocol one run, plus an adjacent re-run when
 /// check_determinism is set. Empty when the scenario has no usable
 /// horizon (EvaluateOracleRuns then reports the config failure). The
-/// returned specs point into `scenario`, which must outlive them.
+/// returned specs point into `scenario`, which must outlive them, and
+/// carry no plan, so each run compiles the scenario itself.
 std::vector<RunSpec> PlanOracleRuns(const Scenario& scenario,
                                     const OracleOptions& options);
 

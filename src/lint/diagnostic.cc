@@ -3,40 +3,6 @@
 #include "common/strings.h"
 
 namespace pcpda {
-namespace {
-
-/// JSON string escaping for the machine output. Diagnostic messages are
-/// plain ASCII by construction; escape the structural characters anyway
-/// so arbitrary scenario/txn names cannot corrupt the framing.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* ToString(LintSeverity severity) {
   switch (severity) {

@@ -5,24 +5,6 @@
 #include "lint/lint.h"
 
 namespace pcpda {
-namespace {
-
-/// Horizon resolution shared with the oracle planner: explicit scenario
-/// horizon wins, else twice the hyperperiod, else 0 ("caller decides").
-Tick ResolveHorizon(const Scenario& scenario) {
-  if (scenario.horizon > 0) return scenario.horizon;
-  const Tick hyper = scenario.set.Hyperperiod();
-  return hyper > 0 && hyper < kNoTick / 2 ? 2 * hyper : 0;
-}
-
-void SetBit(std::vector<std::uint64_t>& bits, std::size_t words_per_spec,
-            SpecId spec, ItemId item) {
-  const std::size_t word = static_cast<std::size_t>(spec) * words_per_spec +
-                           static_cast<std::size_t>(item) / 64;
-  bits[word] |= std::uint64_t{1} << (static_cast<std::size_t>(item) % 64);
-}
-
-}  // namespace
 
 StatusOr<CompiledPlan> CompiledPlan::Compile(Scenario scenario,
                                              const CompileOptions& options) {
@@ -34,25 +16,7 @@ StatusOr<CompiledPlan> CompiledPlan::Compile(Scenario scenario,
     }
   }
 
-  auto impl = std::make_shared<Impl>(std::move(scenario));
-  impl->resolved_horizon = ResolveHorizon(impl->scenario);
-
-  const TransactionSet& set = impl->scenario.set;
-  const std::size_t words =
-      (static_cast<std::size_t>(set.item_count()) + 63) / 64;
-  impl->words_per_spec = words;
-  impl->read_bits.assign(static_cast<std::size_t>(set.size()) * words, 0);
-  impl->write_bits.assign(static_cast<std::size_t>(set.size()) * words, 0);
-  for (SpecId spec = 0; spec < set.size(); ++spec) {
-    for (ItemId item : set.spec(spec).ReadSet()) {
-      SetBit(impl->read_bits, words, spec, item);
-    }
-    for (ItemId item : set.spec(spec).WriteSet()) {
-      SetBit(impl->write_bits, words, spec, item);
-    }
-  }
-
-  return CompiledPlan(std::move(impl));
+  return CompiledPlan(std::make_shared<Impl>(std::move(scenario)));
 }
 
 StatusOr<CompiledPlan> CompiledPlan::Compile(std::string name,

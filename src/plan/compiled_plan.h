@@ -1,10 +1,8 @@
 #ifndef PCPDA_PLAN_COMPILED_PLAN_H_
 #define PCPDA_PLAN_COMPILED_PLAN_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "common/status.h"
@@ -18,24 +16,21 @@ struct CompileOptions {
   /// Run the static analyzer as a compile gate: scenarios with lint
   /// errors are refused (InvalidArgument carrying the rendered report).
   /// Callers that have already linted — or that compile generated
-  /// workloads the generator guarantees well-formed — turn this off to
-  /// keep behavior and cost identical to the interpreted path.
+  /// workloads the generator guarantees well-formed — turn this off;
+  /// compiling without the gate cannot fail.
   bool lint = true;
 };
 
-/// The compile-once/execute-many artifact of ROADMAP item 4: everything
-/// that is static per scenario, lowered exactly once.
+/// The compile-once/execute-many artifact every simulator run starts
+/// from: everything that is static per scenario, lowered exactly once.
 ///
 ///   * the parsed scenario itself (owned; entity ids — specs, items —
 ///     are already dense [0, N) indexes in this codebase, so no extra
 ///     remap table is needed);
-///   * the static priority ceilings (Wceil/Aceil plus writer/reader
-///     tables) the protocols consult on every lock decision;
+///   * the static priority ceilings (Wceil/Aceil) the protocols consult
+///     on every lock decision;
 ///   * the arrival calendar with a prebuilt cursor heap, copied (O(specs))
-///     into each run instead of being reconstructed;
-///   * per-spec read/write access bitsets (one 64-bit word block per
-///     spec), the dense form of the access sets the lint pass derives —
-///     shared by analyses that would otherwise re-walk std::set<ItemId>.
+///     into each run instead of being reconstructed.
 ///
 /// A CompiledPlan is an immutable value: the state lives behind a shared
 /// pointer, so copies are cheap and a grid of concurrent runs can share
@@ -60,27 +55,10 @@ class CompiledPlan {
   const Scenario& scenario() const { return impl().scenario; }
   const TransactionSet& set() const { return impl().scenario.set; }
   const StaticCeilings& ceilings() const { return impl().ceilings; }
-  const ArrivalCalendar& calendar() const { return impl().calendar; }
   /// A fresh cursor positioned at tick 0 — a copy of the prebuilt heap,
   /// byte-identical in pop order to ArrivalCalendar::MakeCursor().
   ArrivalCalendar::Cursor MakeCursor() const {
     return impl().initial_cursor;
-  }
-
-  /// The scenario's declared horizon, falling back to twice the
-  /// hyperperiod (0 when neither is usable) — the same resolution the
-  /// batch CLIs apply.
-  Tick horizon() const { return impl().resolved_horizon; }
-
-  SpecId spec_count() const { return impl().scenario.set.size(); }
-  ItemId item_count() const { return impl().scenario.set.item_count(); }
-
-  /// Dense access bitsets: true when `spec` may read / write `item`.
-  bool SpecReads(SpecId spec, ItemId item) const {
-    return TestBit(impl().read_bits, spec, item);
-  }
-  bool SpecWrites(SpecId spec, ItemId item) const {
-    return TestBit(impl().write_bits, spec, item);
   }
 
  private:
@@ -95,10 +73,6 @@ class CompiledPlan {
     StaticCeilings ceilings;
     ArrivalCalendar calendar;
     ArrivalCalendar::Cursor initial_cursor;
-    Tick resolved_horizon = 0;
-    std::size_t words_per_spec = 0;
-    std::vector<std::uint64_t> read_bits;
-    std::vector<std::uint64_t> write_bits;
   };
 
   explicit CompiledPlan(std::shared_ptr<const Impl> impl)
@@ -107,17 +81,6 @@ class CompiledPlan {
   const Impl& impl() const {
     PCPDA_CHECK_MSG(impl_ != nullptr, "empty CompiledPlan");
     return *impl_;
-  }
-
-  bool TestBit(const std::vector<std::uint64_t>& bits, SpecId spec,
-               ItemId item) const {
-    const Impl& plan = impl();
-    PCPDA_CHECK(spec >= 0 && spec < plan.scenario.set.size());
-    PCPDA_CHECK(item >= 0 && item < plan.scenario.set.item_count());
-    const std::size_t word = static_cast<std::size_t>(spec) *
-                                 plan.words_per_spec +
-                             static_cast<std::size_t>(item) / 64;
-    return (bits[word] >> (static_cast<std::size_t>(item) % 64)) & 1u;
   }
 
   std::shared_ptr<const Impl> impl_;

@@ -106,7 +106,6 @@ std::vector<JobId> OccDa::CommitVictims(const Job& committing) const {
 }
 
 void OccDa::OnCommitApplied(const Job& committed) {
-  before_.erase(committed.id());
   snapshot_.erase(committed.id());
   if (committed.workspace().empty()) return;
   // The snapshot below excludes the committed writes: versions after the
@@ -118,7 +117,6 @@ void OccDa::OnCommitApplied(const Job& committed) {
   // The committed job has left the active set already.
   for (const Job* other : view().active_jobs()) {
     if (!ReadsCommitWrites(*other, committed)) continue;
-    before_[other->id()].insert(committed.id());
     auto [it, inserted] =
         snapshot_.try_emplace(other->id(), pre_commit_version);
     if (!inserted && it->second > pre_commit_version) {
@@ -128,13 +126,7 @@ void OccDa::OnCommitApplied(const Job& committed) {
 }
 
 void OccDa::OnAbortApplied(const Job& aborted) {
-  before_.erase(aborted.id());
   snapshot_.erase(aborted.id());
-}
-
-std::set<JobId> OccDa::MustPrecede(JobId job) const {
-  auto it = before_.find(job);
-  return it == before_.end() ? std::set<JobId>{} : it->second;
 }
 
 }  // namespace pcpda

@@ -1,8 +1,8 @@
 #ifndef PCPDA_PROTOCOLS_OCC_H_
 #define PCPDA_PROTOCOLS_OCC_H_
 
+#include <cstdint>
 #include <map>
-#include <set>
 
 #include "protocols/protocol.h"
 
@@ -55,16 +55,11 @@ class OccDa : public OccBc {
   void OnCommitApplied(const Job& committed) override;
   void OnAbortApplied(const Job& aborted) override;
 
-  /// Committed jobs the given active job must precede in the
-  /// serialization order (exposed for tests).
-  std::set<JobId> MustPrecede(JobId job) const;
-
  private:
-  /// before_[j] = committed jobs j must serialize before. Bookkeeping
-  /// only; decisions stay deterministic functions of (view, this state).
-  std::map<JobId, std::set<JobId>> before_;
-  /// snapshot_[j] = newest database version j may still observe (set when
-  /// the first before-constraint lands, tightened by later ones).
+  /// snapshot_[j] = newest database version j may still observe: set when
+  /// j is first constrained to serialize before a committing transaction,
+  /// tightened by later ones. Decisions stay deterministic functions of
+  /// (view, this state).
   std::map<JobId, std::int64_t> snapshot_;
 };
 

@@ -127,9 +127,6 @@ class Protocol {
 
   const SimView& view() const;
 
-  /// True when `other` is a different job than `self`.
-  static bool IsOther(JobId self, JobId other) { return self != other; }
-
  private:
   const SimView* view_ = nullptr;
 };

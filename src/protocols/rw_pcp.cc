@@ -6,12 +6,6 @@
 
 namespace pcpda {
 
-Priority RwPcp::RuntimeCeiling(JobId holder, ItemId item) const {
-  const LockTable& locks = view().locks();
-  if (locks.HoldsWrite(holder, item)) return view().ceilings().Aceil(item);
-  return view().ceilings().Wceil(item);
-}
-
 Priority RwPcp::ComputeSysceil(JobId self,
                                std::vector<JobId>& holders) const {
   Priority sysceil = Priority::Dummy();

@@ -41,9 +41,6 @@ class RwPcp : public Protocol {
   /// Sysceil_i with respect to `self`; `holders` (empty on entry) gets
   /// the holders of the ceiling item(s).
   Priority ComputeSysceil(JobId self, std::vector<JobId>& holders) const;
-
-  /// The runtime rwceil contribution of `item` as locked by `holder`.
-  Priority RuntimeCeiling(JobId holder, ItemId item) const;
 };
 
 }  // namespace pcpda

@@ -72,7 +72,9 @@ SimResult BatchRunner::RunOne(const RunSpec& spec) {
     Simulator simulator(*spec.plan, protocol.get(), options);
     return simulator.Run();
   }
-  Simulator simulator(&spec.scenario->set, protocol.get(), options);
+  Simulator simulator(
+      CompiledPlan::Compile(*spec.scenario, {.lint = false}).value(),
+      protocol.get(), options);
   return simulator.Run();
 }
 

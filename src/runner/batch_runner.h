@@ -35,10 +35,11 @@ struct RunSpec {
   PcpDaOptions pcp_da;
   /// Compiled artifact for `scenario`, shared across every spec of the
   /// same scenario: the run reuses its precomputed ceilings and arrival
-  /// cursor instead of rebuilding them. Null runs the interpreted path;
-  /// when set, it must have been compiled from the same scenario (the
-  /// fallbacks still read `scenario` for horizon and faults). Must
-  /// outlive the batch. Results are byte-identical either way.
+  /// cursor instead of lowering the scenario again. Null compiles
+  /// `scenario` (lint off) for this run alone. When set, it must have
+  /// been compiled from the same scenario (the fallbacks still read
+  /// `scenario` for horizon and faults) and must outlive the batch.
+  /// Results are byte-identical either way.
   const CompiledPlan* plan = nullptr;
 };
 

@@ -273,16 +273,26 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
     }
   }
 
-  // --- Wait graph: restricted to active jobs. -----------------------------
+  // --- Wait graph: waiters are active; edges restricted to active jobs. --
   // running_ holds the active jobs' base priorities here; the inheritance
-  // check below relaxes it in place.
+  // check below relaxes it in place. Only the waiter side must be active:
+  // a holder that retired this tick stays in other waiters' edges until
+  // the next resolution.
   running_.clear();
   for (const Job* job : *scope.jobs) {
     if (job->active()) running_[job->id()] = job->base_priority();
   }
   active_waits_.Clear();
   for (JobId waiter : scope.waits->waiter_ids()) {
-    if (!running_.contains(waiter)) continue;
+    if (!running_.contains(waiter)) {
+      const Job* job = FindJob(scope, waiter);
+      Violate(tick, "wait-retired",
+              StrFormat("job %lld waits on others but is %s",
+                        static_cast<long long>(waiter),
+                        job == nullptr ? "retired"
+                                       : ToString(job->state())));
+      continue;
+    }
     holders_.clear();
     for (JobId holder : scope.waits->HoldersBlocking(waiter)) {
       if (running_.contains(holder)) holders_.push_back(holder);

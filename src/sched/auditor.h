@@ -74,8 +74,9 @@ struct AuditScope {
 /// of the simulator's own data structures, and records every divergence.
 /// Checks are gated on protocol traits:
 ///
-///   always            lock holders are active jobs; lock table internally
-///                     consistent; blocked jobs and blockers sane
+///   always            lock holders and wait-for waiters are active jobs;
+///                     lock table internally consistent; blocked jobs and
+///                     blockers sane
 ///   ceiling_rule()    protocol ceiling == independently recomputed
 ///                     ceiling; at most one genuine lower-priority blocker
 ///                     per blocked job (Theorem 1); wait-for graph acyclic

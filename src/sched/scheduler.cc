@@ -1,17 +1,14 @@
 #include "sched/scheduler.h"
 
-#include <algorithm>
-
-#include "common/check.h"
-
 namespace pcpda {
 namespace {
 
 /// The dispatch comparator is a strict total order (job id breaks every
-/// tie), so the non-stable std::sort is deterministic.
-bool DispatchBefore(const Job* a, const Priority& ra, const Job* b,
-                    const Priority& rb) {
-  if (ra != rb) return ra > rb;
+/// tie), so the sorted order is unique.
+bool DispatchBefore(const Job* a, const Job* b) {
+  if (a->running_priority() != b->running_priority()) {
+    return a->running_priority() > b->running_priority();
+  }
   if (a->base_priority() != b->base_priority()) {
     return a->base_priority() > b->base_priority();
   }
@@ -23,32 +20,13 @@ bool DispatchBefore(const Job* a, const Priority& ra, const Job* b,
 
 }  // namespace
 
-std::vector<Job*> DispatchOrder(
-    const std::vector<Job*>& active,
-    const std::map<JobId, Priority>& running_priorities) {
-  std::vector<Job*> order = active;
-  auto running = [&](const Job* job) {
-    auto it = running_priorities.find(job->id());
-    PCPDA_CHECK_MSG(it != running_priorities.end(),
-                    "active job missing a running priority");
-    return it->second;
-  };
-  std::sort(order.begin(), order.end(), [&](const Job* a, const Job* b) {
-    return DispatchBefore(a, running(a), b, running(b));
-  });
-  return order;
-}
-
 void SortDispatchOrder(std::vector<Job*>& order) {
   // Insertion sort: the simulator's order is short and kept between
   // calls, so it is sorted or nearly so.
   for (std::size_t i = 1; i < order.size(); ++i) {
     Job* job = order[i];
     std::size_t at = i;
-    for (; at > 0 && DispatchBefore(job, job->running_priority(),
-                                    order[at - 1],
-                                    order[at - 1]->running_priority());
-         --at) {
+    for (; at > 0 && DispatchBefore(job, order[at - 1]); --at) {
       order[at] = order[at - 1];
     }
     order[at] = job;

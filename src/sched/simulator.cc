@@ -9,7 +9,6 @@
 #include "common/strings.h"
 #include "sched/inheritance.h"
 #include "sched/scheduler.h"
-#include "sim/calendar.h"
 
 namespace pcpda {
 
@@ -22,38 +21,25 @@ const char* RuleNote(DecisionRule rule, const char* fallback) {
   return *text != '\0' ? text : fallback;
 }
 
-}  // namespace
+const CompiledPlan& CheckedPlan(const CompiledPlan& plan) {
+  PCPDA_CHECK_MSG(plan.ok(), "Simulator needs a compiled plan");
+  return plan;
+}
 
-Simulator::Simulator(const TransactionSet* set, Protocol* protocol,
-                     SimulatorOptions options)
-    : Simulator(set, /*plan=*/nullptr, protocol, std::move(options)) {}
+}  // namespace
 
 Simulator::Simulator(const CompiledPlan& plan, Protocol* protocol,
                      SimulatorOptions options)
-    : Simulator(&plan.set(), &plan, protocol, std::move(options)) {}
-
-Simulator::Simulator(const TransactionSet* set, const CompiledPlan* plan,
-                     Protocol* protocol, SimulatorOptions options)
-    : set_(set),
+    : plan_(CheckedPlan(plan)),
+      set_(&plan_.set()),
       protocol_(protocol),
       options_(std::move(options)),
-      plan_(plan != nullptr ? *plan : CompiledPlan{}),
-      owned_ceilings_(plan != nullptr
-                          ? nullptr
-                          : std::make_unique<const StaticCeilings>(*set)),
-      ceilings_(plan != nullptr ? &plan_.ceilings() : owned_ceilings_.get()),
-      database_(set->item_count()),
-      lock_table_(set->item_count()) {
-  PCPDA_CHECK(set != nullptr);
+      ceilings_(&plan_.ceilings()),
+      database_(set_->item_count()),
+      lock_table_(set_->item_count()) {
   PCPDA_CHECK(protocol != nullptr);
   if (options_.arrival_schedule == nullptr) {
-    // The plan's prebuilt cursor is a byte-identical copy of what
-    // MakeCursor() would build from scratch — same heap, same pop order.
-    if (plan_.ok()) {
-      calendar_cursor_.emplace(plan_.MakeCursor());
-    } else {
-      calendar_cursor_.emplace(ArrivalCalendar(set_).MakeCursor());
-    }
+    calendar_cursor_.emplace(plan_.MakeCursor());
   }
 }
 

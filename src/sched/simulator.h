@@ -132,15 +132,10 @@ struct SimResult {
 /// audit would give. Leaps stop while that verdict is failing.
 class Simulator : public SimView {
  public:
-  /// `set` and `protocol` must outlive the simulator. Builds the static
-  /// ceilings and the arrival cursor from scratch — the interpreted path.
-  Simulator(const TransactionSet* set, Protocol* protocol,
-            SimulatorOptions options);
-  /// Compiled path: reuses the plan's precomputed ceilings and arrival
-  /// cursor instead of rebuilding them per run. The simulator keeps a
-  /// copy of the plan (cheap: shared state), so `plan` itself need not
-  /// outlive it. Behavior is byte-identical to the interpreted ctor on
-  /// the same scenario (pinned by tests/determinism_test.cc).
+  /// Runs `plan`'s scenario, reusing its precomputed ceilings and arrival
+  /// cursor. The simulator keeps a copy of the plan (cheap: shared
+  /// state), so `plan` itself need not outlive it; `protocol` must.
+  /// `plan` must be compiled (ok()).
   Simulator(const CompiledPlan& plan, Protocol* protocol,
             SimulatorOptions options);
   ~Simulator() override;
@@ -238,20 +233,13 @@ class Simulator : public SimView {
   bool NeedsLock(const Job& job) const;
   LockMode NeededMode(const Job& job) const;
 
-  /// Delegation target of both public ctors; `plan` may be null.
-  Simulator(const TransactionSet* set, const CompiledPlan* plan,
-            Protocol* protocol, SimulatorOptions options);
-
+  /// Holds the compiled artifact (set, ceilings, cursor) alive.
+  CompiledPlan plan_;
   const TransactionSet* set_;
   Protocol* protocol_;
   SimulatorOptions options_;
 
-  /// Holds the compiled artifact alive on the compiled path; empty
-  /// (ok() == false) on the interpreted path.
-  CompiledPlan plan_;
-  /// Built per run only when no plan supplies them.
-  std::unique_ptr<const StaticCeilings> owned_ceilings_;
-  /// Points into plan_ or at owned_ceilings_.
+  /// Points into plan_.
   const StaticCeilings* ceilings_;
   Database database_;
   LockTable lock_table_;

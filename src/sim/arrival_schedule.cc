@@ -108,12 +108,4 @@ std::vector<Arrival> ArrivalSchedule::At(Tick tick) const {
   return out;
 }
 
-int ArrivalSchedule::CountFor(SpecId spec) const {
-  int count = 0;
-  for (const Arrival& arrival : arrivals_) {
-    if (arrival.spec == spec) ++count;
-  }
-  return count;
-}
-
 }  // namespace pcpda

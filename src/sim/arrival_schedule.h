@@ -47,9 +47,6 @@ class ArrivalSchedule {
   /// Arrivals at exactly `tick`.
   std::vector<Arrival> At(Tick tick) const;
 
-  /// Number of releases of `spec` in the schedule.
-  int CountFor(SpecId spec) const;
-
  private:
   explicit ArrivalSchedule(std::vector<Arrival> arrivals);
 

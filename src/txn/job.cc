@@ -86,16 +86,6 @@ void Job::InflateCurrentStep(Tick extra) {
   remaining_in_step_ += extra;
 }
 
-Tick Job::RemainingWork() const {
-  if (BodyDone()) return 0;
-  Tick total = remaining_in_step_;
-  const auto& body = spec().body;
-  for (std::size_t i = step_index_ + 1; i < body.size(); ++i) {
-    total += body[i].duration;
-  }
-  return total;
-}
-
 bool Job::MayWrite(ItemId item) const {
   for (const Step& step : spec().body) {
     if (step.kind == StepKind::kWrite && step.item == item) return true;

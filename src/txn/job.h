@@ -127,9 +127,6 @@ class Job {
   /// Requires an unfinished body and extra > 0.
   void InflateCurrentStep(Tick extra);
 
-  /// Remaining execution demand in ticks.
-  Tick RemainingWork() const;
-
   // --- Data state ---------------------------------------------------------
 
   /// DataRead(T_i) in the paper: the items this job has read so far,

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "core/pcp_da.h"
 #include "sched/simulator.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace {
@@ -63,7 +64,7 @@ CountedRun RunCounted(const TransactionSet& set, Tick horizon) {
   options.horizon = horizon;
   options.record_trace = false;
   options.record_history = false;
-  Simulator sim(&set, &protocol, options);
+  Simulator sim(PlanOf(set), &protocol, options);
   const std::int64_t before = g_allocations.load();
   const SimResult result = sim.Run();
   CountedRun run;

@@ -782,7 +782,7 @@ TEST(AnalysisSweepTest, ObservedBlockingWithinBoundOnThousandScenarios) {
       options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
       options.record_trace = false;
       options.record_history = false;
-      Simulator sim(&set.value(), protocol.get(), options);
+      Simulator sim(PlanOf(set.value()), protocol.get(), options);
       const SimResult result = sim.Run();
       ASSERT_TRUE(result.status.ok())
           << ToString(kind) << " seed " << s << ": "

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/rng.h"
 #include "history/serialization_graph.h"
 #include "sim/arrival_schedule.h"
@@ -18,13 +21,20 @@ TransactionSet TwoSpecs() {
   return std::move(set).value();
 }
 
+/// Releases of `spec` in `schedule`.
+std::ptrdiff_t ReleasesOf(const ArrivalSchedule& schedule, SpecId spec) {
+  return std::count_if(
+      schedule.arrivals().begin(), schedule.arrivals().end(),
+      [spec](const Arrival& arrival) { return arrival.spec == spec; });
+}
+
 TEST(ArrivalScheduleTest, PeriodicMatchesCalendar) {
   const TransactionSet set = TwoSpecs();
   const ArrivalSchedule schedule = ArrivalSchedule::Periodic(set, 50);
   const ArrivalCalendar calendar(&set);
   EXPECT_EQ(schedule.arrivals(), calendar.Before(50));
-  EXPECT_EQ(schedule.CountFor(0), 5);
-  EXPECT_EQ(schedule.CountFor(1), 2);
+  EXPECT_EQ(ReleasesOf(schedule, 0), 5);
+  EXPECT_EQ(ReleasesOf(schedule, 1), 2);
 }
 
 TEST(ArrivalScheduleTest, AtQueriesMatchList) {
@@ -53,8 +63,8 @@ TEST(ArrivalScheduleTest, SporadicRespectsMinimumInterArrival) {
     previous_a = arrival.tick;
   }
   // Fewer or equal arrivals than strictly periodic.
-  EXPECT_LE(schedule.CountFor(0), 50);
-  EXPECT_GE(schedule.CountFor(0), 500 / 15);
+  EXPECT_LE(ReleasesOf(schedule, 0), 50);
+  EXPECT_GE(ReleasesOf(schedule, 0), 500 / 15);
 }
 
 TEST(ArrivalScheduleTest, SporadicZeroJitterIsPeriodic) {
@@ -77,8 +87,8 @@ TEST(ArrivalScheduleTest, PoissonMeanRateTracksLoad) {
   const ArrivalSchedule high =
       ArrivalSchedule::Poisson(*set, horizon, 2.0, rng);
   // Expected counts: horizon/period*load = 5000 and 20000.
-  EXPECT_NEAR(low.CountFor(0), 5000, 500);
-  EXPECT_NEAR(high.CountFor(0), 20000, 2000);
+  EXPECT_NEAR(ReleasesOf(low, 0), 5000, 500);
+  EXPECT_NEAR(ReleasesOf(high, 0), 20000, 2000);
 }
 
 TEST(ArrivalScheduleTest, InstancesNumberedPerSpec) {
@@ -223,7 +233,7 @@ TEST(ArrivalScheduleTest, SimulatorUsesOverride) {
   SimulatorOptions options;
   options.horizon = 20;
   options.arrival_schedule = &*schedule;
-  Simulator sim(&*set, protocol.get(), options);
+  Simulator sim(PlanOf(*set), protocol.get(), options);
   const SimResult result = sim.Run();
   // Exactly the two trace arrivals, not the periodic calendar's two at
   // 0 and 10.
@@ -249,7 +259,7 @@ TEST(ArrivalScheduleTest, OverloadedPoissonRunStaysSerializable) {
   options.horizon = 500;
   options.arrival_schedule = &schedule;
   options.miss_policy = DeadlineMissPolicy::kDrop;
-  Simulator sim(&*set, protocol.get(), options);
+  Simulator sim(PlanOf(*set), protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_FALSE(result.deadlock_detected);
   EXPECT_TRUE(IsSerializable(result.history));

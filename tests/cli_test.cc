@@ -2,14 +2,18 @@
 // regression coverage for the example binaries: a typo'd numeric flag
 // used to be silently std::atoi'd to 0 and the run "succeeded" with a
 // nonsense configuration; now every such flag fails loudly with exit
-// code 2. The spawned-binary cases use the real executables under
-// PCPDA_BINARY_DIR (set by tests/CMakeLists.txt).
+// code 2. run_scenario's output on the shipped scenarios is pinned
+// against tests/golden/run_scenario/. The spawned-binary cases use the
+// real executables under PCPDA_BINARY_DIR (set by tests/CMakeLists.txt).
 
 #include "common/parse.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace pcpda {
@@ -126,6 +130,36 @@ TEST(CliRegressionTest, CampaignRejectsGarbageNumerics) {
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --horizon=-5"), 2);
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --scenarios=lots"), 2);
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --shard=one"), 2);
+}
+
+// run_scenario's full stdout (per-protocol Gantt, metrics, serializable
+// and audit lines) and exit code on every shipped scenario, pinned byte
+// for byte against tests/golden/run_scenario/<name>.txt.
+TEST(CliRegressionTest, RunScenarioMatchesGoldens) {
+  for (const char* name : {"avionics", "example1", "example3",
+                           "example3_faulty", "example4", "example5"}) {
+    SCOPED_TRACE(name);
+    const std::string command =
+        std::string(PCPDA_BINARY_DIR "/examples/run_scenario "
+                    PCPDA_SOURCE_DIR "/scenarios/") +
+        name + ".scn 2>/dev/null";
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buffer[4096];
+    std::size_t n;
+    while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
+      out.append(buffer, n);
+    }
+    EXPECT_EQ(WEXITSTATUS(pclose(pipe)), 0);
+    std::ifstream golden(std::string(PCPDA_SOURCE_DIR
+                                     "/tests/golden/run_scenario/") +
+                         name + ".txt");
+    ASSERT_TRUE(golden.good());
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(out, expected.str());
+  }
 }
 
 TEST(CliRegressionTest, RunScenarioRejectsGarbageHorizon) {

@@ -251,6 +251,18 @@ TEST(StringsTest, Padding) {
   EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
 }
 
+TEST(StringsTest, JsonEscape) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("l1\nl2\tx\ry"), "l1\\nl2\\tx\\ry");
+  EXPECT_EQ(JsonEscape(std::string("nul\0bell\x07", 9)),
+            "nul\\u0000bell\\u0007");
+  EXPECT_EQ(JsonEscape("\x1f"), "\\u001f");
+  // Bytes >= 0x80 (UTF-8 sequences) pass through unchanged.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x80\xff"), "caf\xc3\xa9 \x80\xff");
+}
+
 TEST(StringsTest, PriorityDebugString) {
   EXPECT_EQ(Priority::Dummy().DebugString(), "dummy");
   EXPECT_EQ(Priority(4).DebugString(), "prio(4)");

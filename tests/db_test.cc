@@ -91,8 +91,8 @@ TEST(LockTableTest, AcquireAndQuery) {
   EXPECT_TRUE(locks.HoldsRead(1, 0));
   EXPECT_FALSE(locks.HoldsWrite(1, 0));
   EXPECT_TRUE(locks.HoldsWrite(2, 0));
-  EXPECT_TRUE(locks.HoldsAny(2, 0));
-  EXPECT_FALSE(locks.HoldsAny(3, 0));
+  EXPECT_FALSE(locks.HoldsRead(3, 0));
+  EXPECT_FALSE(locks.HoldsWrite(3, 0));
   EXPECT_EQ(locks.lock_count(), 2u);
 }
 
@@ -171,8 +171,8 @@ TEST(LockTableTest, ReleaseAll) {
   locks.AcquireWrite(1, 1);
   locks.AcquireRead(2, 2);
   locks.ReleaseAll(1);
-  EXPECT_FALSE(locks.HoldsAny(1, 0));
-  EXPECT_FALSE(locks.HoldsAny(1, 1));
+  EXPECT_FALSE(locks.HoldsRead(1, 0));
+  EXPECT_FALSE(locks.HoldsWrite(1, 1));
   EXPECT_TRUE(locks.HoldsRead(2, 2));
   EXPECT_EQ(locks.lock_count(), 1u);
   EXPECT_TRUE(locks.readers(0).empty());
@@ -281,15 +281,6 @@ TEST(CeilingsTest, UntouchedItemHasDummyCeilings) {
   // Item 3 is read but never written: Wceil dummy, Aceil = P1.
   EXPECT_TRUE(ceilings.Wceil(3).is_dummy());
   EXPECT_EQ(ceilings.Aceil(3), set->priority(0));
-}
-
-TEST(CeilingsTest, AccessorLists) {
-  const TransactionSet set = ExampleSet();
-  const StaticCeilings ceilings(set);
-  EXPECT_EQ(ceilings.WritersOf(0), (std::vector<SpecId>{3}));
-  EXPECT_EQ(ceilings.ReadersOf(0), (std::vector<SpecId>{0}));
-  EXPECT_EQ(ceilings.ReadersOf(1), (std::vector<SpecId>{3}));
-  EXPECT_EQ(ceilings.WritersOf(1), (std::vector<SpecId>{1}));
 }
 
 TEST(CeilingsTest, WceilNeverAboveAceil) {

@@ -36,36 +36,34 @@ Scenario LoadScenario() {
   return std::move(scenario).value();
 }
 
+CompiledPlan Compile(const Scenario& scenario) {
+  return CompiledPlan::Compile(scenario, {.lint = false}).value();
+}
+
 /// One protocol's full run rendered as text: a header naming the protocol,
 /// then the determinism oracle's digest. Everything observable lands here:
 /// any engine change that perturbs the schedule shows up as a diff.
-/// With a plan the run goes through the compiled path; the contract is
-/// that both paths render byte-identically.
-std::string RenderRun(const Scenario& scenario, ProtocolKind kind,
-                      const CompiledPlan* plan = nullptr) {
+std::string RenderRun(const CompiledPlan& plan, ProtocolKind kind) {
+  const Scenario& scenario = plan.scenario();
   auto protocol = MakeProtocol(kind);
   SimulatorOptions options;
   options.horizon = scenario.horizon;
   options.faults = scenario.faults;
   options.audit = true;
   options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-  const SimResult result = [&] {
-    if (plan != nullptr) {
-      Simulator sim(*plan, protocol.get(), options);
-      return sim.Run();
-    }
-    Simulator sim(&scenario.set, protocol.get(), options);
-    return sim.Run();
-  }();
-
+  Simulator sim(plan, protocol.get(), options);
+  const SimResult result = sim.Run();
   return "=== " + std::string(ToString(kind)) + " ===\n" +
          RenderRunDigest(scenario.set, result);
 }
 
+/// All 8 protocols over one plan, the way run_scenario and the fuzzer
+/// share it.
 std::string RenderAllProtocols(const Scenario& scenario) {
+  const CompiledPlan plan = Compile(scenario);
   std::ostringstream out;
   for (ProtocolKind kind : AllProtocolKinds()) {
-    out << RenderRun(scenario, kind);
+    out << RenderRun(plan, kind);
   }
   return out.str();
 }
@@ -104,54 +102,23 @@ TEST(DeterminismTest, GoldenExample3FaultyAllProtocols) {
   }
 }
 
-// The compiled path (one CompiledPlan shared by all 8 protocols, dense
-// hot-path state) must be byte-identical to the interpreted path on the
-// richest scenario we have: fault plan active, auditor on, deadlock
-// aborts. Any divergence in trace events, per-tick schedule, blocked
-// annotations, metrics, history or audit verdict fails here.
-TEST(DeterminismTest, CompiledMatchesInterpretedAllProtocols) {
+// A plan is immutable: one plan shared by all 8 protocols (dense hot-path
+// state, prebuilt cursor copied per run) must render exactly what a fresh
+// plan per run renders, on the richest scenario we have: fault plan
+// active, auditor on, deadlock aborts.
+TEST(DeterminismTest, SharedPlanMatchesFreshPlanAllProtocols) {
   const Scenario scenario = LoadScenario();
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(scenario, compile_options);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const CompiledPlan shared = Compile(scenario);
   for (ProtocolKind kind : AllProtocolKinds()) {
-    EXPECT_EQ(RenderRun(scenario, kind),
-              RenderRun(scenario, kind, &compiled.value()))
-        << "compiled path diverges under " << ToString(kind);
+    EXPECT_EQ(RenderRun(shared, kind), RenderRun(Compile(scenario), kind))
+        << "shared plan diverges under " << ToString(kind);
   }
-}
-
-// And the compiled path must match the recorded golden directly (not
-// just the interpreted run of this build), pinning it to the
-// pre-CompiledPlan engine byte for byte.
-TEST(DeterminismTest, CompiledMatchesGolden) {
-  if (std::getenv("PCPDA_REGEN_GOLDEN") != nullptr) {
-    GTEST_SKIP() << "golden being regenerated";
-  }
-  const Scenario scenario = LoadScenario();
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(scenario, compile_options);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-
-  std::ostringstream actual;
-  for (ProtocolKind kind : AllProtocolKinds()) {
-    actual << RenderRun(scenario, kind, &compiled.value());
-  }
-
-  std::ifstream in(SourcePath("tests/golden/example3_faulty.golden"),
-                   std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual.str(), expected.str());
 }
 
 TEST(DeterminismTest, BackToBackRunsAreIdentical) {
-  const Scenario scenario = LoadScenario();
+  const CompiledPlan plan = Compile(LoadScenario());
   for (ProtocolKind kind : AllProtocolKinds()) {
-    EXPECT_EQ(RenderRun(scenario, kind), RenderRun(scenario, kind))
+    EXPECT_EQ(RenderRun(plan, kind), RenderRun(plan, kind))
         << "protocol " << ToString(kind) << " is not deterministic";
   }
 }

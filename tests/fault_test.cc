@@ -2,7 +2,9 @@
 
 #include "fault/fault_plan.h"
 #include "history/serialization_graph.h"
+#include "protocols/occ.h"
 #include "protocols/rw_pcp.h"
+#include "sched/auditor.h"
 #include "test_util.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
@@ -29,7 +31,7 @@ SimResult RunFaulty(const TransactionSet& set, ProtocolKind kind,
   options.deadlock_policy = deadlock_policy;
   options.audit = true;
   options.faults = std::move(faults);
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   return sim.Run();
 }
 
@@ -218,7 +220,7 @@ TEST(PolicyTest, DropReleasesLocksAndUndoesInPlaceWrites) {
   options.horizon = 8;
   options.miss_policy = DeadlineMissPolicy::kDrop;
   options.audit = true;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.metrics.per_spec[0].dropped, 1);
@@ -242,7 +244,7 @@ TEST(PolicyTest, DeadlockVictimRestartsWithLocksReleased) {
   options.horizon = 30;
   options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
   options.audit = true;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.metrics.deadlocks, 1);
@@ -278,6 +280,51 @@ TEST(AuditorTest, CatchesBrokenCeilingProtocol) {
   EXPECT_EQ(result.audit.violations.front().check, "sysceil");
   EXPECT_FALSE(
       result.trace.EventsOfKind(TraceKind::kAuditViolation).empty());
+}
+
+// A retired job must leave no wait-for edges behind (the simulator clears
+// them in RetireJob). Only the waiter side is checked: a holder that
+// retired this tick stays in other waiters' edges until the next
+// resolution.
+TEST(AuditorTest, FlagsWaitEdgesOfARetiredWaiter) {
+  TransactionSet set = MakeSet({{.name = "H", .body = {Read(0)}},
+                                {.name = "L", .body = {Read(0)}}});
+  const StaticCeilings ceilings(set);
+  OccBc protocol;
+  const LockTable locks(set.item_count());
+  const Database database(set.item_count());
+  Job retired(0, &set, 0, 0, 0, kNoTick);
+  Job active(1, &set, 1, 0, 0, kNoTick);
+  while (!retired.BodyDone()) retired.ExecuteTick();
+  retired.MarkCommitted(0);
+  const std::vector<const Job*> jobs{&retired, &active};
+  const std::vector<AuditBlocked> blocked;
+  auto audit = [&](const WaitGraph& waits) {
+    AuditScope scope;
+    scope.set = &set;
+    scope.ceilings = &ceilings;
+    scope.protocol = &protocol;
+    scope.locks = &locks;
+    scope.database = &database;
+    scope.waits = &waits;
+    scope.jobs = &jobs;
+    scope.blocked = &blocked;
+    InvariantAuditor auditor;
+    auditor.AuditTick(scope);
+    return auditor.TakeReport();
+  };
+
+  WaitGraph retired_waiter;
+  retired_waiter.SetWaits(retired.id(), {active.id()});
+  const AuditReport flagged = audit(retired_waiter);
+  ASSERT_EQ(flagged.violations.size(), 1u) << flagged.DebugString();
+  EXPECT_EQ(flagged.violations[0].check, "wait-retired");
+  EXPECT_EQ(flagged.violations[0].detail,
+            "job 0 waits on others but is committed");
+
+  WaitGraph retired_holder;
+  retired_holder.SetWaits(active.id(), {retired.id()});
+  EXPECT_TRUE(audit(retired_holder).ok());
 }
 
 TEST(AuditorTest, PaperExamplesAuditCleanUnderAllProtocols) {
@@ -398,7 +445,7 @@ TEST(ScenarioFaultTest, ParsedPlanDrivesTheSimulator) {
   options.horizon = scenario->horizon;
   options.audit = true;
   options.faults = scenario->faults;
-  Simulator sim(&scenario->set, protocol.get(), options);
+  Simulator sim(PlanOf(scenario->set), protocol.get(), options);
   const SimResult result = sim.Run();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   // The one-shot abort of T2 must have fired.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "history/replay_checker.h"
 #include "history/serialization_graph.h"
 #include "protocols/occ.h"
@@ -170,20 +174,43 @@ TEST(OccDaTest, FewerRestartsThanBroadcastCommit) {
   EXPECT_TRUE(ReplaySerialWitness(da.history, set.item_count()).ok());
 }
 
-TEST(OccDaTest, MustPrecedeBookkeeping) {
+/// The restarts of `spec`'s jobs as (tick, note) pairs, in trace order.
+std::vector<std::pair<Tick, std::string>> RestartsOf(const SimResult& result,
+                                                     SpecId spec) {
+  std::vector<std::pair<Tick, std::string>> restarts;
+  for (const TraceEvent& e : result.trace.events()) {
+    if (e.kind == TraceKind::kRestart && e.spec == spec) {
+      restarts.emplace_back(e.tick, e.note);
+    }
+  }
+  return restarts;
+}
+
+TEST(OccDaTest, SnapshotConstraintRestartsReaderAtItsNextRead) {
+  // R reads x at t=0; H preempts it, writes x and y, and commits at the
+  // end of tick 2 (its commit event is stamped 3). OCC-DA tolerates the
+  // read-only R with a snapshot constraint (R serializes before H)
+  // instead of restarting it. R's later read of y would observe H's
+  // write, past its snapshot, so that request aborts R itself (t=7).
+  // OCC-BC restarts R at H's commit instead.
   TransactionSet set = MakeSet({
-      {.name = "H", .offset = 1, .body = {Write(0)}},
-      {.name = "L", .offset = 0, .body = {Read(0), Compute(6)}},
+      {.name = "H", .offset = 1, .body = {Write(0), Write(1)}},
+      {.name = "R", .offset = 0, .body = {Read(0), Compute(4), Read(1)}},
   });
-  OccDa protocol;
-  SimulatorOptions options;
-  options.horizon = 4;  // stop while L is still running, after H commits
-  Simulator sim(&set, &protocol, options);
-  const SimResult result = sim.Run();
-  (void)result;
-  // L is job 0 (released at t=0), H is job 1.
-  EXPECT_EQ(protocol.MustPrecede(0), (std::set<JobId>{1}));
-  EXPECT_TRUE(protocol.MustPrecede(1).empty());
+  const SimResult da = RunWith(set, ProtocolKind::kOccDa, 12);
+  EXPECT_EQ(CommitTime(da, 0, 0), 3);
+  EXPECT_EQ(RestartsOf(da, 1),
+            (std::vector<std::pair<Tick, std::string>>{
+                {7, "occ-da-constraint"}}))
+      << FailureContext(set, da);
+  EXPECT_TRUE(IsSerializable(da.history));
+
+  const SimResult bc = RunWith(set, ProtocolKind::kOccBc, 12);
+  EXPECT_EQ(CommitTime(bc, 0, 0), 3);
+  EXPECT_EQ(RestartsOf(bc, 1),
+            (std::vector<std::pair<Tick, std::string>>{{2, "validation"}}))
+      << FailureContext(set, bc);
+  EXPECT_TRUE(IsSerializable(bc.history));
 }
 
 // --- Both OCC protocols on the paper examples ------------------------------

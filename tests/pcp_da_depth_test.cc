@@ -141,7 +141,7 @@ TEST(PcpDaDepthTest, DropPolicyReleasesLocksCleanly) {
   SimulatorOptions options;
   options.horizon = 24;
   options.miss_policy = DeadlineMissPolicy::kDrop;
-  Simulator sim(&*made, protocol.get(), options);
+  Simulator sim(PlanOf(*made), protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_GT(result.metrics.per_spec[2].dropped, 0);
   EXPECT_GT(result.metrics.per_spec[1].committed, 0);
@@ -244,7 +244,7 @@ TEST(PcpDaDepthTest, SporadicArrivalsKeepTheorems) {
     SimulatorOptions options;
     options.horizon = 600;
     options.arrival_schedule = &schedule;
-    Simulator sim(&*set, protocol.get(), options);
+    Simulator sim(PlanOf(*set), protocol.get(), options);
     const SimResult result = sim.Run();
     EXPECT_FALSE(result.deadlock_detected) << "seed " << seed;
     EXPECT_EQ(result.metrics.TotalRestarts(), 0);

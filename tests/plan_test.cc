@@ -1,8 +1,7 @@
 // Tests for the scenario compilation layer (src/plan/): CompiledPlan
-// lowering (ceilings, calendar cursor, read/write bitsets, horizon
-// resolution), the lint gate, and value semantics of the shared
-// immutable artifact. The byte-identity of compiled-path runs is pinned
-// separately by tests/determinism_test.cc.
+// lowering (ceilings, calendar cursor), the lint gate, and value
+// semantics of the shared immutable artifact. That a shared plan runs
+// byte-identically to a fresh one is pinned by tests/determinism_test.cc.
 
 #include "plan/compiled_plan.h"
 
@@ -46,39 +45,21 @@ TEST(CompiledPlanTest, EmptyPlanIsNotOk) {
   EXPECT_FALSE(plan.ok());
 }
 
-TEST(CompiledPlanTest, LowersEntitiesCeilingsAndBitsets) {
+TEST(CompiledPlanTest, LowersEntitiesAndCeilings) {
   auto plan = CompiledPlan::Compile(Parse());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan->ok());
-  EXPECT_EQ(plan->spec_count(), 2);
-  EXPECT_EQ(plan->item_count(), 3);
-  EXPECT_EQ(plan->horizon(), 40);
-
-  // Bitsets must agree with the specs' declared read/write sets.
   const TransactionSet& set = plan->set();
-  for (SpecId s = 0; s < plan->spec_count(); ++s) {
-    for (ItemId i = 0; i < plan->item_count(); ++i) {
-      EXPECT_EQ(plan->SpecReads(s, i), set.spec(s).ReadSet().contains(i))
-          << "spec " << s << " item " << i;
-      EXPECT_EQ(plan->SpecWrites(s, i), set.spec(s).WriteSet().contains(i))
-          << "spec " << s << " item " << i;
-    }
-  }
+  EXPECT_EQ(set.size(), 2);
+  EXPECT_EQ(set.item_count(), 3);
+  EXPECT_EQ(plan->scenario().horizon, 40);
 
   // Ceilings are precomputed from the same set a fresh build would use.
   const StaticCeilings fresh(set);
-  for (ItemId i = 0; i < plan->item_count(); ++i) {
+  for (ItemId i = 0; i < set.item_count(); ++i) {
     EXPECT_EQ(plan->ceilings().Wceil(i), fresh.Wceil(i));
     EXPECT_EQ(plan->ceilings().Aceil(i), fresh.Aceil(i));
   }
-}
-
-TEST(CompiledPlanTest, ResolvesMissingHorizonToTwiceHyperperiod) {
-  Scenario scenario = Parse();
-  scenario.horizon = 0;
-  auto plan = CompiledPlan::Compile(scenario);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->horizon(), 2 * scenario.set.Hyperperiod());
 }
 
 TEST(CompiledPlanTest, CursorMatchesFreshCalendar) {
@@ -87,7 +68,7 @@ TEST(CompiledPlanTest, CursorMatchesFreshCalendar) {
   ArrivalCalendar fresh(&plan->set());
   ArrivalCalendar::Cursor want = fresh.MakeCursor();
   ArrivalCalendar::Cursor got = plan->MakeCursor();
-  for (Tick t = 0; t < plan->horizon(); ++t) {
+  for (Tick t = 0; t < plan->scenario().horizon; ++t) {
     std::vector<Arrival> a, b;
     want.PopAt(t, a);
     got.PopAt(t, b);
@@ -140,7 +121,7 @@ TEST(CompiledPlanTest, ConvenienceOverloadBuildsScenario) {
       CompiledPlan::Compile("by_parts", scenario.set, /*horizon=*/17);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->scenario().name, "by_parts");
-  EXPECT_EQ(plan->horizon(), 17);
+  EXPECT_EQ(plan->scenario().horizon, 17);
 }
 
 // --- JobSlotMap: the dense hot-state arena the simulator runs on --------

@@ -113,7 +113,7 @@ TEST(ReplayCheckerTest, AllProtocolsAllExamplesReplay) {
         SimulatorOptions options;
         options.horizon = example.horizon;
         options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-        Simulator sim(&example.set, protocol.get(), options);
+        Simulator sim(PlanOf(example.set), protocol.get(), options);
         return sim.Run();
       }();
       const auto replay =

@@ -128,10 +128,10 @@ TEST(RunnerStressTest, ParallelSimulationsMatchSerialReference) {
 
 TEST(RunnerStressTest, SharedCompiledPlanAcrossConcurrentRuns) {
   // One immutable CompiledPlan shared by 64 concurrent simulations: the
-  // plan's ceilings/calendar/bitsets are read-only after Compile, so any
+  // plan's ceilings and calendar are read-only after Compile, so any
   // write to them from the simulate path is a tsan race here, and any
-  // behavioral divergence is a digest mismatch against the interpreted
-  // serial reference.
+  // behavioral divergence is a digest mismatch against the serial
+  // reference, whose null-plan specs compile a fresh plan per run.
   const Scenario scenario = LoadStressScenario();
   CompileOptions compile_options;
   compile_options.lint = false;
@@ -139,7 +139,7 @@ TEST(RunnerStressTest, SharedCompiledPlanAcrossConcurrentRuns) {
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
   const std::vector<ProtocolKind> kinds = AllProtocolKinds();
-  std::vector<RunSpec> interpreted;
+  std::vector<RunSpec> fresh;
   std::vector<RunSpec> planned;
   for (ProtocolKind kind : kinds) {
     for (std::uint64_t stream = 0; stream < 8; ++stream) {
@@ -149,14 +149,14 @@ TEST(RunnerStressTest, SharedCompiledPlanAcrossConcurrentRuns) {
       spec.seed = SplitMixSeed(13, stream);
       spec.options.audit = true;
       spec.options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-      interpreted.push_back(spec);
+      fresh.push_back(spec);
       spec.plan = &compiled.value();
       planned.push_back(spec);
     }
   }
 
   BatchRunner serial(BatchOptions{1});
-  const std::vector<SimResult> want = serial.Run(interpreted);
+  const std::vector<SimResult> want = serial.Run(fresh);
   BatchRunner parallel(BatchOptions{8});
   for (int repeat = 0; repeat < 10; ++repeat) {
     const std::vector<SimResult> got = parallel.Run(planned);

@@ -9,6 +9,7 @@
 #include "sched/scheduler.h"
 #include "sched/simulator.h"
 #include "sched/wait_graph.h"
+#include "test_util.h"
 #include "txn/job.h"
 #include "txn/spec.h"
 
@@ -225,7 +226,7 @@ TEST(InheritanceTest, StaleEdgesToDeadJobsIgnored) {
   EXPECT_EQ(running.size(), 1u);
 }
 
-// --- DispatchOrder -----------------------------------------------------
+// --- SortDispatchOrder -------------------------------------------------
 
 class DispatchOrderTest : public ::testing::Test {
  protected:
@@ -244,9 +245,8 @@ class DispatchOrderTest : public ::testing::Test {
 TEST_F(DispatchOrderTest, HigherRunningPriorityFirst) {
   Job a(0, set_.get(), 1, 0, 0, kNoTick);  // lo spec
   Job b(1, set_.get(), 0, 0, 0, kNoTick);  // hi spec
-  std::map<JobId, Priority> running{{0, set_->priority(1)},
-                                    {1, set_->priority(0)}};
-  const auto order = DispatchOrder({&a, &b}, running);
+  std::vector<Job*> order{&a, &b};
+  SortDispatchOrder(order);
   EXPECT_EQ(order[0], &b);
   EXPECT_EQ(order[1], &a);
 }
@@ -256,18 +256,17 @@ TEST_F(DispatchOrderTest, DonorBeforeInheritor) {
   // (the donor) is considered first.
   Job lo_job(0, set_.get(), 1, 0, 0, kNoTick);
   Job hi_job(1, set_.get(), 0, 0, 0, kNoTick);
-  std::map<JobId, Priority> running{{0, set_->priority(0)},
-                                    {1, set_->priority(0)}};
-  const auto order = DispatchOrder({&lo_job, &hi_job}, running);
+  lo_job.set_running_priority(set_->priority(0));
+  std::vector<Job*> order{&lo_job, &hi_job};
+  SortDispatchOrder(order);
   EXPECT_EQ(order[0], &hi_job);
 }
 
 TEST_F(DispatchOrderTest, FifoWithinSpec) {
   Job first(0, set_.get(), 0, 0, 0, kNoTick);
   Job second(1, set_.get(), 0, 1, 5, kNoTick);
-  std::map<JobId, Priority> running{{0, set_->priority(0)},
-                                    {1, set_->priority(0)}};
-  const auto order = DispatchOrder({&second, &first}, running);
+  std::vector<Job*> order{&second, &first};
+  SortDispatchOrder(order);
   EXPECT_EQ(order[0], &first);
 }
 
@@ -288,16 +287,19 @@ class JobTest : public ::testing::Test {
 
 TEST_F(JobTest, ExecutesThroughBody) {
   Job job(0, set_.get(), 0, 0, 3, 13);
-  EXPECT_EQ(job.RemainingWork(), 4);
+  EXPECT_EQ(job.step_index(), 0u);
+  EXPECT_EQ(job.remaining_in_step(), 1);
   EXPECT_EQ(job.current_step().kind, StepKind::kRead);
   EXPECT_TRUE(job.ExecuteTick());  // read done
   EXPECT_EQ(job.step_index(), 1u);
+  EXPECT_EQ(job.remaining_in_step(), 2);
   EXPECT_FALSE(job.ExecuteTick());  // compute 1/2
+  EXPECT_EQ(job.remaining_in_step(), 1);
   EXPECT_TRUE(job.ExecuteTick());   // compute 2/2
-  EXPECT_EQ(job.RemainingWork(), 1);
+  EXPECT_EQ(job.step_index(), 2u);
+  EXPECT_EQ(job.remaining_in_step(), 1);
   EXPECT_TRUE(job.ExecuteTick());  // write done
   EXPECT_TRUE(job.BodyDone());
-  EXPECT_EQ(job.RemainingWork(), 0);
 }
 
 TEST_F(JobTest, CommitLifecycle) {
@@ -431,7 +433,6 @@ TEST(JobPoolTest, RecycledJobEqualsFreshOne) {
   EXPECT_EQ(used.remaining_in_step(), fresh.remaining_in_step());
   EXPECT_EQ(used.step_admitted(), fresh.step_admitted());
   EXPECT_EQ(used.BodyDone(), fresh.BodyDone());
-  EXPECT_EQ(used.RemainingWork(), fresh.RemainingWork());
   EXPECT_EQ(used.data_read(), fresh.data_read());
   EXPECT_TRUE(used.data_read().empty());
   EXPECT_EQ(used.workspace().items(), fresh.workspace().items());
@@ -486,7 +487,7 @@ TEST(DecisionRuleTest, TstarGuardTurningIntoCeilingKeepsTheEpisode) {
   SimulatorOptions options;
   options.horizon = 30;
   options.audit = true;
-  Simulator sim(&*set, &protocol, options);
+  Simulator sim(PlanOf(*set), &protocol, options);
   const SimResult result = sim.Run();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   constexpr SpecId kJ = 1;

@@ -31,7 +31,7 @@ TransactionSet MakeSet(std::vector<TransactionSpec> specs,
 TEST(SimulatorTest, RejectsZeroHorizon) {
   TransactionSet set = MakeSet({{.name = "T", .body = {Compute(1)}}});
   PcpDa protocol;
-  Simulator sim(&set, &protocol, SimulatorOptions{});
+  Simulator sim(PlanOf(set), &protocol, SimulatorOptions{});
   const SimResult result = sim.Run();
   EXPECT_FALSE(result.status.ok());
 }
@@ -93,7 +93,7 @@ TEST(SimulatorTest, DeadlineMissDropPolicy) {
   SimulatorOptions options;
   options.horizon = 8;
   options.miss_policy = DeadlineMissPolicy::kDrop;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_EQ(result.metrics.per_spec[1].deadline_misses, 1);
   EXPECT_EQ(result.metrics.per_spec[1].dropped, 1);
@@ -108,7 +108,7 @@ TEST(SimulatorTest, DeadlineMissHaltPolicy) {
   SimulatorOptions options;
   options.horizon = 20;
   options.miss_policy = DeadlineMissPolicy::kHalt;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_TRUE(result.metrics.halted_on_miss);
   EXPECT_LT(result.trace.tick_count(), 20);
@@ -202,7 +202,7 @@ TEST(SimulatorTest, FastForwardStopsAtHorizonWithNoMoreArrivals) {
   auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
   SimulatorOptions options;
   options.horizon = 5000;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.metrics.per_spec[0].committed, 1);
@@ -224,7 +224,7 @@ TEST(SimulatorTest, MissRatioCensorsReleaseJustBeforeHorizon) {
   auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
   SimulatorOptions options;
   options.horizon = 9;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   const RunMetrics& m = result.metrics;
   EXPECT_EQ(m.TotalReleased(), 7);  // A at 0,2,4,6,8; B at 0,8
@@ -254,7 +254,7 @@ TEST(SimulatorTest, RecordingCanBeDisabled) {
   options.horizon = 5;
   options.record_trace = false;
   options.record_history = false;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   const SimResult result = sim.Run();
   EXPECT_TRUE(result.trace.events().empty());
   EXPECT_TRUE(result.trace.spans().empty());
@@ -386,7 +386,7 @@ SimResult RunArm(const TransactionSet& set, ProtocolKind kind,
   }
   options.audit = arm == Arm::kAudited || arm == Arm::kAuditedPerTick;
   auto protocol = MakeProtocol(kind);
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   return sim.Run();
 }
 
@@ -709,7 +709,7 @@ TEST(SimulatorTest, TickBudgetRunsOutInsideABusyStretchAtTheSameTick) {
     SimulatorOptions options;
     options.horizon = 1000;
     options.max_sim_ticks = budget;
-    Simulator sim(&set, &protocol, options);
+    Simulator sim(PlanOf(set), &protocol, options);
     const SimResult result = sim.Run();
     EXPECT_EQ(result.status.ToString(),
               StrFormat("DeadlineExceeded: tick budget %lld exhausted at "
@@ -778,7 +778,7 @@ SimResult RunLying(const TransactionSet& set, Tick horizon, bool walk) {
   options.horizon = horizon;
   options.audit = true;
   if (walk) options = WithDormantFault(std::move(options));
-  Simulator sim(&set, &protocol, options);
+  Simulator sim(PlanOf(set), &protocol, options);
   return sim.Run();
 }
 
@@ -859,7 +859,7 @@ std::size_t HeldBytesAfterRun(const TransactionSet& set, Tick horizon) {
   options.horizon = horizon;
   options.record_trace = false;
   options.record_history = false;
-  Simulator sim(&set, &protocol, options);
+  Simulator sim(PlanOf(set), &protocol, options);
   const SimResult result = sim.Run();
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_GT(result.metrics.TotalCommitted(), horizon / 1000);

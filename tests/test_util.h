@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
 #include "trace/gantt.h"
@@ -10,6 +11,13 @@
 #include "workload/paper_examples.h"
 
 namespace pcpda {
+
+/// `set` lowered (lint off) for a Simulator; the run's horizon comes
+/// from SimulatorOptions.
+inline CompiledPlan PlanOf(const TransactionSet& set) {
+  return CompiledPlan::Compile("test", set, /*horizon=*/0, {.lint = false})
+      .value();
+}
 
 /// Runs `set` under a fresh protocol of `kind` for `horizon` ticks. The
 /// invariant auditor is on: any run that corrupts lock/ceiling/inheritance
@@ -23,7 +31,7 @@ inline SimResult RunWith(const TransactionSet& set, ProtocolKind kind,
   options.horizon = horizon;
   options.deadlock_policy = deadlock_policy;
   options.audit = true;
-  Simulator sim(&set, protocol.get(), options);
+  Simulator sim(PlanOf(set), protocol.get(), options);
   return sim.Run();
 }
 
@@ -36,7 +44,7 @@ inline SimResult RunWith(const TransactionSet& set, Protocol* protocol,
   options.horizon = horizon;
   options.deadlock_policy = deadlock_policy;
   options.audit = true;
-  Simulator sim(&set, protocol, options);
+  Simulator sim(PlanOf(set), protocol, options);
   return sim.Run();
 }
 

@@ -145,7 +145,7 @@ TEST(TraceTest, BoundedTraceLeavesSimulationUnchanged) {
     SimulatorOptions options;
     options.horizon = 200;
     options.max_trace_events = cap;
-    Simulator sim(&set, protocol.get(), options);
+    Simulator sim(PlanOf(set), protocol.get(), options);
     return sim.Run();
   };
   const SimResult unbounded = run(0);
@@ -236,7 +236,7 @@ TEST(GanttTest, BoundedTraceRendersItsTickWindow) {
     SimulatorOptions options;
     options.horizon = 200;
     options.max_trace_events = cap;
-    Simulator sim(&example.set, protocol.get(), options);
+    Simulator sim(PlanOf(example.set), protocol.get(), options);
     return sim.Run();
   };
   const SimResult full = run(0);
