@@ -49,13 +49,6 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
 Tick FallbackHorizon(const Scenario& scenario, Tick override_horizon) {
   if (scenario.horizon > 0) return scenario.horizon;
   if (override_horizon > 0) return override_horizon;
@@ -104,9 +97,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (ParseFlag(argv[i], "--horizon", &value)) {
-      if (!ParseFlagTick("--horizon", value, 0,
-                         std::numeric_limits<Tick>::max(),
-                         &horizon_override)) {
+      if (!ParseFlagInt64("--horizon", value, 0,
+                          std::numeric_limits<Tick>::max(),
+                          &horizon_override)) {
         Usage(argv[0]);
         return 2;
       }

@@ -161,28 +161,6 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
-std::vector<std::string> SplitCommas(const std::string& list) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) {
-      parts.push_back(list.substr(start));
-      break;
-    }
-    parts.push_back(list.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return parts;
-}
-
 /// The worker binary to re-exec for --supervise: this very image.
 /// /proc/self/exe survives $PATH games and relative-cwd invocations;
 /// argv[0] is the fallback off Linux.
@@ -232,6 +210,16 @@ int ReportExitCode(const CampaignReport& report) {
   return clean ? 0 : 1;
 }
 
+/// Flags the supervisor appends to each worker's command, or that would
+/// stop a worker on every attempt: a supervised run takes none of them.
+bool ClashesWithSupervise(const std::string& flag) {
+  for (const char* name :
+       {"--shard", "--job-first", "--job-last", "--stop-after"}) {
+    if (flag.rfind(std::string(name) + "=", 0) == 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -241,314 +229,71 @@ int main(int argc, char** argv) {
   options.jobs = ExecutorPool::DefaultThreads();
   options.stop = &g_stop;
   SupervisorOptions supervise_options;
+  supervise_options.worker_command = {SelfExecutable(argv[0])};
   bool supervise = false;
   bool worker = false;
+  bool clashes = false;
   int heartbeat_fd = -1;
+  const struct {
+    const char* name;
+    int min, max;
+    int* field;
+  } supervisor_flags[] = {
+      {"--workers", 1, 1 << 10, &supervise_options.max_workers},
+      {"--stall-ms", 0, 1 << 30, &supervise_options.stall_timeout_ms},
+      {"--term-grace-ms", 0, 1 << 30, &supervise_options.term_grace_ms},
+      {"--shard-deadline-ms", 0, 1 << 30,
+       &supervise_options.shard_deadline_ms},
+      {"--task-attempts", 1, 1 << 20, &supervise_options.max_task_attempts},
+      {"--bisect-after", 1, 1 << 20, &supervise_options.bisect_after},
+      {"--backoff-ms", 1, 1 << 30, &supervise_options.backoff_base_ms},
+      {"--backoff-cap-ms", 1, 1 << 30, &supervise_options.backoff_cap_ms},
+      {"--chaos-kills", 0, 1 << 20, &supervise_options.chaos_kills},
+      {"--chaos-stops", 0, 1 << 20, &supervise_options.chaos_stops},
+      {"--heartbeat-fd", 3, 1 << 20, &heartbeat_fd},
+  };
 
   for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
     const char* value = nullptr;
-    if (ParseFlag(argv[i], "--out", &value)) {
-      options.out_dir = value;
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      if (!ParseFlagUInt64("--seed", value,
-                           std::numeric_limits<std::uint64_t>::max(),
-                           &spec.base_seed)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--scenarios", &value)) {
-      if (!ParseFlagInt("--scenarios", value, 1, 1 << 30,
-                        &spec.scenarios)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--utils", &value)) {
-      spec.utilizations.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        double util = 0.0;
-        if (!ParseFlagDouble("--utils", part, 0.0,
-                             std::numeric_limits<double>::max(), &util)) {
-          Usage(argv[0]);
-          return 2;
-        }
-        spec.utilizations.push_back(util);
-      }
-    } else if (ParseFlag(argv[i], "--protocols", &value)) {
-      spec.protocols.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        const auto kind = ProtocolKindByName(part);
-        if (!kind.has_value()) {
-          std::fprintf(stderr, "unknown protocol %s\n", part.c_str());
-          return 2;
-        }
-        spec.protocols.push_back(*kind);
-      }
-    } else if (ParseFlag(argv[i], "--dist", &value)) {
-      const auto dist = UtilDistributionByName(value);
-      if (!dist.has_value()) {
-        std::fprintf(stderr, "unknown distribution %s\n", value);
-        return 2;
-      }
-      spec.workload.distribution = *dist;
-    } else if (ParseFlag(argv[i], "--txns", &value)) {
-      if (!ParseFlagInt("--txns", value, 1, 1 << 20,
-                        &spec.workload.num_transactions)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--items", &value)) {
-      if (!ParseFlagInt("--items", value, 1, 1 << 20,
-                        &spec.workload.num_items)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--min-period", &value)) {
-      if (!ParseFlagTick("--min-period", value, 1,
-                         std::numeric_limits<Tick>::max(),
-                         &spec.workload.min_period)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--max-period", &value)) {
-      if (!ParseFlagTick("--max-period", value, 1,
-                         std::numeric_limits<Tick>::max(),
-                         &spec.workload.max_period)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--min-ops", &value)) {
-      if (!ParseFlagInt("--min-ops", value, 0, 1 << 20,
-                        &spec.workload.min_ops)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--max-ops", &value)) {
-      if (!ParseFlagInt("--max-ops", value, 0, 1 << 20,
-                        &spec.workload.max_ops)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--write-fraction", &value)) {
-      if (!ParseFlagDouble("--write-fraction", value, 0.0, 1.0,
-                           &spec.workload.write_fraction)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--task-util-min", &value)) {
-      if (!ParseFlagDouble("--task-util-min", value, 0.0, 1.0,
-                           &spec.workload.min_task_utilization)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--task-util-max", &value)) {
-      if (!ParseFlagDouble("--task-util-max", value, 0.0, 1.0,
-                           &spec.workload.max_task_utilization)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--exp-mean", &value)) {
-      if (!ParseFlagDouble("--exp-mean", value, 0.0, 1.0,
-                           &spec.workload.exp_mean_utilization)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--bimodal-split", &value)) {
-      if (!ParseFlagDouble("--bimodal-split", value, 0.0, 1.0,
-                           &spec.workload.bimodal_split)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--bimodal-light", &value)) {
-      if (!ParseFlagDouble("--bimodal-light", value, 0.0, 1.0,
-                           &spec.workload.bimodal_light_fraction)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--horizon", &value)) {
-      if (!ParseFlagTick("--horizon", value, 1,
-                         std::numeric_limits<Tick>::max(),
-                         &spec.horizon)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      if (!ParseFlagInt("--shards", value, 1, 1 << 20, &spec.shards)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--shard", &value)) {
-      if (!ParseFlagInt("--shard", value, 0, 1 << 20,
-                        &options.only_shard)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--jobs", &value)) {
-      if (!ParseFlagInt("--jobs", value, 1, 1 << 20, &options.jobs)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--max-sim-ticks", &value)) {
-      if (!ParseFlagTick("--max-sim-ticks", value, 0,
-                         std::numeric_limits<Tick>::max(),
-                         &spec.max_sim_ticks)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--wall-budget-ms", &value)) {
-      if (!ParseFlagInt("--wall-budget-ms", value, 0, 1 << 30,
-                        &spec.wall_budget_ms)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--retries", &value)) {
-      if (!ParseFlagInt("--retries", value, 0, 1 << 20,
-                        &spec.max_retries)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--no-fsync") == 0) {
-      options.fsync = false;
-    } else if (std::strcmp(argv[i], "--no-lint-preflight") == 0) {
-      options.lint_preflight = false;
-    } else if (std::strcmp(argv[i], "--supervise") == 0) {
+    bool ok = true;
+    bool handled = true;
+    if (arg == "--supervise") {
       supervise = true;
-    } else if (std::strcmp(argv[i], "--worker") == 0) {
+    } else if (arg == "--worker") {
       worker = true;
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      if (!ParseFlagInt("--workers", value, 1, 1 << 10,
-                        &supervise_options.max_workers)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--heartbeat-fd", &value)) {
-      if (!ParseFlagInt("--heartbeat-fd", value, 3, 1 << 20,
-                        &heartbeat_fd)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--job-first", &value)) {
-      if (!ParseFlagInt64("--job-first", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.job_first)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--job-last", &value)) {
-      if (!ParseFlagInt64("--job-last", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.job_last)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--stall-ms", &value)) {
-      if (!ParseFlagInt("--stall-ms", value, 0, 1 << 30,
-                        &supervise_options.stall_timeout_ms)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--term-grace-ms", &value)) {
-      if (!ParseFlagInt("--term-grace-ms", value, 0, 1 << 30,
-                        &supervise_options.term_grace_ms)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--shard-deadline-ms", &value)) {
-      if (!ParseFlagInt("--shard-deadline-ms", value, 0, 1 << 30,
-                        &supervise_options.shard_deadline_ms)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--task-attempts", &value)) {
-      if (!ParseFlagInt("--task-attempts", value, 1, 1 << 20,
-                        &supervise_options.max_task_attempts)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--bisect-after", &value)) {
-      if (!ParseFlagInt("--bisect-after", value, 1, 1 << 20,
-                        &supervise_options.bisect_after)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--backoff-ms", &value)) {
-      if (!ParseFlagInt("--backoff-ms", value, 1, 1 << 30,
-                        &supervise_options.backoff_base_ms)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--backoff-cap-ms", &value)) {
-      if (!ParseFlagInt("--backoff-cap-ms", value, 1, 1 << 30,
-                        &supervise_options.backoff_cap_ms)) {
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (ParseFlag(argv[i], "--chaos-seed", &value)) {
-      if (!ParseFlagUInt64("--chaos-seed", value,
+      ok = ParseFlagUInt64("--chaos-seed", value,
                            std::numeric_limits<std::uint64_t>::max(),
-                           &supervise_options.chaos_seed)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--chaos-kills", &value)) {
-      if (!ParseFlagInt("--chaos-kills", value, 0, 1 << 20,
-                        &supervise_options.chaos_kills)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--chaos-stops", &value)) {
-      if (!ParseFlagInt("--chaos-stops", value, 0, 1 << 20,
-                        &supervise_options.chaos_stops)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--inject-crash", &value)) {
-      if (!ParseFlagInt64("--inject-crash", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.inject_crash_job)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--inject-hang", &value)) {
-      if (!ParseFlagInt64("--inject-hang", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.inject_hang_job)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--inject-crash-job", &value)) {
-      if (!ParseFlagInt64("--inject-crash-job", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.inject_segv_job)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--inject-spin-job", &value)) {
-      if (!ParseFlagInt64("--inject-spin-job", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.inject_spin_job)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--inject-lint-defect-cell", &value)) {
-      if (!ParseFlagInt64("--inject-lint-defect-cell", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.inject_lint_defect_cell)) {
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--stop-after", &value)) {
-      if (!ParseFlagInt64("--stop-after", value, -1,
-                          std::numeric_limits<std::int64_t>::max(),
-                          &options.stop_after)) {
-        Usage(argv[0]);
-        return 2;
-      }
+                           &supervise_options.chaos_seed);
     } else {
+      handled = false;
+    }
+    for (const auto& row : supervisor_flags) {
+      if (!handled && ParseFlag(argv[i], row.name, &value)) {
+        ok = ParseFlagInt(row.name, value, row.min, row.max, row.field);
+        handled = true;
+      }
+    }
+    if (!handled) {
+      // Everything else is a campaign flag, and a supervised worker gets
+      // it as given (minus --out, which the supervisor appends per task).
+      const Status status = ApplyCampaignFlag(arg, &spec, &options);
+      if (status.code() == StatusCode::kInvalidArgument) {
+        std::fprintf(stderr, "%s\n", status.message().c_str());
+      }
+      ok = status.ok();
+      clashes = clashes || ClashesWithSupervise(arg);
+      if (ok && arg.rfind("--out=", 0) != 0) {
+        supervise_options.worker_command.push_back(arg);
+      }
+    }
+    if (!ok) {
       Usage(argv[0]);
       return 2;
     }
   }
-  if (options.out_dir.empty() || options.jobs < 1) {
+  if (options.out_dir.empty()) {
     Usage(argv[0]);
     return 2;
   }
@@ -557,10 +302,11 @@ int main(int argc, char** argv) {
                  "--supervise and --worker are mutually exclusive\n");
     return 2;
   }
-  if (supervise && options.only_shard >= 0) {
+  if (supervise && (clashes || heartbeat_fd >= 0)) {
     std::fprintf(stderr,
-                 "--supervise always runs every shard; --shard is for "
-                 "manual distribution\n");
+                 "--supervise runs every shard and job range itself; "
+                 "--shard, --job-first, --job-last, --stop-after and "
+                 "--heartbeat-fd are for single runs and workers\n");
     return 2;
   }
   if (worker && options.only_shard < 0) {
@@ -611,14 +357,6 @@ int main(int argc, char** argv) {
       g_signal_pipe_wfd = signal_pipe[1];
     }
     supervise_options.out_dir = options.out_dir;
-    supervise_options.worker_binary = SelfExecutable(argv[0]);
-    supervise_options.worker_jobs = options.jobs;
-    supervise_options.fsync = options.fsync;
-    supervise_options.lint_preflight = options.lint_preflight;
-    supervise_options.inject_crash_job = options.inject_crash_job;
-    supervise_options.inject_hang_job = options.inject_hang_job;
-    supervise_options.inject_segv_job = options.inject_segv_job;
-    supervise_options.inject_spin_job = options.inject_spin_job;
     supervise_options.signal_flag = &g_signal_flag;
     supervise_options.signal_rfd = signal_pipe[0];
 

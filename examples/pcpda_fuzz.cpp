@@ -55,13 +55,6 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,9 +80,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (ParseFlag(argv[i], "--horizon-cap", &value)) {
-      if (!ParseFlagTick("--horizon-cap", value, 1,
-                         std::numeric_limits<Tick>::max(),
-                         &options.horizon_cap)) {
+      if (!ParseFlagInt64("--horizon-cap", value, 1,
+                          std::numeric_limits<Tick>::max(),
+                          &options.horizon_cap)) {
         Usage(argv[0]);
         return 2;
       }

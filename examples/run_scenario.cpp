@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
   Tick horizon = scenario->horizon;
   if (argc > 3) {
     // 0 is legal and means "fall back to twice the hyperperiod" below.
-    if (!ParseFlagTick("horizon", argv[3], 0,
-                       std::numeric_limits<Tick>::max(), &horizon)) {
+    if (!ParseFlagInt64("horizon", argv[3], 0,
+                        std::numeric_limits<Tick>::max(), &horizon)) {
       return 2;
     }
   }

@@ -2,20 +2,16 @@
 
 #include <chrono>
 #include <csignal>
-#include <filesystem>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "analysis/blocking.h"
 #include "analysis/response_time.h"
-#include "common/rng.h"
 #include "common/strings.h"
 #include "lint/lint.h"
 #include "sched/simulator.h"
-#include "workload/generator.h"
 #include "workload/scenario.h"
 
 namespace pcpda {
@@ -50,11 +46,7 @@ Campaign::Campaign(CampaignSpec spec, CampaignOptions options)
 
 StatusOr<CompiledPlan> Campaign::CompileCell(const CampaignJob& job) const {
   const std::int64_t cell = job.id / spec_.num_protocols();
-  WorkloadParams params = spec_.workload;
-  params.total_utilization =
-      spec_.utilizations[static_cast<std::size_t>(job.util_index)];
-  Rng rng(job.scenario_seed);
-  auto set = GenerateWorkload(params, rng);
+  auto set = spec_.CellWorkload(cell);
   if (!set.ok()) {
     // Validate() vetted every sweep point, so a generation failure here
     // is a generator bug — classify it as such, not as 8 protocol
@@ -72,7 +64,7 @@ StatusOr<CompiledPlan> Campaign::CompileCell(const CampaignJob& job) const {
       {},
       {},
       {}};
-  if (options_.inject_lint_defect_cell == cell) {
+  if (options_.hooks.lint_defect_cell == cell) {
     // A dangling expect reference: the cheapest error-level defect, and
     // exactly the shape a generator bug would take (declared facts that
     // do not match the emitted workload).
@@ -127,35 +119,24 @@ std::string Campaign::ShardPath(const std::string& out_dir, int shard) {
 }
 
 bool Campaign::StopRequested() const {
-  if (options_.stop != nullptr &&
-      options_.stop->load(std::memory_order_relaxed)) {
-    return true;
-  }
-  return internal_stop_.load(std::memory_order_relaxed);
+  return internal_stop_.load(std::memory_order_relaxed) ||
+         (options_.stop != nullptr &&
+          options_.stop->load(std::memory_order_relaxed));
 }
 
 SimResult Campaign::RunJob(const CampaignJob& job,
                            const JobContext& context) {
-  if (job.id == options_.inject_segv_job) {
-    // Process-level poison injection: a real SIGSEGV that no in-process
-    // retry or watchdog can contain — only the supervisor's bisection
-    // isolates it. (Deliberately lethal when run unsupervised.)
-    std::raise(SIGSEGV);
-  }
-  if (job.id == options_.inject_spin_job) {
-    // An uncooperative hang: never polls cancellation, so the wall-clock
-    // watchdog cannot break it; the supervisor's SIGTERM→SIGKILL
-    // escalation is the only way out.
+  const CampaignOptions::TestHooks& hooks = options_.hooks;
+  if (job.id == hooks.segv_job) std::raise(SIGSEGV);
+  if (job.id == hooks.spin_job) {
     for (;;) std::this_thread::yield();
   }
-  if (job.id == options_.inject_crash_job) {
+  if (job.id == hooks.throw_job) {
     throw std::runtime_error(
         StrFormat("injected crash (job %lld attempt %d)",
                   static_cast<long long>(job.id), context.attempt));
   }
-  if (job.id == options_.inject_hang_job) {
-    // Spin until the watchdog cancels us — a stand-in for a genuine
-    // non-terminating job that still honors cooperative cancellation.
+  if (job.id == hooks.hang_job) {
     while (!context.cancelled()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -217,12 +198,7 @@ JobRecord Campaign::MakeRecord(const CampaignJob& job,
 Status Campaign::WriteQuarantine(const CampaignJob& job,
                                  const JobRecord& record) {
   const std::string dir = options_.out_dir + "/quarantine";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal(
-        StrFormat("mkdir %s: %s", dir.c_str(), ec.message().c_str()));
-  }
+  PCPDA_RETURN_IF_ERROR(MakeDirectories(dir));
   const std::string stem =
       StrFormat("%s/job_%06lld", dir.c_str(),
                 static_cast<long long>(job.id));
@@ -252,11 +228,7 @@ Status Campaign::WriteQuarantine(const CampaignJob& job,
   // Reproduce the poisoned workload as a replayable .scn (deterministic
   // from the seed). Best effort: if generation itself was the failure,
   // the .json record alone documents it.
-  WorkloadParams params = spec_.workload;
-  params.total_utilization =
-      spec_.utilizations[static_cast<std::size_t>(job.util_index)];
-  Rng rng(job.scenario_seed);
-  auto set = GenerateWorkload(params, rng);
+  const auto set = spec_.CellWorkload(job.id / spec_.num_protocols());
   if (set.ok()) {
     const std::string name =
         StrFormat("quarantine_job_%lld", static_cast<long long>(job.id));
@@ -274,24 +246,12 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   if (!loaded.ok()) return loaded.status();
   summary.torn_bytes = loaded->torn_bytes;
 
-  std::set<std::int64_t> done;
-  for (const JobRecord& record : loaded->records) {
-    done.insert(record.job_id);
-  }
   // With a bisection range, summaries account the *assigned* jobs only:
   // ids outside [job_first, job_last) belong to sibling workers.
-  const std::vector<CampaignJob> all = spec_.JobsForShard(shard);
-  std::vector<CampaignJob> assigned;
-  for (const CampaignJob& job : all) {
-    if (options_.job_first >= 0 && job.id < options_.job_first) continue;
-    if (options_.job_last >= 0 && job.id >= options_.job_last) continue;
-    assigned.push_back(job);
-  }
+  const std::vector<CampaignJob> assigned =
+      spec_.JobsForRange(shard, options_.job_first, options_.job_last);
+  const std::vector<CampaignJob> todo = loaded->Unrecorded(assigned);
   summary.jobs = static_cast<std::int64_t>(assigned.size());
-  std::vector<CampaignJob> todo;
-  for (const CampaignJob& job : assigned) {
-    if (done.count(job.id) == 0) todo.push_back(job);
-  }
   summary.resumed = summary.jobs - static_cast<std::int64_t>(todo.size());
 
   // Open even when nothing is left to run: Open() truncates any torn
@@ -343,9 +303,9 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
       internal_stop_.store(true, std::memory_order_relaxed);
       return;
     }
-    if (options_.stop_after >= 0 &&
+    if (options_.hooks.stop_after >= 0 &&
         completions_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-            options_.stop_after) {
+            options_.hooks.stop_after) {
       internal_stop_.store(true, std::memory_order_relaxed);
     }
   };
@@ -386,53 +346,43 @@ Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
   }
 
   report.total_jobs = num_jobs;
-  std::vector<std::int64_t> recorded_per_shard(
-      static_cast<std::size_t>(spec_.shards), 0);
+  std::vector<std::string> shard_rows;
   for (int shard = 0; shard < spec_.shards; ++shard) {
     const std::int64_t first =
         spec_.CellBegin(shard) * spec_.num_protocols();
     const std::int64_t last =
         spec_.CellBegin(shard + 1) * spec_.num_protocols();
-    std::int64_t ok = 0, failed = 0, quarantined = 0, pending = 0;
+    std::int64_t pending = 0;
     for (std::int64_t id = first; id < last; ++id) {
       const JobRecord* record = by_id[static_cast<std::size_t>(id)].get();
       if (record == nullptr) {
         ++pending;
       } else if (record->outcome == "ok") {
-        ++ok;
+        ++report.ok;
       } else if (record->quarantined()) {
-        ++quarantined;
+        ++report.quarantined;
       } else {
-        ++failed;
+        ++report.failed;
       }
     }
-    report.ok += ok;
-    report.failed += failed;
-    report.quarantined += quarantined;
     report.pending += pending;
-    recorded_per_shard[static_cast<std::size_t>(shard)] =
-        (last - first) - pending;
-    for (ShardSummary& summary : report.shards) {
-      if (summary.shard == shard) {
-        summary.ok = ok;
-        summary.failed = failed;
-        summary.quarantined = quarantined;
-        summary.pending = pending;
-      }
-    }
+    shard_rows.push_back(StrFormat(
+        "    {\"shard\": %d, \"jobs\": %lld, \"recorded\": %lld}", shard,
+        static_cast<long long>(last - first),
+        static_cast<long long>(last - first - pending)));
   }
 
   report.manifest_path = options_.out_dir + "/MANIFEST.json";
   PCPDA_RETURN_IF_ERROR(WriteFileAtomic(
-      report.manifest_path, RenderManifest(report, recorded_per_shard)));
+      report.manifest_path, RenderManifest(report, shard_rows)));
 
   if (report.pending == 0) {
     std::vector<JobRecord> records;
     records.reserve(static_cast<std::size_t>(num_jobs));
     for (auto& slot : by_id) records.push_back(*slot);
     report.bench_path = options_.out_dir + "/BENCH_campaign.json";
-    PCPDA_RETURN_IF_ERROR(
-        WriteFileAtomic(report.bench_path, RenderBench(records, pool)));
+    PCPDA_RETURN_IF_ERROR(WriteFileAtomic(
+        report.bench_path, RenderBench(report, records, pool)));
     report.merged = true;
   }
   return Status::Ok();
@@ -440,19 +390,7 @@ Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
 
 std::string Campaign::RenderManifest(
     const CampaignReport& report,
-    const std::vector<std::int64_t>& recorded_per_shard) const {
-  std::vector<std::string> rows;
-  rows.reserve(static_cast<std::size_t>(spec_.shards));
-  for (int shard = 0; shard < spec_.shards; ++shard) {
-    const std::int64_t jobs =
-        (spec_.CellBegin(shard + 1) - spec_.CellBegin(shard)) *
-        spec_.num_protocols();
-    rows.push_back(StrFormat(
-        "    {\"shard\": %d, \"jobs\": %lld, \"recorded\": %lld}", shard,
-        static_cast<long long>(jobs),
-        static_cast<long long>(
-            recorded_per_shard[static_cast<std::size_t>(shard)])));
-  }
+    const std::vector<std::string>& shard_rows) const {
   return StrFormat(
       "{\n"
       "  \"campaign\": \"%s\",\n"
@@ -472,22 +410,12 @@ std::string Campaign::RenderManifest(
       static_cast<long long>(report.pending),
       report.stopped ? "true" : "false",
       report.pending == 0 ? "true" : "false",
-      Join(rows, ",\n").c_str());
+      Join(shard_rows, ",\n").c_str());
 }
 
-std::string Campaign::RenderBench(const std::vector<JobRecord>& records,
+std::string Campaign::RenderBench(const CampaignReport& report,
+                                  const std::vector<JobRecord>& records,
                                   ExecutorPool& pool) const {
-  std::int64_t ok = 0, failed = 0, quarantined = 0;
-  for (const JobRecord& record : records) {
-    if (record.outcome == "ok") {
-      ++ok;
-    } else if (record.quarantined()) {
-      ++quarantined;
-    } else {
-      ++failed;
-    }
-  }
-
   // Analysis pass: regenerate each cell's workload from its seed (job
   // inputs depend only on (spec, id), so this reproduces exactly what
   // the workers simulated — the checkpoint codec stays untouched) and
@@ -501,13 +429,7 @@ std::string Campaign::RenderBench(const std::vector<JobRecord>& records,
                      static_cast<std::size_t>(spec_.num_protocols()),
                      SchedVerdict::kUnknown));
   const auto analyze_cell = [&](std::size_t cell) {
-    const CampaignJob job = spec_.JobById(
-        static_cast<std::int64_t>(cell) * spec_.num_protocols());
-    WorkloadParams params = spec_.workload;
-    params.total_utilization =
-        spec_.utilizations[static_cast<std::size_t>(job.util_index)];
-    Rng rng(job.scenario_seed);
-    const auto set = GenerateWorkload(params, rng);
+    const auto set = spec_.CellWorkload(static_cast<std::int64_t>(cell));
     if (!set.ok()) return;
     for (int p = 0; p < spec_.num_protocols(); ++p) {
       const ProtocolKind kind =
@@ -530,29 +452,21 @@ std::string Campaign::RenderBench(const std::vector<JobRecord>& records,
   std::vector<std::string> rows;
   for (int p = 0; p < spec_.num_protocols(); ++p) {
     for (int u = 0; u < spec_.num_utils(); ++u) {
-      std::int64_t accepted = 0, row_ok = 0, row_failed = 0;
+      std::int64_t accepted = 0, row_failed = 0;
       std::int64_t committed = 0, misses = 0, blocking = 0, restarts = 0,
                    deadlocks = 0;
       std::int64_t sched = 0, unsched = 0, unknown = 0;
       for (int s = 0; s < spec_.scenarios; ++s) {
         const std::int64_t cell =
             static_cast<std::int64_t>(s) * spec_.num_utils() + u;
-        switch (analytic[static_cast<std::size_t>(cell)]
-                        [static_cast<std::size_t>(p)]) {
-          case SchedVerdict::kSchedulable:
-            ++sched;
-            break;
-          case SchedVerdict::kUnschedulable:
-            ++unsched;
-            break;
-          case SchedVerdict::kUnknown:
-            ++unknown;
-            break;
-        }
+        const SchedVerdict verdict = analytic[static_cast<std::size_t>(
+            cell)][static_cast<std::size_t>(p)];
+        sched += verdict == SchedVerdict::kSchedulable;
+        unsched += verdict == SchedVerdict::kUnschedulable;
+        unknown += verdict == SchedVerdict::kUnknown;
         const JobRecord& record = records[static_cast<std::size_t>(
             cell * spec_.num_protocols() + p)];
         if (record.outcome == "ok") {
-          ++row_ok;
           if (record.accepted()) ++accepted;
           committed += record.committed;
           misses += record.misses;
@@ -616,10 +530,10 @@ std::string Campaign::RenderBench(const std::vector<JobRecord>& records,
       "  \"acceptance\": [\n%s\n  ],\n"
       "  \"failures\": [%s%s]\n"
       "}\n",
-      fingerprint_.c_str(),
-      static_cast<long long>(records.size()),
-      static_cast<long long>(ok), static_cast<long long>(failed),
-      static_cast<long long>(quarantined), Join(rows, ",\n").c_str(),
+      fingerprint_.c_str(), static_cast<long long>(report.total_jobs),
+      static_cast<long long>(report.ok),
+      static_cast<long long>(report.failed),
+      static_cast<long long>(report.quarantined), Join(rows, ",\n").c_str(),
       failures.empty() ? "" : ("\n" + Join(failures, ",\n")).c_str(),
       failures.empty() ? "" : "\n  ");
 }
@@ -638,16 +552,9 @@ StatusOr<CampaignReport> Campaign::Run() {
     return Status::InvalidArgument(
         "worker mode requires an assigned shard (only_shard)");
   }
-  std::error_code ec;
-  std::filesystem::create_directories(options_.out_dir, ec);
-  if (ec) {
-    return Status::Internal(StrFormat("mkdir %s: %s",
-                                      options_.out_dir.c_str(),
-                                      ec.message().c_str()));
-  }
+  PCPDA_RETURN_IF_ERROR(MakeDirectories(options_.out_dir));
 
   CampaignReport report;
-  report.fingerprint = fingerprint_;
   BatchRunner runner(BatchOptions{options_.jobs});
   const int first =
       options_.only_shard >= 0 ? options_.only_shard : 0;
@@ -676,7 +583,6 @@ StatusOr<CampaignReport> Campaign::Merge(bool stopped) {
     return Status::InvalidArgument("CampaignOptions.out_dir is required");
   }
   CampaignReport report;
-  report.fingerprint = fingerprint_;
   report.stopped = stopped;
   // No runner here: the analytic pass runs on the calling thread.
   ExecutorPool serial(1);
@@ -685,21 +591,22 @@ StatusOr<CampaignReport> Campaign::Merge(bool stopped) {
 }
 
 Status Campaign::RecordPoisonJob(const JobRecord& record) {
-  const int shard = spec_.ShardOfJob(record.job_id);
-  const std::string path = ShardPath(options_.out_dir, shard);
+  const CampaignJob job = spec_.JobById(record.job_id);
+  const std::string path =
+      ShardPath(options_.out_dir, spec_.ShardOfJob(job.id));
   auto loaded = LoadCheckpoint(path, fingerprint_);
   if (!loaded.ok()) return loaded.status();
-  for (const JobRecord& existing : loaded->records) {
-    // Already recorded (e.g. the worker appended before dying on the
-    // fsync): keep the first occurrence, like every other merge path.
-    if (existing.job_id == record.job_id) return Status::Ok();
-  }
+  // Already recorded (e.g. the worker appended before dying on the
+  // fsync): keep the first occurrence, like every other merge path.
+  if (loaded->Unrecorded({job}).empty()) return Status::Ok();
   CheckpointWriter writer;
+  // Always durable: the supervisor writes this record, and a lost
+  // poison record would send the campaign back into bisection.
   PCPDA_RETURN_IF_ERROR(
-      writer.Open(path, fingerprint_, loaded->valid_bytes, options_.fsync));
+      writer.Open(path, fingerprint_, loaded->valid_bytes, /*fsync=*/true));
   PCPDA_RETURN_IF_ERROR(writer.Append(record));
   PCPDA_RETURN_IF_ERROR(writer.Close());
-  return WriteQuarantine(spec_.JobById(record.job_id), record);
+  return WriteQuarantine(job, record);
 }
 
 }  // namespace pcpda

@@ -62,7 +62,7 @@ struct CampaignOptions {
   /// Workers write one heartbeat byte per call; the supervisor's stall
   /// detector feeds on them. Must be async-safe in the ordinary sense
   /// (called under no campaign lock) and cheap.
-  std::function<void()> on_record;
+  std::function<void()> on_record = nullptr;
 
   /// Lint pre-flight (ROADMAP item 3): run the static analyzer's
   /// error-level filter over every generated scenario before any
@@ -71,30 +71,39 @@ struct CampaignOptions {
   /// generator bug, never counted as a protocol failure.
   bool lint_preflight = true;
 
-  // --- fault injection for the robustness tests ------------------------
-  /// This job id throws on every attempt (exhausts retries, quarantined).
-  std::int64_t inject_crash_job = -1;
-  /// This job id spins until cancelled (trips the watchdog, quarantined).
-  std::int64_t inject_hang_job = -1;
-  /// Trip an internal stop flag after this many completions — a
-  /// deterministic stand-in for SIGINT mid-shard. The runner watches that
-  /// flag alongside `stop`, so in-flight jobs are cancelled and nothing
-  /// new starts as soon as it trips. -1 = off.
-  std::int64_t stop_after = -1;
-  /// This job id kills the whole *process* with SIGSEGV when it starts —
-  /// the supervisor-level poison-job injection (a thrown exception never
-  /// leaves the worker; this one cannot be caught). Lethal by design in
-  /// unsupervised runs.
-  std::int64_t inject_segv_job = -1;
-  /// This job id spins forever without polling cancellation — a hang no
-  /// in-process watchdog can break; only the supervisor's SIGTERM→SIGKILL
-  /// escalation ends it. Lethal by design in unsupervised runs.
-  std::int64_t inject_spin_job = -1;
-  /// Inject a lint defect into this cell's generated scenario (a
-  /// dangling `expect` reference), driving the lint pre-flight's
-  /// generator_defect path deterministically in tests. -1 = off.
-  std::int64_t inject_lint_defect_cell = -1;
+  /// Deterministic faults for the robustness tests; the defaults (-1)
+  /// turn every hook off. The segv and spin hooks are lethal by design
+  /// in unsupervised runs: only the supervisor can contain them.
+  struct TestHooks {
+    /// This job throws on every attempt (exhausts retries, quarantined).
+    std::int64_t throw_job = -1;
+    /// This job sleeps until the watchdog cancels it (quarantined).
+    std::int64_t hang_job = -1;
+    /// This job raises SIGSEGV, killing the whole process when it starts:
+    /// the supervisor's poison-job case, which no retry can catch.
+    std::int64_t segv_job = -1;
+    /// This job spins without polling cancellation: a hang that only the
+    /// supervisor's SIGTERM→SIGKILL escalation ends.
+    std::int64_t spin_job = -1;
+    /// This cell's scenario gets a dangling `expect` reference, which the
+    /// lint pre-flight rejects as a generator defect.
+    std::int64_t lint_defect_cell = -1;
+    /// After this many completions, trip an internal stop flag: a
+    /// deterministic SIGINT mid-shard. The runner watches it alongside
+    /// `stop`, so in-flight jobs are cancelled and nothing new starts.
+    std::int64_t stop_after = -1;
+  };
+  TestHooks hooks = {};
 };
+
+/// Applies one pcpda_campaign flag ("--name=value", or "--name" for a
+/// switch) to `spec` or `options`. Every flag that sets a CampaignSpec or
+/// CampaignOptions field is parsed here, from one table, so a supervised
+/// worker re-parses the user's flags exactly as the supervisor did.
+/// NotFound for a flag not in the table; InvalidArgument, naming the
+/// flag, for a malformed or out-of-range value.
+Status ApplyCampaignFlag(const std::string& arg, CampaignSpec* spec,
+                         CampaignOptions* options);
 
 /// Per-shard accounting for one invocation.
 struct ShardSummary {
@@ -106,18 +115,12 @@ struct ShardSummary {
   std::int64_t ran = 0;
   /// Torn-tail bytes discarded when the checkpoint was loaded.
   std::int64_t torn_bytes = 0;
-  std::int64_t ok = 0;
-  std::int64_t failed = 0;
-  std::int64_t quarantined = 0;
-  /// Jobs still unrecorded (stop fired, or the shard was not selected).
-  std::int64_t pending = 0;
 };
 
 /// Result of one campaign invocation. ok/failed/quarantined/pending
 /// account for every job of every shard (resumed or not):
 /// ok + failed + quarantined + pending == total_jobs, always.
 struct CampaignReport {
-  std::string fingerprint;
   std::vector<ShardSummary> shards;
   std::int64_t total_jobs = 0;
   std::int64_t ok = 0;
@@ -167,8 +170,7 @@ class Campaign {
 
  private:
   /// Executes the missing jobs of one shard, appending each completion
-  /// to the shard checkpoint. Fills the summary's resumed/ran/torn
-  /// counters; ok/failed/etc. are recomputed globally by Finalize.
+  /// to the shard checkpoint, and fills the summary.
   Status RunShard(BatchRunner& runner, int shard, ShardSummary& summary);
   /// Executes one job attempt (or an injected fault).
   SimResult RunJob(const CampaignJob& job, const JobContext& context);
@@ -183,14 +185,14 @@ class Campaign {
   /// MANIFEST.json and — when complete — BENCH_campaign.json. `pool`
   /// runs the merge's analytic pass.
   Status Finalize(CampaignReport& report, ExecutorPool& pool);
-  /// Renders the merged benchmark report (deterministic byte-for-byte:
-  /// records sorted by job id, fixed key order, no timestamps, the same
-  /// bytes for any `pool` size).
-  std::string RenderBench(const std::vector<JobRecord>& records,
+  /// Renders the merged benchmark report of a complete `report`
+  /// (deterministic byte-for-byte: records sorted by job id, fixed key
+  /// order, no timestamps, the same bytes for any `pool` size).
+  std::string RenderBench(const CampaignReport& report,
+                          const std::vector<JobRecord>& records,
                           ExecutorPool& pool) const;
-  std::string RenderManifest(
-      const CampaignReport& report,
-      const std::vector<std::int64_t>& recorded_per_shard) const;
+  std::string RenderManifest(const CampaignReport& report,
+                             const std::vector<std::string>& shard_rows) const;
   bool StopRequested() const;
 
   /// The 8 protocol jobs of a grid cell share one scenario seed, so they
@@ -209,7 +211,7 @@ class Campaign {
   const CampaignSpec spec_;
   const CampaignOptions options_;
   const std::string fingerprint_;
-  /// stop_after's deterministic stop flag (see CampaignOptions).
+  /// hooks.stop_after's deterministic stop flag (see CampaignOptions).
   std::atomic<bool> internal_stop_{false};
   std::atomic<std::int64_t> completions_{0};
   /// Cell-plan cache (see CellPlanFor); guarded by plans_mu_.

@@ -7,8 +7,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "common/strings.h"
@@ -203,6 +205,17 @@ StatusOr<JobRecord> DecodeJobRecord(const std::string& line) {
   return r;
 }
 
+std::vector<CampaignJob> LoadedCheckpoint::Unrecorded(
+    const std::vector<CampaignJob>& jobs) const {
+  std::unordered_set<std::int64_t> recorded;
+  for (const JobRecord& record : records) recorded.insert(record.job_id);
+  std::vector<CampaignJob> pending;
+  for (const CampaignJob& job : jobs) {
+    if (recorded.count(job.id) == 0) pending.push_back(job);
+  }
+  return pending;
+}
+
 StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& path,
                                           const std::string& fingerprint) {
   LoadedCheckpoint loaded;
@@ -388,6 +401,14 @@ Status WriteFileAtomic(const std::string& path,
     return status;
   }
   return FsyncParentDir(path);
+}
+
+Status MakeDirectories(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec) return Status::Ok();
+  return Status::Internal(
+      StrFormat("mkdir %s: %s", dir.c_str(), ec.message().c_str()));
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/spec.h"
 #include "common/status.h"
 
 namespace pcpda {
@@ -72,6 +73,10 @@ struct LoadedCheckpoint {
   std::int64_t valid_bytes = 0;
   /// Bytes of torn tail discarded (0 for a clean file).
   std::int64_t torn_bytes = 0;
+
+  /// The `jobs` no record holds, in their order: what is left to run.
+  std::vector<CampaignJob> Unrecorded(
+      const std::vector<CampaignJob>& jobs) const;
 };
 
 /// Loads a shard checkpoint. A missing file is an empty checkpoint. The
@@ -164,6 +169,9 @@ void SetCheckpointAppendFailureForTest(int successes);
 /// see either the old file or the new one, never a prefix.
 Status WriteFileAtomic(const std::string& path,
                        const std::string& contents);
+
+/// Creates `dir` and its missing parents; Internal on failure.
+Status MakeDirectories(const std::string& dir);
 
 /// Reads a whole file ("" for empty). NotFound when it does not exist.
 StatusOr<std::string> ReadFileToString(const std::string& path);

@@ -114,48 +114,6 @@ int CampaignSpec::ShardOfJob(std::int64_t id) const {
   return shards - 1;
 }
 
-std::vector<std::string> CampaignSpec::ToFlags() const {
-  std::vector<std::string> flags;
-  flags.push_back(StrFormat("--seed=%llu",
-                            static_cast<unsigned long long>(base_seed)));
-  flags.push_back(StrFormat("--scenarios=%d", scenarios));
-  flags.push_back(StrFormat("--shards=%d", shards));
-  flags.push_back(StrFormat("--horizon=%lld",
-                            static_cast<long long>(horizon)));
-  flags.push_back(StrFormat("--max-sim-ticks=%lld",
-                            static_cast<long long>(max_sim_ticks)));
-  flags.push_back(StrFormat("--wall-budget-ms=%d", wall_budget_ms));
-  flags.push_back(StrFormat("--retries=%d", max_retries));
-  std::vector<std::string> utils;
-  utils.reserve(utilizations.size());
-  for (double u : utilizations) utils.push_back(StrFormat("%.17g", u));
-  flags.push_back("--utils=" + Join(utils, ","));
-  std::vector<std::string> protos;
-  protos.reserve(protocols.size());
-  for (ProtocolKind kind : protocols) protos.push_back(ToString(kind));
-  flags.push_back("--protocols=" + Join(protos, ","));
-  const WorkloadParams& w = workload;
-  flags.push_back(StrFormat("--dist=%s", ToString(w.distribution)));
-  flags.push_back(StrFormat("--txns=%d", w.num_transactions));
-  flags.push_back(StrFormat("--items=%d", w.num_items));
-  flags.push_back(StrFormat("--min-period=%lld",
-                            static_cast<long long>(w.min_period)));
-  flags.push_back(StrFormat("--max-period=%lld",
-                            static_cast<long long>(w.max_period)));
-  flags.push_back(StrFormat("--min-ops=%d", w.min_ops));
-  flags.push_back(StrFormat("--max-ops=%d", w.max_ops));
-  flags.push_back(StrFormat("--write-fraction=%.17g", w.write_fraction));
-  flags.push_back(
-      StrFormat("--task-util-min=%.17g", w.min_task_utilization));
-  flags.push_back(
-      StrFormat("--task-util-max=%.17g", w.max_task_utilization));
-  flags.push_back(StrFormat("--exp-mean=%.17g", w.exp_mean_utilization));
-  flags.push_back(StrFormat("--bimodal-split=%.17g", w.bimodal_split));
-  flags.push_back(
-      StrFormat("--bimodal-light=%.17g", w.bimodal_light_fraction));
-  return flags;
-}
-
 CampaignJob CampaignSpec::JobById(std::int64_t id) const {
   PCPDA_CHECK(id >= 0 && id < num_jobs());
   CampaignJob job;
@@ -169,15 +127,29 @@ CampaignJob CampaignSpec::JobById(std::int64_t id) const {
   return job;
 }
 
+StatusOr<TransactionSet> CampaignSpec::CellWorkload(
+    std::int64_t cell) const {
+  PCPDA_CHECK(cell >= 0 && cell < num_cells());
+  WorkloadParams params = workload;
+  params.total_utilization =
+      utilizations[static_cast<std::size_t>(cell % num_utils())];
+  Rng rng(SplitMixSeed(base_seed, static_cast<std::uint64_t>(cell)));
+  return GenerateWorkload(params, rng);
+}
+
 std::vector<CampaignJob> CampaignSpec::JobsForShard(int shard) const {
+  return JobsForRange(shard, -1, -1);
+}
+
+std::vector<CampaignJob> CampaignSpec::JobsForRange(
+    int shard, std::int64_t first, std::int64_t last) const {
   PCPDA_CHECK(shard >= 0 && shard < shards);
-  const std::int64_t first = CellBegin(shard) * num_protocols();
-  const std::int64_t last = CellBegin(shard + 1) * num_protocols();
+  std::int64_t lo = CellBegin(shard) * num_protocols();
+  std::int64_t hi = CellBegin(shard + 1) * num_protocols();
+  if (first >= 0) lo = std::max(lo, first);
+  if (last >= 0) hi = std::min(hi, last);
   std::vector<CampaignJob> jobs;
-  jobs.reserve(static_cast<std::size_t>(last - first));
-  for (std::int64_t id = first; id < last; ++id) {
-    jobs.push_back(JobById(id));
-  }
+  for (std::int64_t id = lo; id < hi; ++id) jobs.push_back(JobById(id));
   return jobs;
 }
 

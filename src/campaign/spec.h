@@ -95,6 +95,12 @@ struct CampaignSpec {
   /// the contiguous cell range [CellBegin(s), CellBegin(s+1)).
   std::vector<CampaignJob> JobsForShard(int shard) const;
 
+  /// The jobs of `shard` with global ids in [first, last), in id order;
+  /// a negative bound leaves that side open. The unit a supervised
+  /// worker runs when bisection has split its shard.
+  std::vector<CampaignJob> JobsForRange(int shard, std::int64_t first,
+                                        std::int64_t last) const;
+
   /// First cell owned by `shard` (== num_cells() for shard == shards).
   std::int64_t CellBegin(int shard) const;
 
@@ -104,12 +110,13 @@ struct CampaignSpec {
   /// The job descriptor for a global job id.
   CampaignJob JobById(std::int64_t id) const;
 
-  /// Serializes every result-affecting field back into pcpda_campaign
-  /// CLI flags, the form the supervisor hands to forked workers. Doubles
-  /// are emitted with %.17g so the worker re-parses bit-identical values
-  /// and computes the same Fingerprint() — a mismatch would make the
-  /// worker refuse the shard checkpoint rather than silently remix.
-  std::vector<std::string> ToFlags() const;
+  /// The workload every protocol of `cell` runs: generated from the
+  /// cell's sweep point and SplitMixSeed(base_seed, cell), and from
+  /// nothing else. Running, quarantining and merging all regenerate a
+  /// cell through here, which is what makes their results agree.
+  StatusOr<TransactionSet> CellWorkload(std::int64_t cell) const;
+
+  bool operator==(const CampaignSpec&) const = default;
 };
 
 }  // namespace pcpda

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -100,7 +101,7 @@ StatusOr<Tick> ParseTick(const std::string& text, Tick min, Tick max) {
 namespace {
 
 template <typename T, typename Parse>
-bool ParseFlag(const char* flag, const Parse& parse, T* out) {
+bool Report(const char* flag, const Parse& parse, T* out) {
   auto result = parse();
   if (!result.ok()) {
     std::fprintf(stderr, "%s: %s\n", flag,
@@ -115,27 +116,29 @@ bool ParseFlag(const char* flag, const Parse& parse, T* out) {
 
 bool ParseFlagInt64(const char* flag, const std::string& value,
                     std::int64_t min, std::int64_t max, std::int64_t* out) {
-  return ParseFlag(flag, [&] { return ParseInt64(value, min, max); }, out);
+  return Report(flag, [&] { return ParseInt64(value, min, max); }, out);
 }
 
 bool ParseFlagUInt64(const char* flag, const std::string& value,
                      std::uint64_t max, std::uint64_t* out) {
-  return ParseFlag(flag, [&] { return ParseUInt64(value, max); }, out);
+  return Report(flag, [&] { return ParseUInt64(value, max); }, out);
 }
 
 bool ParseFlagDouble(const char* flag, const std::string& value, double min,
                      double max, double* out) {
-  return ParseFlag(flag, [&] { return ParseDouble(value, min, max); }, out);
-}
-
-bool ParseFlagTick(const char* flag, const std::string& value, Tick min,
-                   Tick max, Tick* out) {
-  return ParseFlag(flag, [&] { return ParseTick(value, min, max); }, out);
+  return Report(flag, [&] { return ParseDouble(value, min, max); }, out);
 }
 
 bool ParseFlagInt(const char* flag, const std::string& value, int min,
                   int max, int* out) {
-  return ParseFlag(flag, [&] { return ParseInt64(value, min, max); }, out);
+  return Report(flag, [&] { return ParseInt64(value, min, max); }, out);
+}
+
+bool ParseFlag(const char* arg, const char* name, const char** value) {
+  const std::size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
+  *value = arg + len + 1;
+  return true;
 }
 
 int JobsFromEnv(const char* name, int fallback) {

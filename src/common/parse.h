@@ -50,10 +50,12 @@ bool ParseFlagUInt64(const char* flag, const std::string& value,
                      std::uint64_t max, std::uint64_t* out);
 bool ParseFlagDouble(const char* flag, const std::string& value, double min,
                      double max, double* out);
-bool ParseFlagTick(const char* flag, const std::string& value, Tick min,
-                   Tick max, Tick* out);
 bool ParseFlagInt(const char* flag, const std::string& value, int min,
                   int max, int* out);
+
+/// Matches `arg` against "<name>=<value>": on a match points `value` at
+/// the text after '=' and returns true.
+bool ParseFlag(const char* arg, const char* name, const char** value);
 
 /// Worker-count environment variable (e.g. PCPDA_JOBS): unset or empty
 /// yields `fallback`; an integer in [1, 1024] is used as-is; anything

@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
-#include <unordered_set>
 #include <utility>
 
 #include "campaign/checkpoint.h"
@@ -49,6 +47,13 @@ bool IsCrashSignal(int sig) {
          sig == SIGILL || sig == SIGFPE;
 }
 
+/// Empties a nonblocking pipe or inotify fd whose bytes only woke poll().
+void Drain(int fd) {
+  char sink[4096];
+  while (::read(fd, sink, sizeof(sink)) > 0) {
+  }
+}
+
 int MillisUntil(std::chrono::steady_clock::time_point now,
                 std::chrono::steady_clock::time_point then) {
   if (then <= now) return 0;
@@ -62,96 +67,36 @@ int MillisUntil(std::chrono::steady_clock::time_point now,
 Supervisor::Supervisor(CampaignSpec spec, SupervisorOptions options)
     : spec_(std::move(spec)),
       options_(std::move(options)),
-      campaign_(spec_,
-                [this] {
-                  CampaignOptions merge_options;
-                  merge_options.out_dir = options_.out_dir;
-                  merge_options.fsync = options_.fsync;
-                  return merge_options;
-                }()),
+      campaign_(spec_, CampaignOptions{.out_dir = options_.out_dir}),
       chaos_(ChaosSchedule::Make(options_.chaos_seed, options_.chaos_kills,
                                  options_.chaos_stops)) {}
 
 bool Supervisor::ShardBusy(int shard) const {
-  for (const Worker& worker : live_) {
-    if (worker.task.shard == shard) return true;
-  }
-  return false;
+  return std::any_of(live_.begin(), live_.end(), [shard](const Worker& w) {
+    return w.task.shard == shard;
+  });
 }
 
-std::int64_t Supervisor::RangeJobs(const Task& task) const {
-  std::int64_t jobs = 0;
-  for (const CampaignJob& job : spec_.JobsForShard(task.shard)) {
-    if (task.lo >= 0 && job.id < task.lo) continue;
-    if (task.hi >= 0 && job.id >= task.hi) continue;
-    ++jobs;
-  }
-  return jobs;
-}
-
-StatusOr<std::vector<std::int64_t>> Supervisor::PendingJobs(
+StatusOr<std::vector<CampaignJob>> Supervisor::PendingJobs(
     const Task& task) const {
   auto loaded = LoadCheckpoint(
       Campaign::ShardPath(options_.out_dir, task.shard),
       spec_.Fingerprint());
   if (!loaded.ok()) return loaded.status();
-  std::unordered_set<std::int64_t> recorded;
-  recorded.reserve(loaded->records.size());
-  for (const JobRecord& record : loaded->records) {
-    recorded.insert(record.job_id);
-  }
-  std::vector<std::int64_t> pending;
-  for (const CampaignJob& job : spec_.JobsForShard(task.shard)) {
-    if (task.lo >= 0 && job.id < task.lo) continue;
-    if (task.hi >= 0 && job.id >= task.hi) continue;
-    if (recorded.count(job.id)) continue;
-    pending.push_back(job.id);
-  }
-  return pending;
+  return loaded->Unrecorded(spec_.JobsForRange(task.shard, task.lo, task.hi));
 }
 
 std::vector<std::string> Supervisor::WorkerArgs(const Task& task,
                                                 int hb_fd) const {
-  std::vector<std::string> args;
-  args.push_back(options_.worker_binary);
+  std::vector<std::string> args = options_.worker_command;
   args.push_back("--worker");
   args.push_back("--out=" + options_.out_dir);
   args.push_back(StrFormat("--shard=%d", task.shard));
-  args.push_back(StrFormat("--jobs=%d", options_.worker_jobs));
   args.push_back(StrFormat("--heartbeat-fd=%d", hb_fd));
-  for (std::string& flag : spec_.ToFlags()) {
-    args.push_back(std::move(flag));
-  }
-  if (!options_.fsync) args.push_back("--no-fsync");
-  if (!options_.lint_preflight) args.push_back("--no-lint-preflight");
-  if (task.lo >= 0) {
-    args.push_back(StrFormat("--job-first=%lld",
-                             static_cast<long long>(task.lo)));
-  }
-  if (task.hi >= 0) {
-    args.push_back(StrFormat("--job-last=%lld",
-                             static_cast<long long>(task.hi)));
-  }
-  if (options_.inject_crash_job >= 0) {
-    args.push_back(StrFormat("--inject-crash=%lld",
-                             static_cast<long long>(
-                                 options_.inject_crash_job)));
-  }
-  if (options_.inject_hang_job >= 0) {
-    args.push_back(StrFormat("--inject-hang=%lld",
-                             static_cast<long long>(
-                                 options_.inject_hang_job)));
-  }
-  if (options_.inject_segv_job >= 0) {
-    args.push_back(StrFormat("--inject-crash-job=%lld",
-                             static_cast<long long>(
-                                 options_.inject_segv_job)));
-  }
-  if (options_.inject_spin_job >= 0) {
-    args.push_back(StrFormat("--inject-spin-job=%lld",
-                             static_cast<long long>(
-                                 options_.inject_spin_job)));
-  }
+  args.push_back(
+      StrFormat("--job-first=%lld", static_cast<long long>(task.lo)));
+  args.push_back(
+      StrFormat("--job-last=%lld", static_cast<long long>(task.hi)));
   return args;
 }
 
@@ -220,7 +165,6 @@ Status Supervisor::Spawn(const Task& task) {
   worker.pid = pid;
   worker.hb_fd = fds[0];
   worker.to_record = static_cast<std::int64_t>(pending->size());
-  worker.recorded_at_spawn = RangeJobs(task) - worker.to_record;
   worker.ckpt_bytes = ckpt_bytes;
   worker.started = Clock::now();
   worker.last_beat = worker.started;
@@ -381,8 +325,6 @@ void Supervisor::HandleDeath(Worker worker, int wait_status) {
     fatal_status_ = pending.status();
     return;
   }
-  const std::int64_t recorded_after =
-      RangeJobs(task) - static_cast<std::int64_t>(pending->size());
 
   std::string death;
   if (exited) {
@@ -424,7 +366,8 @@ void Supervisor::HandleDeath(Worker worker, int wait_status) {
   // (A worker we SIGTERMed for stalling may still exit voluntarily with
   // pending jobs — that is an answer to OUR signal, but the stall itself
   // is evidence, so every death that reaches this point is judged.)
-  const bool made_progress = recorded_after > worker.recorded_at_spawn;
+  const bool made_progress =
+      static_cast<std::int64_t>(pending->size()) < worker.to_record;
 
   // Only process-killing deaths feed the bisection counter: a death by
   // signal, or a SIGKILL after our own escalation. A voluntary nonzero
@@ -446,7 +389,7 @@ void Supervisor::HandleDeath(Worker worker, int wait_status) {
   if (task.deaths_without_progress >= options_.bisect_after) {
     if (pending->size() == 1) {
       JobRecord record;
-      record.job_id = pending->front();
+      record.job_id = pending->front().id;
       record.outcome = "crash";
       record.attempts = task.attempts;
       record.code = "Internal";
@@ -464,20 +407,9 @@ void Supervisor::HandleDeath(Worker worker, int wait_status) {
       ++stats_.poison_jobs;
       return;
     }
-    const std::int64_t mid = (*pending)[pending->size() / 2];
-    Task left;
-    left.shard = task.shard;
-    left.lo = task.lo;
-    left.hi = mid;
-    Task right;
-    right.shard = task.shard;
-    right.lo = mid;
-    right.hi = task.hi;
-    const auto now = Clock::now();
-    left.eligible_at = now;
-    right.eligible_at = now;
-    queue_.push_back(left);
-    queue_.push_back(right);
+    const std::int64_t mid = (*pending)[pending->size() / 2].id;
+    queue_.push_back(Task{task.shard, task.lo, mid, Clock::now()});
+    queue_.push_back(Task{task.shard, mid, task.hi, Clock::now()});
     ++stats_.bisections;
     return;
   }
@@ -519,22 +451,14 @@ StatusOr<CampaignReport> Supervisor::Run() {
   if (options_.out_dir.empty()) {
     return Status::InvalidArgument("supervisor requires an out_dir");
   }
-  if (options_.worker_binary.empty()) {
-    return Status::InvalidArgument("supervisor requires a worker binary");
+  if (options_.worker_command.empty()) {
+    return Status::InvalidArgument("supervisor requires a worker command");
   }
   if (options_.max_workers < 1) {
     return Status::InvalidArgument("max_workers must be >= 1");
   }
   PCPDA_RETURN_IF_ERROR(spec_.Validate());
-  {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.out_dir, ec);
-    if (ec) {
-      return Status::Internal(StrFormat("mkdir %s: %s",
-                                        options_.out_dir.c_str(),
-                                        ec.message().c_str()));
-    }
-  }
+  PCPDA_RETURN_IF_ERROR(MakeDirectories(options_.out_dir));
 
   // Chaos clock: every write to a shard checkpoint wakes the loop, which
   // then counts the new records (ScanProgress).
@@ -572,10 +496,7 @@ StatusOr<CampaignReport> Supervisor::Run() {
   ::sigaction(SIGCHLD, &sigchld_action, &old_sigchld);
 
   for (int shard = 0; shard < spec_.shards; ++shard) {
-    Task task;
-    task.shard = shard;
-    task.eligible_at = Clock::now();
-    queue_.push_back(task);
+    queue_.push_back(Task{shard, -1, -1, Clock::now()});
   }
 
   Status loop_status = Status::Ok();
@@ -618,22 +539,14 @@ StatusOr<CampaignReport> Supervisor::Run() {
       break;
     }
     if (ready > 0) {
-      if (fds[0].revents & POLLIN) {
-        char sink[64];
-        while (::read(sigchld_pipe[0], sink, sizeof(sink)) > 0) {
-        }
-      }
+      if (fds[0].revents & POLLIN) Drain(sigchld_pipe[0]);
       if (options_.signal_rfd >= 0 && (fds[1].revents & POLLIN)) {
-        char sink[64];
-        while (::read(options_.signal_rfd, sink, sizeof(sink)) > 0) {
-        }
+        Drain(options_.signal_rfd);
         RequestStop();
       }
       if (progress_fd >= 0 && (fds[progress_index].revents & POLLIN)) {
         // The events only wake the loop; ScanProgress reads the files.
-        char sink[4096];
-        while (::read(progress_fd, sink, sizeof(sink)) > 0) {
-        }
+        Drain(progress_fd);
       }
       // Heartbeats before reaping: progress must be visible before the
       // death that follows it is judged. Index by position: live_ is
@@ -654,17 +567,12 @@ StatusOr<CampaignReport> Supervisor::Run() {
 
   // Drain any stragglers so no worker outlives (or is zombied by) the
   // supervisor, even on the error paths above.
-  if (!live_.empty()) {
-    for (const Worker& worker : live_) {
-      ::kill(worker.pid, SIGKILL);
-    }
-    for (const Worker& worker : live_) {
-      int wait_status = 0;
-      ::waitpid(worker.pid, &wait_status, 0);
-      ::close(worker.hb_fd);
-    }
-    live_.clear();
+  for (const Worker& worker : live_) ::kill(worker.pid, SIGKILL);
+  for (const Worker& worker : live_) {
+    ::waitpid(worker.pid, nullptr, 0);
+    ::close(worker.hb_fd);
   }
+  live_.clear();
   ::sigaction(SIGCHLD, &old_sigchld, nullptr);
   g_sigchld_wfd = -1;
   ::close(sigchld_pipe[0]);
@@ -684,37 +592,27 @@ StatusOr<CampaignReport> Supervisor::Run() {
 
 std::string Supervisor::RenderStats() const {
   const SupervisorStats& s = stats_;
-  return StrFormat(
-      "{\n"
-      "  \"workers_spawned\": %lld,\n"
-      "  \"clean_exits\": %lld,\n"
-      "  \"error_exits\": %lld,\n"
-      "  \"crash_deaths\": %lld,\n"
-      "  \"kill_deaths\": %lld,\n"
-      "  \"other_signal_deaths\": %lld,\n"
-      "  \"hang_escalations\": %lld,\n"
-      "  \"retries\": %lld,\n"
-      "  \"bisections\": %lld,\n"
-      "  \"poison_jobs\": %lld,\n"
-      "  \"abandoned_tasks\": %lld,\n"
-      "  \"chaos_kills_injected\": %lld,\n"
-      "  \"chaos_stops_injected\": %lld,\n"
-      "  \"heartbeats\": %lld\n"
-      "}\n",
-      static_cast<long long>(s.workers_spawned),
-      static_cast<long long>(s.clean_exits),
-      static_cast<long long>(s.error_exits),
-      static_cast<long long>(s.crash_deaths),
-      static_cast<long long>(s.kill_deaths),
-      static_cast<long long>(s.other_signal_deaths),
-      static_cast<long long>(s.hang_escalations),
-      static_cast<long long>(s.retries),
-      static_cast<long long>(s.bisections),
-      static_cast<long long>(s.poison_jobs),
-      static_cast<long long>(s.abandoned_tasks),
-      static_cast<long long>(s.chaos_kills_injected),
-      static_cast<long long>(s.chaos_stops_injected),
-      static_cast<long long>(s.heartbeats));
+  const std::pair<const char*, std::int64_t> fields[] = {
+      {"workers_spawned", s.workers_spawned},
+      {"clean_exits", s.clean_exits},
+      {"error_exits", s.error_exits},
+      {"crash_deaths", s.crash_deaths},
+      {"kill_deaths", s.kill_deaths},
+      {"other_signal_deaths", s.other_signal_deaths},
+      {"hang_escalations", s.hang_escalations},
+      {"retries", s.retries},
+      {"bisections", s.bisections},
+      {"poison_jobs", s.poison_jobs},
+      {"abandoned_tasks", s.abandoned_tasks},
+      {"chaos_kills_injected", s.chaos_kills_injected},
+      {"chaos_stops_injected", s.chaos_stops_injected},
+      {"heartbeats", s.heartbeats}};
+  std::vector<std::string> rows;
+  for (const auto& [name, value] : fields) {
+    rows.push_back(
+        StrFormat("  \"%s\": %lld", name, static_cast<long long>(value)));
+  }
+  return "{\n" + Join(rows, ",\n") + "\n}\n";
 }
 
 }  // namespace pcpda

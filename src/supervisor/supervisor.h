@@ -23,19 +23,18 @@ struct SupervisorOptions {
   /// Campaign output directory (checkpoints, MANIFEST, BENCH,
   /// SUPERVISOR.json, quarantine/).
   std::string out_dir;
-  /// The worker executable: pcpda_campaign itself, re-exec'd with
-  /// --worker. The CLI resolves /proc/self/exe; tests point it at the
-  /// built binary.
-  std::string worker_binary;
+  /// The worker: its executable (pcpda_campaign itself, re-exec'd; the
+  /// CLI resolves /proc/self/exe, tests point it at the built binary)
+  /// followed by the campaign flags exactly as the user gave them. Each
+  /// worker runs it with the per-task flags appended (--worker, --out,
+  /// --shard, --heartbeat-fd and the job range), so the command must
+  /// hold none of those. The worker re-derives the spec from these flags;
+  /// the checkpoint fingerprint refuses any skew from `spec`.
+  std::vector<std::string> worker_command;
   /// Concurrent worker processes. Only one worker ever owns a shard
   /// checkpoint at a time (two appenders on one file would interleave
   /// destructively), so values above the live task count idle.
   int max_workers = 2;
-  /// --jobs forwarded to each worker (threads inside the process).
-  int worker_jobs = 1;
-  /// Group-fsync checkpoint records in workers (forwarded as
-  /// --no-fsync when false).
-  bool fsync = true;
 
   // --- hang detection and escalation -----------------------------------
   /// No heartbeat from a worker for this long → SIGTERM (cooperative
@@ -69,14 +68,6 @@ struct SupervisorOptions {
   /// SIGKILL / SIGSTOP injections against live workers (see chaos.h).
   int chaos_kills = 0;
   int chaos_stops = 0;
-
-  // --- fault injection forwarded to workers ----------------------------
-  std::int64_t inject_crash_job = -1;  // worker-internal throw
-  std::int64_t inject_hang_job = -1;   // worker-internal cooperative hang
-  std::int64_t inject_segv_job = -1;   // worker process SIGSEGV
-  std::int64_t inject_spin_job = -1;   // worker process uncooperative spin
-  /// Forwarded as --no-lint-preflight when false.
-  bool lint_preflight = true;
 
   // --- graceful stop ----------------------------------------------------
   /// The CLI's sigaction flag (volatile sig_atomic_t, set by the
@@ -148,10 +139,10 @@ class Supervisor {
     int shard = 0;
     std::int64_t lo = -1;
     std::int64_t hi = -1;
+    Clock::time_point eligible_at{};
     int attempts = 0;
     /// Consecutive involuntary deaths with zero new records.
     int deaths_without_progress = 0;
-    Clock::time_point eligible_at{};
   };
 
   /// A live worker process.
@@ -159,10 +150,8 @@ class Supervisor {
     Task task;
     ::pid_t pid = -1;
     int hb_fd = -1;
-    /// Records already present in the task range when it spawned — the
-    /// progress baseline its death is judged against.
-    std::int64_t recorded_at_spawn = 0;
-    /// Pending jobs of the range when it spawned: the records it owes.
+    /// Pending jobs of the range when it spawned: the records it owes,
+    /// and the progress baseline its death is judged against.
     std::int64_t to_record = 0;
     /// Records it has written so far, and the checkpoint bytes counted
     /// (chaos runs only; see ScanProgress).
@@ -193,10 +182,8 @@ class Supervisor {
   /// Returns false when no event is due.
   bool InjectDueChaos(Worker& victim);
   void RequestStop();
-  /// Pending (unrecorded) job ids of a task's range, in id order.
-  StatusOr<std::vector<std::int64_t>> PendingJobs(const Task& task) const;
-  /// Number of jobs in a task's range.
-  std::int64_t RangeJobs(const Task& task) const;
+  /// Pending (unrecorded) jobs of a task's range, in id order.
+  StatusOr<std::vector<CampaignJob>> PendingJobs(const Task& task) const;
   std::vector<std::string> WorkerArgs(const Task& task, int hb_fd) const;
   int BackoffMs(const Task& task) const;
   bool ShardBusy(int shard) const;

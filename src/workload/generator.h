@@ -68,6 +68,8 @@ struct WorkloadParams {
   int max_ops = 5;
   /// Probability a data operation is a write.
   double write_fraction = 0.3;
+
+  bool operator==(const WorkloadParams&) const = default;
 };
 
 /// UUniFast (Bini & Buttazzo): splits `total` into `n` unbiased uniform

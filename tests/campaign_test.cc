@@ -24,6 +24,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/spec.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace pcpda {
 namespace {
@@ -210,6 +211,156 @@ TEST(CampaignSpecTest, FingerprintIgnoresExecutionKnobsOnly) {
   CampaignSpec other_workload = base;
   other_workload.workload.distribution = UtilDistribution::kBimodal;
   EXPECT_NE(base.Fingerprint(), other_workload.Fingerprint());
+}
+
+TEST(CampaignSpecTest, JobsForRangeClipsTheShardToTheRange) {
+  CampaignSpec spec = SmallSpec();
+  spec.shards = 2;  // shard 1 holds job ids 6..11
+  std::vector<std::int64_t> ids;
+  for (const CampaignJob& job : spec.JobsForRange(1, 4, 9)) {
+    ids.push_back(job.id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{6, 7, 8}));
+  EXPECT_EQ(spec.JobsForRange(1, -1, -1).size(), 6u);
+  EXPECT_EQ(spec.JobsForRange(1, 8, -1).size(), 4u);
+  EXPECT_TRUE(spec.JobsForRange(0, 9, 12).empty());
+}
+
+// --- ApplyCampaignFlag -------------------------------------------------------
+
+Status Apply(const std::string& arg, CampaignSpec* spec) {
+  CampaignOptions options;
+  return ApplyCampaignFlag(arg, spec, &options);
+}
+
+TEST(CampaignFlagsTest, PrintedDoublesParseBitExactly) {
+  // No short decimal form: printed at %.17g they must come back exactly,
+  // or a worker's fingerprint would differ from its supervisor's.
+  const double a = 0.1 + 0.2, b = 1.0 / 3.0, c = 2.0 / 7.0;
+  CampaignSpec spec;
+  ASSERT_TRUE(Apply(StrFormat("--utils=%.17g,%.17g", a, b), &spec).ok());
+  ASSERT_TRUE(Apply(StrFormat("--write-fraction=%.17g", c), &spec).ok());
+  EXPECT_EQ(spec.utilizations, (std::vector<double>{a, b}));
+  EXPECT_EQ(spec.workload.write_fraction, c);
+}
+
+TEST(CampaignFlagsTest, EachFlagSetsTheFieldItNames) {
+  CampaignSpec expected;
+  expected.base_seed = 12345678901234567890ull;
+  expected.scenarios = 5;
+  expected.shards = 2;
+  expected.utilizations = {0.25, 0.5};
+  expected.protocols = {ProtocolKind::kOpcp, ProtocolKind::kPcpDa};
+  expected.horizon = 500;
+  expected.max_sim_ticks = 900;
+  expected.wall_budget_ms = 250;
+  expected.max_retries = 3;
+  WorkloadParams& w = expected.workload;
+  w.distribution = UtilDistribution::kBimodal;
+  w.num_transactions = 6;
+  w.num_items = 12;
+  w.min_period = 40;
+  w.max_period = 800;
+  w.min_ops = 1;
+  w.max_ops = 4;
+  w.write_fraction = 0.45;
+  w.min_task_utilization = 0.01;
+  w.max_task_utilization = 0.7;
+  w.exp_mean_utilization = 0.2;
+  w.bimodal_split = 0.4;
+  w.bimodal_light_fraction = 0.75;
+
+  CampaignSpec spec;
+  CampaignOptions options;
+  for (const char* flag :
+       {"--seed=12345678901234567890", "--scenarios=5", "--shards=2",
+        "--utils=0.25,0.5", "--protocols=PCP,PCP-DA", "--horizon=500",
+        "--max-sim-ticks=900", "--wall-budget-ms=250", "--retries=3",
+        "--dist=bimodal", "--txns=6", "--items=12", "--min-period=40",
+        "--max-period=800", "--min-ops=1", "--max-ops=4",
+        "--write-fraction=0.45", "--task-util-min=0.01",
+        "--task-util-max=0.7", "--exp-mean=0.2", "--bimodal-split=0.4",
+        "--bimodal-light=0.75", "--out=some/dir", "--shard=1", "--jobs=3",
+        "--no-fsync", "--no-lint-preflight", "--job-first=2",
+        "--job-last=9", "--inject-crash=10", "--inject-hang=11",
+        "--inject-crash-job=12", "--inject-spin-job=13",
+        "--inject-lint-defect-cell=14", "--stop-after=15"}) {
+    EXPECT_TRUE(ApplyCampaignFlag(flag, &spec, &options).ok()) << flag;
+  }
+  EXPECT_EQ(spec, expected);
+  EXPECT_EQ(options.out_dir, "some/dir");
+  EXPECT_EQ(options.only_shard, 1);
+  EXPECT_EQ(options.jobs, 3);
+  EXPECT_FALSE(options.fsync);
+  EXPECT_FALSE(options.lint_preflight);
+  EXPECT_EQ(options.job_first, 2);
+  EXPECT_EQ(options.job_last, 9);
+  EXPECT_EQ(options.hooks.throw_job, 10);
+  EXPECT_EQ(options.hooks.hang_job, 11);
+  EXPECT_EQ(options.hooks.segv_job, 12);
+  EXPECT_EQ(options.hooks.spin_job, 13);
+  EXPECT_EQ(options.hooks.lint_defect_cell, 14);
+  EXPECT_EQ(options.hooks.stop_after, 15);
+}
+
+TEST(CampaignFlagsTest, EveryFlagRejectsMalformedAndOutOfRangeValues) {
+  // A malformed value, then an out-of-range one. --out takes any path.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> bad = {
+      {"--seed", {"x", "-1", "18446744073709551616"}},
+      {"--scenarios", {"lots", "0"}},
+      {"--shards", {"1.5", "0"}},
+      {"--utils", {"0.3,x", "0.3,-0.1"}},
+      {"--protocols", {"PCP-DA,", "NOPE"}},
+      {"--horizon", {"10x", "0"}},
+      {"--max-sim-ticks", {"x", "-1"}},
+      {"--wall-budget-ms", {"x", "-1"}},
+      {"--retries", {"x", "-1"}},
+      {"--dist", {"", "gaussian"}},
+      {"--txns", {"x", "0"}},
+      {"--items", {"x", "0"}},
+      {"--min-period", {"x", "0"}},
+      {"--max-period", {"x", "0"}},
+      {"--min-ops", {"x", "-1"}},
+      {"--max-ops", {"x", "-1"}},
+      {"--write-fraction", {"x", "1.5"}},
+      {"--task-util-min", {"x", "-0.1"}},
+      {"--task-util-max", {"x", "2"}},
+      {"--exp-mean", {"x", "1.01"}},
+      {"--bimodal-split", {"x", "-1"}},
+      {"--bimodal-light", {"x", "7"}},
+      {"--shard", {"one", "-1"}},
+      {"--jobs", {"x", "0"}},
+      {"--job-first", {"x", "-2"}},
+      {"--job-last", {"x", "-2"}},
+      {"--inject-crash", {"x", "-2"}},
+      {"--inject-hang", {"x", "-2"}},
+      {"--inject-crash-job", {"x", "-2"}},
+      {"--inject-spin-job", {"x", "-2"}},
+      {"--inject-lint-defect-cell", {"x", "-2"}},
+      {"--stop-after", {"x", "-2"}}};
+  for (const auto& [flag, values] : bad) {
+    for (const std::string& value : values) {
+      CampaignSpec spec;
+      const Status status = Apply(flag + "=" + value, &spec);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << flag << "=" << value;
+      EXPECT_EQ(status.message().rfind(flag + ": ", 0), 0u)
+          << status.message();
+    }
+  }
+  for (const char* flag : {"--no-fsync=1", "--no-lint-preflight=yes"}) {
+    CampaignSpec spec;
+    EXPECT_EQ(Apply(flag, &spec).code(), StatusCode::kInvalidArgument)
+        << flag;
+  }
+}
+
+TEST(CampaignFlagsTest, UnknownFlagIsNotFound) {
+  for (const char* flag :
+       {"--nope=1", "--seeds=1", "seed=1", "--supervise", "--workers=2"}) {
+    CampaignSpec spec;
+    EXPECT_EQ(Apply(flag, &spec).code(), StatusCode::kNotFound) << flag;
+  }
 }
 
 // --- Checkpoint codec ------------------------------------------------------
@@ -512,7 +663,7 @@ TEST(CampaignTest, ResumesByteIdenticallyAfterTornCheckpoint) {
   // Phase 1: a deterministic partial run — one worker, stop after 4
   // completions, so exactly 4 records land in the shard checkpoint.
   CampaignOptions partial = DirOptions(dir, /*jobs=*/1);
-  partial.stop_after = 4;
+  partial.hooks.stop_after = 4;
   Campaign first(SmallSpec(), partial);
   const auto stopped = first.Run();
   ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
@@ -549,8 +700,8 @@ TEST(CampaignTest, CrashAndHangAreQuarantinedAndStillMerge) {
   CampaignSpec spec = SmallSpec();
   spec.wall_budget_ms = 500;  // the hang's only way out
   CampaignOptions options = DirOptions(dir);
-  options.inject_crash_job = 2;
-  options.inject_hang_job = 5;
+  options.hooks.throw_job = 2;
+  options.hooks.hang_job = 5;
   Campaign campaign(spec, options);
   const auto report = campaign.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -594,7 +745,7 @@ TEST(CampaignTest, CrashAndHangAreQuarantinedAndStillMerge) {
 TEST(CampaignTest, GracefulStopWritesPartialManifestThenResumesClean) {
   const fs::path dir = TestDir("graceful_stop");
   CampaignOptions partial = DirOptions(dir, /*jobs=*/1);
-  partial.stop_after = 3;
+  partial.hooks.stop_after = 3;
   Campaign first(SmallSpec(), partial);
   const auto stopped = first.Run();
   ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
@@ -826,7 +977,7 @@ TEST(CampaignTest, StopAfterCountsCompletionsOnTheWorkerWithFsyncOn) {
   const fs::path dir = TestDir("stop_after_fsync");
   CampaignOptions options = DirOptions(dir, /*jobs=*/1);
   options.fsync = true;
-  options.stop_after = 4;
+  options.hooks.stop_after = 4;
   Campaign campaign(SmallSpec(), options);
   const auto report = campaign.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -858,7 +1009,7 @@ TEST(CheckpointTest, GeneratorDefectAndCrashOutcomesRoundTrip) {
 TEST(CampaignTest, LintPreflightQuarantinesDefectiveCellAsGeneratorBug) {
   const fs::path dir = TestDir("lint_preflight");
   CampaignOptions options = DirOptions(dir);
-  options.inject_lint_defect_cell = 2;
+  options.hooks.lint_defect_cell = 2;
   Campaign campaign(SmallSpec(), options);
   const auto report = campaign.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -900,7 +1051,7 @@ TEST(CampaignTest, LintPreflightQuarantinesDefectiveCellAsGeneratorBug) {
 TEST(CampaignTest, LintPreflightOffRunsTheDefectiveCellAnyway) {
   const fs::path dir = TestDir("lint_off");
   CampaignOptions options = DirOptions(dir);
-  options.inject_lint_defect_cell = 2;
+  options.hooks.lint_defect_cell = 2;
   options.lint_preflight = false;
   Campaign campaign(SmallSpec(), options);
   const auto report = campaign.Run();

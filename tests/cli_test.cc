@@ -130,6 +130,15 @@ TEST(CliRegressionTest, CampaignRejectsGarbageNumerics) {
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --horizon=-5"), 2);
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --scenarios=lots"), 2);
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --shard=one"), 2);
+  // Flags a supervised worker would receive on every attempt, or that the
+  // supervisor itself appends per task, cannot be combined with it.
+  for (const char* flag : {"--shard=0", "--stop-after=3", "--job-first=0",
+                           "--job-last=4", "--heartbeat-fd=5"}) {
+    EXPECT_EQ(RunCli(std::string("pcpda_campaign --out=/tmp/x --supervise ") +
+                     flag),
+              2)
+        << flag;
+  }
 }
 
 // run_scenario's full stdout (per-protocol Gantt, metrics, serializable

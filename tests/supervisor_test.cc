@@ -1,9 +1,9 @@
 // Tests for the process-isolated campaign supervisor (src/supervisor/):
-// the seeded chaos schedule, spec-to-flags serialization, and — spawning
-// the real pcpda_campaign binary as workers — end-to-end supervision:
-// byte-identical merges vs in-process runs, poison-job isolation by
-// bisection, chaos-kill recovery, and clean degradation when the worker
-// binary is broken.
+// the seeded chaos schedule, shard lookup, and — spawning the real
+// pcpda_campaign binary as workers — end-to-end supervision:
+// byte-identical merges vs in-process runs (test hooks included),
+// poison-job isolation by bisection, chaos-kill recovery, and clean
+// degradation when the worker binary is broken.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,18 +34,20 @@ fs::path TestDir(const std::string& name) {
   return dir;
 }
 
-/// Mirrors campaign_test's SmallSpec: 12 fast jobs across 2 shards.
+/// The campaign flags of a 12-job grid across 2 shards (campaign_test's
+/// SmallSpec, sharded). Workers get these flags; SmallSpec() parses them,
+/// so the spec is written down once.
+const std::vector<std::string> kSmallSpecFlags = {
+    "--seed=7",      "--scenarios=3",         "--utils=0.3,0.6",
+    "--horizon=300", "--protocols=PCP-DA,PCP", "--retries=1",
+    "--shards=2",    "--txns=4",              "--items=8"};
+
 CampaignSpec SmallSpec() {
   CampaignSpec spec;
-  spec.base_seed = 7;
-  spec.scenarios = 3;
-  spec.utilizations = {0.3, 0.6};
-  spec.protocols = {ProtocolKind::kPcpDa, ProtocolKind::kOpcp};
-  spec.horizon = 300;
-  spec.max_retries = 1;
-  spec.shards = 2;
-  spec.workload.num_transactions = 4;
-  spec.workload.num_items = 8;
+  CampaignOptions unused;
+  for (const std::string& flag : kSmallSpecFlags) {
+    EXPECT_TRUE(ApplyCampaignFlag(flag, &spec, &unused).ok()) << flag;
+  }
   return spec;
 }
 
@@ -111,7 +112,7 @@ TEST(ChaosScheduleTest, EmptyScheduleIsInert) {
   EXPECT_EQ(schedule.Due(1'000'000), nullptr);
 }
 
-// --- CampaignSpec::ToFlags and ShardOfJob ----------------------------------
+// --- CampaignSpec::ShardOfJob -----------------------------------------------
 
 TEST(SpecFlagsTest, ShardOfJobInvertsJobsForShard) {
   CampaignSpec spec = SmallSpec();
@@ -124,57 +125,6 @@ TEST(SpecFlagsTest, ShardOfJobInvertsJobsForShard) {
   }
 }
 
-TEST(SpecFlagsTest, ToFlagsRoundTripsDoublesBitExactly) {
-  CampaignSpec spec = SmallSpec();
-  // Values with no short decimal representation: %.17g must carry them
-  // through the exec boundary bit-exactly or the worker's fingerprint
-  // would diverge from the supervisor's.
-  spec.utilizations = {0.1 + 0.2, 1.0 / 3.0};
-  spec.workload.write_fraction = 2.0 / 7.0;
-  bool checked_utils = false;
-  for (const std::string& flag : spec.ToFlags()) {
-    if (flag.rfind("--utils=", 0) == 0) {
-      const std::string list = flag.substr(std::string("--utils=").size());
-      const std::size_t comma = list.find(',');
-      ASSERT_NE(comma, std::string::npos);
-      EXPECT_EQ(std::strtod(list.substr(0, comma).c_str(), nullptr),
-                0.1 + 0.2);
-      EXPECT_EQ(std::strtod(list.substr(comma + 1).c_str(), nullptr),
-                1.0 / 3.0);
-      checked_utils = true;
-    }
-    if (flag.rfind("--write-fraction=", 0) == 0) {
-      EXPECT_EQ(
-          std::strtod(flag.c_str() + std::string("--write-fraction=").size(),
-                      nullptr),
-          2.0 / 7.0);
-    }
-  }
-  EXPECT_TRUE(checked_utils);
-}
-
-TEST(SpecFlagsTest, ToFlagsCoversEveryFingerprintField) {
-  // Every flag a worker needs to recompute the fingerprint must be
-  // present; a missing one would surface as a checkpoint refusal at
-  // runtime, this catches it at unit-test time.
-  const std::set<std::string> expected = {
-      "--seed",          "--scenarios",     "--shards",
-      "--horizon",       "--max-sim-ticks", "--wall-budget-ms",
-      "--retries",       "--utils",         "--protocols",
-      "--dist",          "--txns",          "--items",
-      "--min-period",    "--max-period",    "--min-ops",
-      "--max-ops",       "--write-fraction", "--task-util-min",
-      "--task-util-max", "--exp-mean",      "--bimodal-split",
-      "--bimodal-light"};
-  std::set<std::string> seen;
-  for (const std::string& flag : SmallSpec().ToFlags()) {
-    const std::size_t eq = flag.find('=');
-    ASSERT_NE(eq, std::string::npos) << flag;
-    seen.insert(flag.substr(0, eq));
-  }
-  EXPECT_EQ(seen, expected);
-}
-
 // --- end-to-end supervision (spawns the real worker binary) ----------------
 
 #ifdef PCPDA_BINARY_DIR
@@ -183,13 +133,19 @@ std::string WorkerBinary() {
   return std::string(PCPDA_BINARY_DIR "/examples/pcpda_campaign");
 }
 
-SupervisorOptions FastOptions(const fs::path& dir) {
+/// Runs workers on kSmallSpecFlags plus `flags`, without fsync (logic
+/// tests; durability is the smoke's job).
+SupervisorOptions FastOptions(const fs::path& dir,
+                              const std::vector<std::string>& flags = {
+                                  "--jobs=2"}) {
   SupervisorOptions options;
   options.out_dir = dir.string();
-  options.worker_binary = WorkerBinary();
+  options.worker_command = {WorkerBinary(), "--no-fsync"};
+  for (const auto* list : {&kSmallSpecFlags, &flags}) {
+    options.worker_command.insert(options.worker_command.end(),
+                                  list->begin(), list->end());
+  }
   options.max_workers = 2;
-  options.worker_jobs = 2;
-  options.fsync = false;  // logic tests; durability is the smoke's job
   options.stall_timeout_ms = 5'000;
   options.term_grace_ms = 1'000;
   options.backoff_base_ms = 10;
@@ -213,22 +169,26 @@ void KeepWorkerSegvSignal() {
   }
 }
 
+/// The BENCH bytes of an in-process run of SmallSpec() under `hooks`.
+std::string InProcessBench(const std::string& name,
+                           const CampaignOptions::TestHooks& hooks) {
+  const fs::path dir = TestDir(name + "_" + std::to_string(::getpid()));
+  CampaignOptions options;
+  options.out_dir = dir.string();
+  options.jobs = 2;
+  options.fsync = false;
+  options.hooks = hooks;
+  Campaign campaign(SmallSpec(), options);
+  auto report = campaign.Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return MustRead(dir / "BENCH_campaign.json");
+}
+
 /// The BENCH bytes of an undisturbed in-process run — the golden value
 /// every supervised run must reproduce byte-identically.
 const std::string& ReferenceBench() {
-  static const std::string* bench = [] {
-    const fs::path dir =
-        TestDir("reference_" + std::to_string(::getpid()));
-    CampaignOptions options;
-    options.out_dir = dir.string();
-    options.jobs = 2;
-    options.fsync = false;
-    Campaign campaign(SmallSpec(), options);
-    auto report = campaign.Run();
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->merged);
-    return new std::string(MustRead(dir / "BENCH_campaign.json"));
-  }();
+  static const std::string* bench =
+      new std::string(InProcessBench("reference", {}));
   return *bench;
 }
 
@@ -252,12 +212,11 @@ TEST(SupervisorTest, SupervisedRunMergesByteIdenticallyToInProcess) {
 TEST(SupervisorTest, PoisonJobIsBisectedQuarantinedAndOnlyIt) {
   const fs::path dir = TestDir("poison");
   CampaignSpec spec = SmallSpec();
-  SupervisorOptions options = FastOptions(dir);
   // Job 1 of 12 SIGSEGVs its process on every attempt. Serial workers
-  // (worker_jobs=1) leave jobs 2..5 of shard 0 unrecorded behind it, so
-  // only bisection can get them done.
-  options.worker_jobs = 1;
-  options.inject_segv_job = 1;
+  // (--jobs=1) leave jobs 2..5 of shard 0 unrecorded behind it, so only
+  // bisection can get them done.
+  const SupervisorOptions options =
+      FastOptions(dir, {"--jobs=1", "--inject-crash-job=1"});
   KeepWorkerSegvSignal();
   Supervisor supervisor(spec, options);
   const auto report = supervisor.Run();
@@ -321,10 +280,29 @@ TEST(SupervisorTest, ChaosKillsCostRetriesNeverResults) {
       << "chaos deaths must not trip bisection into false positives";
 }
 
+TEST(SupervisorTest, WorkersRunTheTestHooksOfTheirCommand) {
+  // A lint defect in cell 2 quarantines jobs 4 and 5 as generator
+  // defects. The supervised merge must match the in-process one with the
+  // same hook, which only holds if the flag reaches the workers.
+  const fs::path dir = TestDir("lint_defect");
+  Supervisor supervisor(
+      SmallSpec(),
+      FastOptions(dir, {"--jobs=2", "--inject-lint-defect-cell=2"}));
+  const auto report = supervisor.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->merged);
+  EXPECT_EQ(report->quarantined, 2);
+  CampaignOptions::TestHooks hooks;
+  hooks.lint_defect_cell = 2;
+  const std::string in_process = InProcessBench("lint_defect_ref", hooks);
+  EXPECT_NE(in_process, ReferenceBench());
+  EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), in_process);
+}
+
 TEST(SupervisorTest, BrokenWorkerBinaryDegradesToAbandonedTasksNotHang) {
   const fs::path dir = TestDir("broken");
   SupervisorOptions options = FastOptions(dir);
-  options.worker_binary = "/nonexistent/worker";
+  options.worker_command[0] = "/nonexistent/worker";
   options.max_task_attempts = 2;
   Supervisor supervisor(SmallSpec(), options);
   const auto report = supervisor.Run();
