@@ -7,12 +7,12 @@
 // Three modes share one binary:
 //   (default)    run the grid in-process, then merge
 //   --supervise  fork one worker process per shard (src/supervisor/):
-//                heartbeat monitoring, SIGTERM->SIGKILL escalation,
-//                crash classification, backoff retry, poison-job
-//                bisection, optional chaos self-test
+//                checkpoint-progress stall detection, SIGTERM->SIGKILL
+//                escalation, crash classification, backoff retry,
+//                poison-job bisection, optional chaos self-test
 //   --worker     be such a worker: run one shard (or a bisected job
-//                range of it), heartbeat per durable record, skip the
-//                merge (the supervisor owns MANIFEST/BENCH)
+//                range of it) and skip the merge (the supervisor owns
+//                MANIFEST/BENCH)
 //
 //   ./build/examples/pcpda_campaign --out=campaign --scenarios=100
 //   ./build/examples/pcpda_campaign --out=campaign --shards=4 --shard=1
@@ -82,13 +82,6 @@ void InstallSignalHandlers() {
   action.sa_flags = SA_RESTART;
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
-  // A worker whose supervisor died must not be killed by SIGPIPE on its
-  // next heartbeat; the write just fails and the campaign runs on.
-  struct sigaction ignore;
-  std::memset(&ignore, 0, sizeof(ignore));
-  ignore.sa_handler = SIG_IGN;
-  sigemptyset(&ignore.sa_mask);
-  ::sigaction(SIGPIPE, &ignore, nullptr);
 }
 
 void Usage(const char* argv0) {
@@ -127,8 +120,8 @@ void Usage(const char* argv0) {
       "supervision (process isolation, DESIGN.md §14):\n"
       "  --supervise         fork one worker process per shard\n"
       "  --workers=N         concurrent worker processes (default 2)\n"
-      "  --stall-ms=T        no heartbeat for T ms -> SIGTERM (default "
-      "10000)\n"
+      "  --stall-ms=T        no new checkpoint record for T ms -> SIGTERM\n"
+      "                      (default 10000)\n"
       "  --term-grace-ms=T   SIGTERM unanswered for T ms -> SIGKILL "
       "(default 2000)\n"
       "  --shard-deadline-ms=T\n"
@@ -143,7 +136,6 @@ void Usage(const char* argv0) {
       "                      chaos self-test: seeded SIGKILL/SIGSTOP\n"
       "                      injections against live workers\n"
       "  --worker            internal: run as a supervised worker\n"
-      "  --heartbeat-fd=N    internal: worker heartbeat pipe fd\n"
       "  --job-first=J --job-last=J\n"
       "                      internal: bisected job-id range [first, "
       "last)\n"
@@ -233,7 +225,6 @@ int main(int argc, char** argv) {
   bool supervise = false;
   bool worker = false;
   bool clashes = false;
-  int heartbeat_fd = -1;
   const struct {
     const char* name;
     int min, max;
@@ -250,7 +241,6 @@ int main(int argc, char** argv) {
       {"--backoff-cap-ms", 1, 1 << 30, &supervise_options.backoff_cap_ms},
       {"--chaos-kills", 0, 1 << 20, &supervise_options.chaos_kills},
       {"--chaos-stops", 0, 1 << 20, &supervise_options.chaos_stops},
-      {"--heartbeat-fd", 3, 1 << 20, &heartbeat_fd},
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -302,11 +292,11 @@ int main(int argc, char** argv) {
                  "--supervise and --worker are mutually exclusive\n");
     return 2;
   }
-  if (supervise && (clashes || heartbeat_fd >= 0)) {
+  if (supervise && clashes) {
     std::fprintf(stderr,
                  "--supervise runs every shard and job range itself; "
-                 "--shard, --job-first, --job-last, --stop-after and "
-                 "--heartbeat-fd are for single runs and workers\n");
+                 "--shard, --job-first, --job-last and --stop-after are "
+                 "for single runs and workers\n");
     return 2;
   }
   if (worker && options.only_shard < 0) {
@@ -318,19 +308,6 @@ int main(int argc, char** argv) {
 
   if (worker) {
     options.worker = true;
-    if (heartbeat_fd >= 0) {
-      // Nonblocking: a stalled supervisor (full pipe) must never block a
-      // worker mid-record. A dropped heartbeat only risks a spurious
-      // stall escalation, which graceful stop + resume absorbs.
-      ::fcntl(heartbeat_fd, F_SETFL, O_NONBLOCK);
-      const char byte = 'h';
-      // Proof of life before the first (possibly slow) compile+simulate.
-      [[maybe_unused]] ssize_t n = ::write(heartbeat_fd, &byte, 1);
-      options.on_record = [heartbeat_fd] {
-        const char beat = 'r';
-        [[maybe_unused]] ssize_t m = ::write(heartbeat_fd, &beat, 1);
-      };
-    }
     Campaign campaign(spec, options);
     const auto report = campaign.Run();
     if (!report.ok()) {

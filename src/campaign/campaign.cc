@@ -255,19 +255,10 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   summary.resumed = summary.jobs - static_cast<std::int64_t>(todo.size());
 
   // Open even when nothing is left to run: Open() truncates any torn
-  // tail so the file on disk is exactly its valid prefix. The heartbeat
-  // (or any other progress listener) hears of a record only once the
-  // fsync that covers it has returned.
-  CheckpointWriter::DurableCallback on_durable;
-  if (options_.on_record) {
-    on_durable = [this](std::int64_t count) {
-      for (std::int64_t i = 0; i < count; ++i) options_.on_record();
-    };
-  }
+  // tail so the file on disk is exactly its valid prefix.
   CheckpointWriter writer;
   PCPDA_RETURN_IF_ERROR(writer.Open(path, fingerprint_,
-                                    loaded->valid_bytes, options_.fsync,
-                                    std::move(on_durable)));
+                                    loaded->valid_bytes, options_.fsync));
   if (todo.empty()) return writer.Close();
 
   JobPolicy policy;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -30,9 +29,8 @@ struct CampaignOptions {
   /// Concurrent executors per shard.
   int jobs = 1;
   /// Make checkpoint records durable against a machine crash: the
-  /// writer's committer thread group-fsyncs the appended lines, and
-  /// on_record waits for the fsync that covers its record. A process
-  /// kill loses no appended record either way. Tests that only exercise
+  /// writer's committer thread group-fsyncs the appended lines. A
+  /// process kill loses no appended record either way. Tests that only exercise
   /// logic may turn it off for speed.
   bool fsync = true;
   /// Run only this shard (distributed invocations run one shard each);
@@ -56,14 +54,6 @@ struct CampaignOptions {
   /// resume; jobs outside it are left pending for sibling workers.
   std::int64_t job_first = -1;
   std::int64_t job_last = -1;
-  /// Invoked once per record after the fsync that covers it has returned
-  /// (on the checkpoint writer's committer thread; with fsync off, on the
-  /// worker thread that completed the job, right after its append).
-  /// Workers write one heartbeat byte per call; the supervisor's stall
-  /// detector feeds on them. Must be async-safe in the ordinary sense
-  /// (called under no campaign lock) and cheap.
-  std::function<void()> on_record = nullptr;
-
   /// Lint pre-flight (ROADMAP item 3): run the static analyzer's
   /// error-level filter over every generated scenario before any
   /// protocol simulates it. A scenario with lint errors marks all of its

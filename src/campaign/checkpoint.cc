@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -143,18 +142,7 @@ Status WriteAll(int fd, const std::string& data, const std::string& path) {
   return Status::Ok();
 }
 
-/// Remaining successful appends before the test shim injects ENOSPC;
-/// -1 = shim off. Relaxed atomics: tests set it before the campaign
-/// starts and the exact interleaving of the final racing appends does
-/// not matter — at least one append fails, which is the property under
-/// test.
-std::atomic<int> g_append_failure_budget{-1};
-
 }  // namespace
-
-void SetCheckpointAppendFailureForTest(int successes) {
-  g_append_failure_budget.store(successes, std::memory_order_relaxed);
-}
 
 std::string EncodeJobRecord(const JobRecord& r) {
   return StrFormat(
@@ -264,16 +252,13 @@ CheckpointWriter::~CheckpointWriter() { Close(); }
 
 Status CheckpointWriter::Open(const std::string& path,
                               const std::string& fingerprint,
-                              std::int64_t valid_bytes, bool fsync,
-                              DurableCallback on_durable) {
+                              std::int64_t valid_bytes, bool fsync) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) return Status::FailedPrecondition("writer already open");
   fsync_ = fsync;
   path_ = path;
-  on_durable_ = std::move(on_durable);
   error_ = Status::Ok();
   closing_ = false;
-  unsynced_ = 0;
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd < 0) return Errno("open", path);
   // Cut off any torn tail (or stale contents when starting fresh) so the
@@ -304,38 +289,19 @@ Status CheckpointWriter::Open(const std::string& path,
   return Status::Ok();
 }
 
-Status CheckpointWriter::WriteLine(const std::string& line) {
-  int budget = g_append_failure_budget.load(std::memory_order_relaxed);
-  if (budget >= 0) {
-    if (budget == 0) {
-      error_ = Status::Internal(StrFormat(
-          "write %s: No space left on device (injected)", path_.c_str()));
-      return error_;
-    }
-    g_append_failure_budget.store(budget - 1, std::memory_order_relaxed);
-  }
-  const Status status = WriteAll(fd_, line, path_);
-  if (!status.ok()) error_ = status;
-  return status;
-}
-
 Status CheckpointWriter::Append(const JobRecord& record) {
   const std::string line = EncodeJobRecord(record) + "\n";
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_.ok()) return error_;
-    if (fd_ < 0 || closing_) {
-      return Status::FailedPrecondition("writer not open");
-    }
-    PCPDA_RETURN_IF_ERROR(WriteLine(line));
-    if (fsync_) {
-      dirty_ = true;
-      ++unsynced_;
-      unsynced_cv_.notify_one();
-      return Status::Ok();
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!error_.ok()) return error_;
+  if (fd_ < 0 || closing_) {
+    return Status::FailedPrecondition("writer not open");
   }
-  if (on_durable_) on_durable_(1);
+  error_ = WriteAll(fd_, line, path_);
+  if (!error_.ok()) return error_;
+  if (fsync_) {
+    dirty_ = true;
+    unsynced_cv_.notify_one();
+  }
   return Status::Ok();
 }
 
@@ -347,19 +313,9 @@ void CheckpointWriter::CommitLoop() {
     // Take the whole backlog: one fsync covers every line written so
     // far, and lines written while it runs wait for the next one.
     dirty_ = false;
-    const std::int64_t batch = unsynced_;
-    unsynced_ = 0;
     lock.unlock();
-    Status status = ::fsync(fd_) == 0 ? Status::Ok() : Errno("fsync", path_);
-    if (status.ok() && batch > 0 && on_durable_) {
-      try {
-        on_durable_(batch);
-      } catch (...) {
-        // Nothing may escape the thread; stop the writer as a failed
-        // fsync would.
-        status = Status::Internal("checkpoint on_durable callback threw");
-      }
-    }
+    const Status status =
+        ::fsync(fd_) == 0 ? Status::Ok() : Errno("fsync", path_);
     lock.lock();
     if (!status.ok()) {
       if (error_.ok()) error_ = status;

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -97,21 +96,13 @@ StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& path,
 /// the file, so a process kill never loses a returned record.
 ///
 /// With fsync on, one committer thread per writer makes the lines
-/// durable: it waits for unsynced lines, fsyncs all of them in one call
-/// outside the mutex, and then reports how many records became durable
-/// through `on_durable`. Lines written while an fsync is in flight ride
+/// durable: it waits for unsynced lines and fsyncs all of them in one
+/// call outside the mutex. Lines written while an fsync is in flight ride
 /// the next one, so the batch grows with the disk's fsync latency. A
 /// failed write or fsync is sticky: every later Append and Close
 /// returns it.
 class CheckpointWriter {
  public:
-  /// Told how many more record lines are durable: covered by a completed
-  /// fsync, or written when fsync is off. Called under no writer lock.
-  /// With fsync on, only the committer thread calls it, one batch at a
-  /// time; with fsync off, each Append calls it with 1 on its own thread
-  /// after the write.
-  using DurableCallback = std::function<void(std::int64_t count)>;
-
   CheckpointWriter() = default;
   ~CheckpointWriter();
   CheckpointWriter(const CheckpointWriter&) = delete;
@@ -122,11 +113,10 @@ class CheckpointWriter {
   /// existing checkpoint and drops everything after it. With `fsync` on
   /// it starts the committer thread.
   Status Open(const std::string& path, const std::string& fingerprint,
-              std::int64_t valid_bytes, bool fsync,
-              DurableCallback on_durable = nullptr);
+              std::int64_t valid_bytes, bool fsync);
 
-  /// Writes one record line. Does not wait for an fsync: durability
-  /// is reported later through `on_durable`.
+  /// Writes one record line. Does not wait for the fsync that makes it
+  /// durable.
   Status Append(const JobRecord& record);
 
   /// Drains and joins the committer (its last fsync covers every line
@@ -135,15 +125,11 @@ class CheckpointWriter {
   Status Close();
 
  private:
-  /// Writes one newline-terminated record line. Caller holds mu_; a
-  /// failure becomes the sticky error_.
-  Status WriteLine(const std::string& line);
   /// The committer thread's body (fsync on only).
   void CommitLoop();
 
   std::mutex mu_;
   std::condition_variable unsynced_cv_;  // the committer waits here
-  DurableCallback on_durable_;
   int fd_ = -1;
   bool fsync_ = true;
   std::string path_;
@@ -151,18 +137,8 @@ class CheckpointWriter {
   Status error_;               // first write/fsync/close failure, sticky
   bool dirty_ = false;         // bytes written since the last fsync began
   bool closing_ = false;       // Close() asked the committer to drain
-  std::int64_t unsynced_ = 0;  // record lines written, not yet durable
   std::thread committer_;      // last: it uses every member above
 };
-
-/// Failing-writer shim for robustness tests: after `successes` more
-/// record appends succeed, every further CheckpointWriter append fails
-/// as ENOSPC would (Internal, "No space left on device") without
-/// touching the file; like a real write error it is sticky for the
-/// writer that hit it. -1 disables the shim (the default). Affects every
-/// writer in the process; tests must reset it. Header lines written by
-/// Open() do not consume the budget.
-void SetCheckpointAppendFailureForTest(int successes);
 
 /// Writes `contents` to `path` atomically: temp file in the same
 /// directory, fsync, rename over the target, fsync the directory. Readers

@@ -6,7 +6,8 @@
 
 namespace pcpda {
 
-PcpDa::PcpDa(PcpDaOptions options) : options_(options) {}
+PcpDa::PcpDa(PcpDaOptions options)
+    : Protocol(ProtocolKind::kPcpDa), options_(options) {}
 
 Priority PcpDa::Sysceil(JobId self) const {
   Priority sysceil = Priority::Dummy();

@@ -48,12 +48,6 @@ class PcpDa : public Protocol {
   explicit PcpDa(PcpDaOptions options = {});
 
   const char* name() const override { return "PCP-DA"; }
-  UpdateModel update_model() const override {
-    return UpdateModel::kWorkspace;
-  }
-  CeilingRule ceiling_rule() const override {
-    return CeilingRule::kWriteOnRead;
-  }
 
   void Decide(const LockRequest& request,
               LockDecision& decision) const override;

@@ -26,10 +26,9 @@ namespace pcpda {
 /// with DeadlineMissPolicy::kDrop.
 class Ccp : public RwPcp {
  public:
-  Ccp() = default;
+  Ccp() : RwPcp(ProtocolKind::kCcp) {}
 
   const char* name() const override { return "CCP"; }
-  bool releases_early() const override { return true; }
 
   /// Early unlocking after each completed step: once no remaining step
   /// acquires a new lock, release every held item no remaining step uses.

@@ -10,19 +10,6 @@
 
 namespace pcpda {
 
-/// The protocols this library implements. kPcpDa is the paper's
-/// contribution; the rest are baselines (Section 2).
-enum class ProtocolKind : std::uint8_t {
-  kPcpDa,
-  kRwPcp,
-  kCcp,
-  kOpcp,
-  kTwoPlPi,
-  kTwoPlHp,
-  kOccBc,
-  kOccDa,
-};
-
 const char* ToString(ProtocolKind kind);
 
 /// Inverse of ToString (exact match, e.g. "PCP-DA", "2PL-HP");
@@ -37,58 +24,6 @@ std::vector<ProtocolKind> AllProtocolKinds();
 /// blocking analysis and the fuzzer's soundness oracles agree on
 /// analyzability by construction.
 std::vector<ProtocolKind> AnalyzableProtocolKinds();
-
-/// What kind of worst-case *effective-blocking* bound the analysis
-/// (src/analysis/blocking.cc) can compute for a protocol. Effective
-/// blocking is the paper's metric: ticks a job spends with a denied lock
-/// request while a lower-base-priority job occupies the CPU.
-enum class BlockingBoundKind : std::uint8_t {
-  /// Section-9 ceiling analysis: B_i = max over BTS_i (PCP-DA, RW-PCP,
-  /// CCP, OPCP).
-  kCeiling,
-  /// Push-through bound: a requester can wait behind a mixed holder set
-  /// that includes lower-priority riders; B_i sums the conflicting
-  /// lower-priority execution times (2PL-HP). Restart costs are modeled
-  /// separately in the response-time analysis.
-  kPushThrough,
-  /// The protocol never blocks a request, so B_i = 0; all contention
-  /// cost is restart cost (OCC-BC, OCC-DA).
-  kNone,
-  /// No finite bound exists: transitively chained blocking can stack an
-  /// unbounded number of lower-priority critical sections (2PL-PI).
-  kUnbounded,
-};
-
-/// Static facts about a protocol, available without instantiating it.
-/// The static analyzer (src/lint/) gates its rules on these; they mirror
-/// the virtual Protocol accessors, and lint_test pins the two in sync.
-struct ProtocolTraits {
-  UpdateModel update_model = UpdateModel::kInPlace;
-  CeilingRule ceiling_rule = CeilingRule::kNone;
-  /// Blocked requesters donate their priority to the blockers.
-  bool priority_inheritance = false;
-  /// Locks may be released before commit (CCP's convex early release).
-  bool releases_early = false;
-  /// Lock or validation conflicts are resolved by restarting jobs
-  /// (2PL-HP victims, OCC validation aborts) rather than by waiting.
-  bool resolves_by_restart = false;
-  /// Statically immune to deadlock: ceiling protocols by the paper's
-  /// Theorem 2; 2PL-HP because a job only ever waits for a higher
-  /// priority holder (wait edges cannot cycle); OCC because it never
-  /// blocks. Only 2PL-PI can reach a genuine wait-for cycle.
-  bool deadlock_free = false;
-  /// Which worst-case blocking analysis applies (see BlockingBoundKind).
-  /// kUnbounded kinds are excluded from AnalyzableProtocolKinds().
-  BlockingBoundKind blocking_bound = BlockingBoundKind::kUnbounded;
-
-  /// True when ComputeBlocking can produce a finite B_i for every spec.
-  bool analyzable() const {
-    return blocking_bound != BlockingBoundKind::kUnbounded;
-  }
-};
-
-/// The static trait table for `kind`.
-ProtocolTraits TraitsOf(ProtocolKind kind);
 
 /// Creates a fresh protocol instance.
 std::unique_ptr<Protocol> MakeProtocol(ProtocolKind kind);

@@ -19,17 +19,17 @@ namespace pcpda {
 /// paper's schedulability analysis prefers blocking-based ceilings.
 class OccBc : public Protocol {
  public:
-  OccBc() = default;
+  OccBc() : OccBc(ProtocolKind::kOccBc) {}
 
   const char* name() const override { return "OCC-BC"; }
-  UpdateModel update_model() const override {
-    return UpdateModel::kWorkspace;
-  }
-  bool uses_priority_inheritance() const override { return false; }
 
   void Decide(const LockRequest& request,
               LockDecision& decision) const override;
   std::vector<JobId> CommitVictims(const Job& committing) const override;
+
+ protected:
+  /// For variants of OCC-BC (OCC-DA) that are a protocol kind of their own.
+  explicit OccBc(ProtocolKind kind) : Protocol(kind) {}
 };
 
 /// OCC with dynamic adjustment of serialization order (OCC-DA), after Lin
@@ -45,7 +45,7 @@ class OccBc : public Protocol {
 /// Same non-blocking execution as OCC-BC with strictly fewer restarts.
 class OccDa : public OccBc {
  public:
-  OccDa() = default;
+  OccDa() : OccBc(ProtocolKind::kOccDa) {}
 
   const char* name() const override { return "OCC-DA"; }
 

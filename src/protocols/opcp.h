@@ -16,11 +16,9 @@ namespace pcpda {
 /// read/write semantics entirely — the most conservative baseline.
 class Opcp : public Protocol {
  public:
-  Opcp() = default;
+  Opcp() : Protocol(ProtocolKind::kOpcp) {}
 
   const char* name() const override { return "PCP"; }
-  UpdateModel update_model() const override { return UpdateModel::kInPlace; }
-  CeilingRule ceiling_rule() const override { return CeilingRule::kAbsolute; }
 
   void Decide(const LockRequest& request,
               LockDecision& decision) const override;

@@ -46,6 +46,72 @@ enum class UpdateModel : std::uint8_t {
   kWorkspace,
 };
 
+/// The protocols this library implements. kPcpDa is the paper's
+/// contribution; the rest are baselines (Section 2).
+enum class ProtocolKind : std::uint8_t {
+  kPcpDa,
+  kRwPcp,
+  kCcp,
+  kOpcp,
+  kTwoPlPi,
+  kTwoPlHp,
+  kOccBc,
+  kOccDa,
+};
+
+/// What kind of worst-case *effective-blocking* bound the analysis
+/// (src/analysis/blocking.cc) can compute for a protocol. Effective
+/// blocking is the paper's metric: ticks a job spends with a denied lock
+/// request while a lower-base-priority job occupies the CPU.
+enum class BlockingBoundKind : std::uint8_t {
+  /// Section-9 ceiling analysis: B_i = max over BTS_i (PCP-DA, RW-PCP,
+  /// CCP, OPCP).
+  kCeiling,
+  /// Push-through bound: a requester can wait behind a mixed holder set
+  /// that includes lower-priority riders; B_i sums the conflicting
+  /// lower-priority execution times (2PL-HP). Restart costs are modeled
+  /// separately in the response-time analysis.
+  kPushThrough,
+  /// The protocol never blocks a request, so B_i = 0; all contention
+  /// cost is restart cost (OCC-BC, OCC-DA).
+  kNone,
+  /// No finite bound exists: transitively chained blocking can stack an
+  /// unbounded number of lower-priority critical sections (2PL-PI).
+  kUnbounded,
+};
+
+/// Static facts about a protocol, available without instantiating it.
+/// The one owner of these facts: every Protocol holds its kind's traits,
+/// which the simulator and the auditor read, and the static analyzer
+/// (src/lint/) gates its rules on TraitsOf.
+struct ProtocolTraits {
+  UpdateModel update_model = UpdateModel::kInPlace;
+  CeilingRule ceiling_rule = CeilingRule::kNone;
+  /// Blocked requesters donate their priority to the blockers.
+  bool priority_inheritance = false;
+  /// Locks may be released before commit (CCP's convex early release).
+  bool releases_early = false;
+  /// Lock or validation conflicts are resolved by restarting jobs
+  /// (2PL-HP victims, OCC validation aborts) rather than by waiting.
+  bool resolves_by_restart = false;
+  /// Statically immune to deadlock: ceiling protocols by the paper's
+  /// Theorem 2; 2PL-HP because a job only ever waits for a higher
+  /// priority holder (wait edges cannot cycle); OCC because it never
+  /// blocks. Only 2PL-PI can reach a genuine wait-for cycle.
+  bool deadlock_free = false;
+  /// Which worst-case blocking analysis applies (see BlockingBoundKind).
+  /// kUnbounded kinds are excluded from AnalyzableProtocolKinds().
+  BlockingBoundKind blocking_bound = BlockingBoundKind::kUnbounded;
+
+  /// True when ComputeBlocking can produce a finite B_i for every spec.
+  bool analyzable() const {
+    return blocking_bound != BlockingBoundKind::kUnbounded;
+  }
+};
+
+/// The static trait table for `kind`.
+ProtocolTraits TraitsOf(ProtocolKind kind);
+
 /// Read-only view of the simulation the protocols decide against.
 class SimView {
  public:
@@ -78,16 +144,11 @@ class Protocol {
   Protocol& operator=(const Protocol&) = delete;
 
   virtual const char* name() const = 0;
-  virtual UpdateModel update_model() const = 0;
-  /// Whether blocked requesters donate their priority to the blockers.
-  virtual bool uses_priority_inheritance() const { return true; }
-  /// The ceiling rule the protocol follows; kNone for non-ceiling
-  /// protocols. Gates the auditor's Theorem 1/2 and Sysceil checks.
-  virtual CeilingRule ceiling_rule() const { return CeilingRule::kNone; }
-  /// Whether the protocol may release locks before commit (CCP). Such
-  /// protocols assume jobs never abort; the fault injector skips abort
-  /// faults for them and the auditor waives the strictness check.
-  virtual bool releases_early() const { return false; }
+  /// The static facts of the protocol's kind. The ceiling rule gates the
+  /// auditor's Theorem 1/2 and Sysceil checks; an early-release protocol
+  /// (CCP) assumes jobs never abort, so the fault injector skips abort
+  /// faults for it and the auditor waives the strictness check.
+  const ProtocolTraits& traits() const { return traits_; }
 
   /// Binds the protocol to a run. Must be called before Decide.
   void Attach(const SimView* view);
@@ -123,11 +184,12 @@ class Protocol {
   virtual void OnAbortApplied(const Job& aborted) { (void)aborted; }
 
  protected:
-  Protocol() = default;
+  explicit Protocol(ProtocolKind kind) : traits_(TraitsOf(kind)) {}
 
   const SimView& view() const;
 
  private:
+  const ProtocolTraits traits_;
   const SimView* view_ = nullptr;
 };
 

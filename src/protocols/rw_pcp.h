@@ -23,13 +23,9 @@ namespace pcpda {
 /// and conflict blockings PCP-DA removes (Section 3).
 class RwPcp : public Protocol {
  public:
-  RwPcp() = default;
+  RwPcp() : RwPcp(ProtocolKind::kRwPcp) {}
 
   const char* name() const override { return "RW-PCP"; }
-  UpdateModel update_model() const override { return UpdateModel::kInPlace; }
-  CeilingRule ceiling_rule() const override {
-    return CeilingRule::kReadWrite;
-  }
 
   void Decide(const LockRequest& request,
               LockDecision& decision) const override;
@@ -38,6 +34,9 @@ class RwPcp : public Protocol {
   Priority CurrentCeiling() const override;
 
  protected:
+  /// For variants of RW-PCP (CCP) that are a protocol kind of their own.
+  explicit RwPcp(ProtocolKind kind) : Protocol(kind) {}
+
   /// Sysceil_i with respect to `self`; `holders` (empty on entry) gets
   /// the holders of the ceiling item(s).
   Priority ComputeSysceil(JobId self, std::vector<JobId>& holders) const;

@@ -15,11 +15,9 @@ namespace pcpda {
 /// is unbounded — which is why its schedulability analysis is problematic.
 class TwoPlHp : public Protocol {
  public:
-  TwoPlHp() = default;
+  TwoPlHp() : Protocol(ProtocolKind::kTwoPlHp) {}
 
   const char* name() const override { return "2PL-HP"; }
-  UpdateModel update_model() const override { return UpdateModel::kInPlace; }
-  bool uses_priority_inheritance() const override { return false; }
 
   void Decide(const LockRequest& request,
               LockDecision& decision) const override;

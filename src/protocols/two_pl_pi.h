@@ -13,10 +13,9 @@ namespace pcpda {
 /// can produce.
 class TwoPlPi : public Protocol {
  public:
-  TwoPlPi() = default;
+  TwoPlPi() : Protocol(ProtocolKind::kTwoPlPi) {}
 
   const char* name() const override { return "2PL-PI"; }
-  UpdateModel update_model() const override { return UpdateModel::kInPlace; }
 
   void Decide(const LockRequest& request,
               LockDecision& decision) const override;

@@ -101,7 +101,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
   const Tick tick = scope.tick;
   const LockTable& locks = *scope.locks;
   const Protocol& protocol = *scope.protocol;
-  const CeilingRule rule = protocol.ceiling_rule();
+  const CeilingRule rule = protocol.traits().ceiling_rule;
 
   // --- Lock table: holders are active, both index directions agree. ------
   std::size_t counted_locks = 0;
@@ -160,7 +160,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
   }
 
   // --- Update-model invariants. ------------------------------------------
-  if (protocol.update_model() == UpdateModel::kInPlace) {
+  if (protocol.traits().update_model == UpdateModel::kInPlace) {
     // Exclusive writers: one writer per item, no foreign readers beside it.
     for (ItemId item = 0; item < locks.item_count(); ++item) {
       const auto& writers = locks.writers(item);
@@ -185,7 +185,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
     // Strictness: in-place writes stay lock-protected until commit/abort,
     // so an undo-logged item must still be write-locked. Early-release
     // protocols (CCP) intentionally break this; they assume no aborts.
-    if (!protocol.releases_early()) {
+    if (!protocol.traits().releases_early) {
       for (const Job* job : *scope.jobs) {
         if (!job->active()) continue;
         for (const auto& [item, before] : job->undo_log()) {
@@ -316,7 +316,7 @@ void InvariantAuditor::AuditTick(const AuditScope& scope) {
   // max over the waiters it blocks (or its base priority without
   // inheritance).
   ComputeRunningPriorities(running_, active_waits_,
-                           protocol.uses_priority_inheritance());
+                           protocol.traits().priority_inheritance);
   for (const Job* job : *scope.jobs) {
     if (!job->active()) continue;
     const Priority expected = running_.at(job->id());

@@ -77,7 +77,7 @@ struct AuditScope {
 ///   always            lock holders and wait-for waiters are active jobs;
 ///                     lock table internally consistent; blocked jobs and
 ///                     blockers sane
-///   ceiling_rule()    protocol ceiling == independently recomputed
+///   ceiling_rule      protocol ceiling == independently recomputed
 ///                     ceiling; at most one genuine lower-priority blocker
 ///                     per blocked job (Theorem 1); wait-for graph acyclic
 ///                     (Theorem 2)

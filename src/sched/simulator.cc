@@ -26,6 +26,17 @@ const CompiledPlan& CheckedPlan(const CompiledPlan& plan) {
   return plan;
 }
 
+/// A trace event of `kind` about `job` at `tick`.
+TraceEvent JobEvent(Tick tick, TraceKind kind, const Job& job) {
+  TraceEvent event;
+  event.tick = tick;
+  event.kind = kind;
+  event.job = job.id();
+  event.spec = job.spec_id();
+  event.instance = job.instance();
+  return event;
+}
+
 }  // namespace
 
 Simulator::Simulator(const CompiledPlan& plan, Protocol* protocol,
@@ -134,13 +145,7 @@ void Simulator::ReleaseArrivals() {
     next_deadline_ = std::min(next_deadline_, deadline);
     ++metrics_for(arrival.spec).released;
     if (options_.record_trace) {
-      TraceEvent event;
-      event.tick = tick_;
-      event.kind = TraceKind::kArrival;
-      event.job = id;
-      event.spec = arrival.spec;
-      event.instance = arrival.instance;
-      trace_.AddEvent(event);
+      trace_.AddEvent(JobEvent(tick_, TraceKind::kArrival, *slot));
     }
   }
 }
@@ -168,13 +173,8 @@ void Simulator::CheckDeadlines() {
     RefreshNextDeadline();
     ++metrics_for(job.spec_id()).deadline_misses;
     if (options_.record_trace) {
-      TraceEvent event;
-      event.tick = job.absolute_deadline();
-      event.kind = TraceKind::kDeadlineMiss;
-      event.job = job.id();
-      event.spec = job.spec_id();
-      event.instance = job.instance();
-      trace_.AddEvent(event);
+      trace_.AddEvent(
+          JobEvent(job.absolute_deadline(), TraceKind::kDeadlineMiss, job));
     }
     switch (options_.miss_policy) {
       case DeadlineMissPolicy::kContinue:
@@ -205,14 +205,9 @@ void Simulator::ApplyFaults() {
     // them rather than corrupt the database.
     const bool is_abort = fault.kind == FaultKind::kAbort ||
                           fault.kind == FaultKind::kRestartInCs;
-    const bool skipped = is_abort && protocol_->releases_early();
+    const bool skipped = is_abort && protocol_->traits().releases_early;
     if (options_.record_trace) {
-      TraceEvent event;
-      event.tick = tick_;
-      event.kind = TraceKind::kFault;
-      event.job = victim->id();
-      event.spec = victim->spec_id();
-      event.instance = victim->instance();
+      TraceEvent event = JobEvent(tick_, TraceKind::kFault, *victim);
       event.note = skipped ? fault.note + " (skipped: early-release)"
                            : fault.note;
       trace_.AddEvent(event);
@@ -270,7 +265,7 @@ Job* Simulator::ResolveDispatch() {
     // denial raises its blocker before the blocker is evaluated; the
     // sweep cap guards against pathological oscillation.
     const std::size_t max_sweeps = 4 * active_jobs_.size() + 8;
-    const bool inherits = protocol_->uses_priority_inheritance();
+    const bool inherits = protocol_->traits().priority_inheritance;
     for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
       if (inherits && !wait_graph_.waiter_ids().empty()) {
         running_scratch_.clear();
@@ -388,18 +383,11 @@ bool Simulator::HandleOneDeadlock() {
   }
   ++metrics_.deadlocks;
   if (options_.record_trace) {
-    TraceEvent event;
-    event.tick = tick_;
-    event.kind = TraceKind::kDeadlock;
+    // A found cycle is never empty, and its members are active jobs.
+    const Job* first = job(cycle->front());
+    PCPDA_CHECK(first != nullptr);
+    TraceEvent event = JobEvent(tick_, TraceKind::kDeadlock, *first);
     event.others = *cycle;
-    if (!cycle->empty()) {
-      const Job* first = job(cycle->front());
-      if (first != nullptr) {
-        event.job = first->id();
-        event.spec = first->spec_id();
-        event.instance = first->instance();
-      }
-    }
     trace_.AddEvent(event);
   }
   if (options_.deadlock_policy == DeadlockPolicy::kHalt) {
@@ -443,12 +431,7 @@ void Simulator::AdmitStep(Job& job) {
       lock_table_.AcquireWrite(job.id(), step.item);
     }
     if (options_.record_trace) {
-      TraceEvent event;
-      event.tick = tick_;
-      event.kind = TraceKind::kLockGrant;
-      event.job = job.id();
-      event.spec = job.spec_id();
-      event.instance = job.instance();
+      TraceEvent event = JobEvent(tick_, TraceKind::kLockGrant, job);
       event.item = step.item;
       event.mode = NeededMode(job);
       event.note = ToString(job.dispatch().granted.rule);
@@ -471,7 +454,7 @@ void Simulator::AdmitStep(Job& job) {
 
 void Simulator::CompleteStep(Job& job, const Step& step) {
   if (step.kind == StepKind::kWrite) {
-    if (protocol_->update_model() == UpdateModel::kWorkspace) {
+    if (protocol_->traits().update_model == UpdateModel::kWorkspace) {
       job.workspace().Put(step.item, Value{job.id(), 0});
     } else {
       job.RecordUndo(step.item, database_.Read(step.item));
@@ -487,12 +470,7 @@ void Simulator::CompleteStep(Job& job, const Step& step) {
   for (const auto& [item, mode] : protocol_->EarlyReleases(job)) {
     lock_table_.Release(job.id(), item, mode);
     if (options_.record_trace) {
-      TraceEvent event;
-      event.tick = tick_;
-      event.kind = TraceKind::kEarlyRelease;
-      event.job = job.id();
-      event.spec = job.spec_id();
-      event.instance = job.instance();
+      TraceEvent event = JobEvent(tick_, TraceKind::kEarlyRelease, job);
       event.item = item;
       event.mode = mode;
       trace_.AddEvent(event);
@@ -513,7 +491,7 @@ void Simulator::Commit(Job& job) {
     AbortAndRestart(*victim, "validation");
   }
   // Deferred updates reach the database atomically at commit.
-  if (protocol_->update_model() == UpdateModel::kWorkspace) {
+  if (protocol_->traits().update_model == UpdateModel::kWorkspace) {
     for (ItemId item : job.workspace().items()) {
       database_.Write(item, job.id());
       if (options_.record_history) {
@@ -528,13 +506,7 @@ void Simulator::Commit(Job& job) {
                           commit_time, seq_++);
   }
   if (options_.record_trace) {
-    TraceEvent event;
-    event.tick = commit_time;
-    event.kind = TraceKind::kCommit;
-    event.job = job.id();
-    event.spec = job.spec_id();
-    event.instance = job.instance();
-    trace_.AddEvent(event);
+    trace_.AddEvent(JobEvent(commit_time, TraceKind::kCommit, job));
   }
   SpecMetrics& m = metrics_for(job.spec_id());
   ++m.committed;
@@ -561,12 +533,7 @@ void Simulator::AbortAndRestart(Job& victim, const char* why) {
   history_.DiscardPending(victim.id());
   ++metrics_for(victim.spec_id()).restarts;
   if (options_.record_trace) {
-    TraceEvent event;
-    event.tick = tick_;
-    event.kind = TraceKind::kRestart;
-    event.job = victim.id();
-    event.spec = victim.spec_id();
-    event.instance = victim.instance();
+    TraceEvent event = JobEvent(tick_, TraceKind::kRestart, victim);
     event.note = why;
     trace_.AddEvent(event);
   }
@@ -583,13 +550,7 @@ void Simulator::DropJob(Job& job) {
   history_.DiscardPending(job.id());
   ++metrics_for(job.spec_id()).dropped;
   if (options_.record_trace) {
-    TraceEvent event;
-    event.tick = tick_;
-    event.kind = TraceKind::kDrop;
-    event.job = job.id();
-    event.spec = job.spec_id();
-    event.instance = job.instance();
-    trace_.AddEvent(event);
+    trace_.AddEvent(JobEvent(tick_, TraceKind::kDrop, job));
   }
   SpecMetrics& m = metrics_for(job.spec_id());
   m.max_effective_blocking =
@@ -716,12 +677,7 @@ void Simulator::RecordTick(const Job* runner, StepKind runner_kind,
         }
       }
       if (options_.record_trace) {
-        TraceEvent event;
-        event.tick = tick_;
-        event.kind = TraceKind::kBlock;
-        event.job = job->id();
-        event.spec = job->spec_id();
-        event.instance = job->instance();
+        TraceEvent event = JobEvent(tick_, TraceKind::kBlock, *job);
         event.item = state.item;
         event.mode = state.mode;
         event.reason = state.reason;

@@ -86,13 +86,11 @@ StatusOr<std::vector<CampaignJob>> Supervisor::PendingJobs(
   return loaded->Unrecorded(spec_.JobsForRange(task.shard, task.lo, task.hi));
 }
 
-std::vector<std::string> Supervisor::WorkerArgs(const Task& task,
-                                                int hb_fd) const {
+std::vector<std::string> Supervisor::WorkerArgs(const Task& task) const {
   std::vector<std::string> args = options_.worker_command;
   args.push_back("--worker");
   args.push_back("--out=" + options_.out_dir);
   args.push_back(StrFormat("--shard=%d", task.shard));
-  args.push_back(StrFormat("--heartbeat-fd=%d", hb_fd));
   args.push_back(
       StrFormat("--job-first=%lld", static_cast<long long>(task.lo)));
   args.push_back(
@@ -122,8 +120,8 @@ Status Supervisor::Spawn(const Task& task) {
   auto pending = PendingJobs(task);
   if (!pending.ok()) return pending.status();
   if (pending->empty()) return Status::Ok();  // finished by a prior worker
-  // The checkpoint's size before the worker can touch it: the chaos
-  // clock counts the records written past it.
+  // The checkpoint's size before the worker can touch it: ScanProgress
+  // counts the records written past it.
   std::int64_t ckpt_bytes = 0;
   struct stat st;
   if (::stat(Campaign::ShardPath(options_.out_dir, task.shard).c_str(),
@@ -131,43 +129,27 @@ Status Supervisor::Spawn(const Task& task) {
     ckpt_bytes = st.st_size;
   }
 
-  int fds[2];
-  if (::pipe(fds) != 0) return ErrnoStatus("pipe");
-  // Read end: supervisor-only. CLOEXEC keeps later workers from
-  // inheriting it; nonblocking because the poll loop drains it.
-  ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  // The write end is deliberately NOT CLOEXEC: it must survive exec into
-  // the worker. It cannot leak into siblings because the parent closes
-  // it right after fork, before any other Spawn.
-
-  std::vector<std::string> args = WorkerArgs(task, fds[1]);
+  std::vector<std::string> args = WorkerArgs(task);
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (std::string& arg : args) argv.push_back(arg.data());
   argv.push_back(nullptr);
 
   const ::pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return ErrnoStatus("fork");
-  }
+  if (pid < 0) return ErrnoStatus("fork");
   if (pid == 0) {
     // Child: async-signal-safe calls only between fork and exec.
     ::execv(argv[0], argv.data());
     ::_exit(127);
   }
-  ::close(fds[1]);
 
   Worker worker;
   worker.task = task;
   worker.pid = pid;
-  worker.hb_fd = fds[0];
   worker.to_record = static_cast<std::int64_t>(pending->size());
   worker.ckpt_bytes = ckpt_bytes;
   worker.started = Clock::now();
-  worker.last_beat = worker.started;
+  worker.progressed = worker.started;
   live_.push_back(worker);
   ++stats_.workers_spawned;
   // The new worker is the one victim sure to have records left, however
@@ -195,23 +177,6 @@ Status Supervisor::SpawnEligible() {
   return Status::Ok();
 }
 
-void Supervisor::DrainHeartbeats(std::size_t worker_index) {
-  Worker& worker = live_[worker_index];
-  char buffer[256];
-  std::int64_t bytes = 0;
-  for (;;) {
-    const ssize_t n = ::read(worker.hb_fd, buffer, sizeof(buffer));
-    if (n > 0) {
-      bytes += n;
-      continue;
-    }
-    break;  // 0 = worker closed its end (exit pending), <0 = EAGAIN/EINTR
-  }
-  if (bytes == 0) return;
-  stats_.heartbeats += bytes;
-  worker.last_beat = Clock::now();
-}
-
 void Supervisor::ScanProgress(Worker& worker) {
   const std::string path =
       Campaign::ShardPath(options_.out_dir, worker.task.shard);
@@ -235,7 +200,8 @@ void Supervisor::ScanProgress(Worker& worker) {
       if (worker.ckpt_bytes == 0 && lines > 0) --lines;
       worker.ckpt_bytes += n;
       worker.written += lines;
-      records_written_ += lines;
+      stats_.records_seen += lines;
+      if (lines > 0) worker.progressed = Clock::now();
     }
   }
   ::close(fd);
@@ -243,13 +209,12 @@ void Supervisor::ScanProgress(Worker& worker) {
 
 void Supervisor::InjectDueChaos() {
   // The schedule's clock is campaign progress: checkpoint records
-  // written, seen as the shard files grow (so it ticks per record even
-  // when the group fsync announces a whole shard in one burst of beats),
-  // plus workers spawned. A due event goes to a live worker that chaos
-  // has not hit yet and that has records left to write, so every
-  // injection lands on a process with work left (a second signal to a
-  // dead or frozen victim, or one to a worker with nothing left to lose,
-  // would count an injection that does nothing). With no such worker the
+  // written, seen as the shard files grow (so it ticks per record, not
+  // per group fsync), plus workers spawned. A due event goes to a live
+  // worker that chaos has not hit yet and that has records left to
+  // write, so every injection lands on a process with work left (a
+  // second signal to a dead or frozen victim, or one to a worker with
+  // nothing left to lose, would count an injection that does nothing). With no such worker the
   // event waits for one to spawn, and Spawn offers it the new worker
   // before that worker can write a record.
   for (Worker& victim : live_) {
@@ -260,7 +225,7 @@ void Supervisor::InjectDueChaos() {
 bool Supervisor::InjectDueChaos(Worker& victim) {
   if (victim.chaos || victim.written >= victim.to_record) return true;
   const ChaosEvent* event = chaos_.Due(static_cast<std::uint64_t>(
-      records_written_ + stats_.workers_spawned));
+      stats_.records_seen + stats_.workers_spawned));
   if (event == nullptr) return false;
   if (event->kill) {
     ::kill(victim.pid, SIGKILL);
@@ -285,7 +250,7 @@ void Supervisor::CheckStalls() {
     }
     const bool stalled =
         options_.stall_timeout_ms > 0 &&
-        now - worker.last_beat >=
+        now - worker.progressed >=
             std::chrono::milliseconds(options_.stall_timeout_ms);
     const bool over_deadline =
         options_.shard_deadline_ms > 0 &&
@@ -312,7 +277,6 @@ void Supervisor::RequestStop() {
 }
 
 void Supervisor::HandleDeath(Worker worker, int wait_status) {
-  ::close(worker.hb_fd);
   Task task = worker.task;
 
   const bool exited = WIFEXITED(wait_status);
@@ -435,12 +399,9 @@ void Supervisor::ReapAll() {
     auto it = std::find_if(live_.begin(), live_.end(),
                            [pid](const Worker& w) { return w.pid == pid; });
     if (it == live_.end()) continue;  // not ours (defensive)
-    // Drain any last heartbeats before judging progress — bytes written
-    // just before death still count.
-    DrainHeartbeats(static_cast<std::size_t>(it - live_.begin()));
     // The file is final now: count the records written since the last
-    // scan so the chaos clock misses none.
-    if (chaos_.active()) ScanProgress(*it);
+    // scan so records_seen and the chaos clock miss none.
+    ScanProgress(*it);
     Worker worker = *it;
     live_.erase(it);
     HandleDeath(std::move(worker), wait_status);
@@ -460,18 +421,16 @@ StatusOr<CampaignReport> Supervisor::Run() {
   PCPDA_RETURN_IF_ERROR(spec_.Validate());
   PCPDA_RETURN_IF_ERROR(MakeDirectories(options_.out_dir));
 
-  // Chaos clock: every write to a shard checkpoint wakes the loop, which
-  // then counts the new records (ScanProgress).
-  int progress_fd = -1;
-  if (chaos_.active()) {
-    progress_fd = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
-    if (progress_fd < 0) return ErrnoStatus("inotify_init1");
-    if (::inotify_add_watch(progress_fd, options_.out_dir.c_str(),
-                            IN_MODIFY) < 0) {
-      const Status status = ErrnoStatus("inotify_add_watch");
-      ::close(progress_fd);
-      return status;
-    }
+  // Every write to a shard checkpoint wakes the loop, which then counts
+  // the new records (ScanProgress): the stall detector's and the chaos
+  // clock's one progress signal.
+  const int progress_fd = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+  if (progress_fd < 0) return ErrnoStatus("inotify_init1");
+  if (::inotify_add_watch(progress_fd, options_.out_dir.c_str(),
+                          IN_MODIFY) < 0) {
+    const Status status = ErrnoStatus("inotify_add_watch");
+    ::close(progress_fd);
+    return status;
   }
 
   // SIGCHLD self-pipe + handler. SA_NOCLDSTOP: chaos SIGSTOPs must not
@@ -479,7 +438,7 @@ StatusOr<CampaignReport> Supervisor::Run() {
   int sigchld_pipe[2];
   if (::pipe(sigchld_pipe) != 0) {
     const Status status = ErrnoStatus("pipe");
-    if (progress_fd >= 0) ::close(progress_fd);
+    ::close(progress_fd);
     return status;
   }
   for (int fd : {sigchld_pipe[0], sigchld_pipe[1]}) {
@@ -520,64 +479,40 @@ StatusOr<CampaignReport> Supervisor::Run() {
       continue;
     }
 
-    std::vector<struct pollfd> fds;
-    fds.push_back({sigchld_pipe[0], POLLIN, 0});
-    if (options_.signal_rfd >= 0) {
-      fds.push_back({options_.signal_rfd, POLLIN, 0});
-    }
-    const std::size_t progress_index = fds.size();
-    if (progress_fd >= 0) fds.push_back({progress_fd, POLLIN, 0});
-    const std::size_t first_hb = fds.size();
-    for (const Worker& worker : live_) {
-      fds.push_back({worker.hb_fd, POLLIN, 0});
-    }
-
-    const int ready = ::poll(fds.data(),
-                             static_cast<nfds_t>(fds.size()), 50);
+    // poll() skips a negative fd, so a missing signal pipe needs no case.
+    struct pollfd fds[] = {{sigchld_pipe[0], POLLIN, 0},
+                           {progress_fd, POLLIN, 0},
+                           {options_.signal_rfd, POLLIN, 0}};
+    const int ready = ::poll(fds, 3, 50);
     if (ready < 0 && errno != EINTR) {
       loop_status = ErrnoStatus("poll");
       break;
     }
     if (ready > 0) {
       if (fds[0].revents & POLLIN) Drain(sigchld_pipe[0]);
-      if (options_.signal_rfd >= 0 && (fds[1].revents & POLLIN)) {
+      // The events only wake the loop; ScanProgress reads the files.
+      if (fds[1].revents & POLLIN) Drain(progress_fd);
+      if (fds[2].revents & POLLIN) {
         Drain(options_.signal_rfd);
         RequestStop();
       }
-      if (progress_fd >= 0 && (fds[progress_index].revents & POLLIN)) {
-        // The events only wake the loop; ScanProgress reads the files.
-        Drain(progress_fd);
-      }
-      // Heartbeats before reaping: progress must be visible before the
-      // death that follows it is judged. Index by position: live_ is
-      // stable between the poll and these reads.
-      for (std::size_t i = first_hb; i < fds.size(); ++i) {
-        if (fds[i].revents & (POLLIN | POLLHUP)) {
-          DrainHeartbeats(i - first_hb);
-        }
-      }
     }
     ReapAll();
-    if (chaos_.active()) {
-      for (Worker& worker : live_) ScanProgress(worker);
-      InjectDueChaos();
-    }
+    for (Worker& worker : live_) ScanProgress(worker);
+    if (chaos_.active()) InjectDueChaos();
     CheckStalls();
   }
 
   // Drain any stragglers so no worker outlives (or is zombied by) the
   // supervisor, even on the error paths above.
   for (const Worker& worker : live_) ::kill(worker.pid, SIGKILL);
-  for (const Worker& worker : live_) {
-    ::waitpid(worker.pid, nullptr, 0);
-    ::close(worker.hb_fd);
-  }
+  for (const Worker& worker : live_) ::waitpid(worker.pid, nullptr, 0);
   live_.clear();
   ::sigaction(SIGCHLD, &old_sigchld, nullptr);
   g_sigchld_wfd = -1;
   ::close(sigchld_pipe[0]);
   ::close(sigchld_pipe[1]);
-  if (progress_fd >= 0) ::close(progress_fd);
+  ::close(progress_fd);
 
   if (fatal_) return fatal_status_;
   PCPDA_RETURN_IF_ERROR(loop_status);
@@ -606,7 +541,7 @@ std::string Supervisor::RenderStats() const {
       {"abandoned_tasks", s.abandoned_tasks},
       {"chaos_kills_injected", s.chaos_kills_injected},
       {"chaos_stops_injected", s.chaos_stops_injected},
-      {"heartbeats", s.heartbeats}};
+      {"records_seen", s.records_seen}};
   std::vector<std::string> rows;
   for (const auto& [name, value] : fields) {
     rows.push_back(

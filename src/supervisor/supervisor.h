@@ -27,8 +27,8 @@ struct SupervisorOptions {
   /// CLI resolves /proc/self/exe, tests point it at the built binary)
   /// followed by the campaign flags exactly as the user gave them. Each
   /// worker runs it with the per-task flags appended (--worker, --out,
-  /// --shard, --heartbeat-fd and the job range), so the command must
-  /// hold none of those. The worker re-derives the spec from these flags;
+  /// --shard and the job range), so the command must hold none of
+  /// those. The worker re-derives the spec from these flags;
   /// the checkpoint fingerprint refuses any skew from `spec`.
   std::vector<std::string> worker_command;
   /// Concurrent worker processes. Only one worker ever owns a shard
@@ -37,16 +37,17 @@ struct SupervisorOptions {
   int max_workers = 2;
 
   // --- hang detection and escalation -----------------------------------
-  /// No heartbeat from a worker for this long → SIGTERM (cooperative
-  /// stop). Workers heartbeat once per durable record (after the group
-  /// fsync that covers it) plus once at startup, so this must
-  /// comfortably exceed the slowest single job plus one fsync.
+  /// No new record in a worker's shard checkpoint for this long (counted
+  /// from its spawn, then from its latest record) → SIGTERM (cooperative
+  /// stop). A worker writes one record per finished job, so this must
+  /// comfortably exceed the slowest single job plus the worker's
+  /// start-up.
   int stall_timeout_ms = 10'000;
   /// SIGTERM unanswered for this long → SIGKILL. Covers workers wedged
   /// in native code (or SIGSTOPped), which cooperative stop cannot reach.
   int term_grace_ms = 2'000;
   /// Whole-task wall-clock deadline (spawn to exit); 0 = off. The
-  /// backstop for a worker that keeps heartbeating but never finishes.
+  /// backstop for a worker that keeps recording but never finishes.
   int shard_deadline_ms = 0;
 
   // --- retry, backoff, bisection ---------------------------------------
@@ -104,11 +105,15 @@ struct SupervisorStats {
   std::int64_t abandoned_tasks = 0;
   std::int64_t chaos_kills_injected = 0;
   std::int64_t chaos_stops_injected = 0;
-  std::int64_t heartbeats = 0;
+  /// Checkpoint records the workers wrote, counted as the shard files
+  /// grow: the stall detector's progress signal and, with workers
+  /// spawned, the chaos clock.
+  std::int64_t records_seen = 0;
 };
 
 /// The process-isolated campaign scheduler: forks pcpda_campaign
-/// --worker per shard, monitors heartbeat pipes and per-shard deadlines,
+/// --worker per shard, watches each shard checkpoint grow (the one
+/// progress signal: stalls, chaos clock) and per-shard deadlines,
 /// reaps via SIGCHLD (self-pipe, no zombies), classifies deaths by exit
 /// code vs signal, retries with capped exponential backoff and seeded
 /// jitter, and — when a range keeps killing its worker without
@@ -149,16 +154,17 @@ class Supervisor {
   struct Worker {
     Task task;
     ::pid_t pid = -1;
-    int hb_fd = -1;
     /// Pending jobs of the range when it spawned: the records it owes,
     /// and the progress baseline its death is judged against.
     std::int64_t to_record = 0;
     /// Records it has written so far, and the checkpoint bytes counted
-    /// (chaos runs only; see ScanProgress).
+    /// (see ScanProgress).
     std::int64_t written = 0;
     std::int64_t ckpt_bytes = 0;
     Clock::time_point started{};
-    Clock::time_point last_beat{};
+    /// When ScanProgress last counted a new record (spawn time before the
+    /// first): the stall detector's clock.
+    Clock::time_point progressed{};
     bool term_sent = false;
     Clock::time_point term_at{};
     /// This worker was chaos-injected: its death is scheduled noise, not
@@ -171,9 +177,8 @@ class Supervisor {
   void ReapAll();
   void HandleDeath(Worker worker, int wait_status);
   void CheckStalls();
-  void DrainHeartbeats(std::size_t worker_index);
   /// Counts the records `worker` appended to its shard checkpoint since
-  /// the last scan into `written` and the chaos clock.
+  /// the last scan into `written` and `records_seen`.
   void ScanProgress(Worker& worker);
   /// Fires the chaos events the clock has reached, one per live worker
   /// that chaos has not hit and that has records left to write.
@@ -184,7 +189,7 @@ class Supervisor {
   void RequestStop();
   /// Pending (unrecorded) jobs of a task's range, in id order.
   StatusOr<std::vector<CampaignJob>> PendingJobs(const Task& task) const;
-  std::vector<std::string> WorkerArgs(const Task& task, int hb_fd) const;
+  std::vector<std::string> WorkerArgs(const Task& task) const;
   int BackoffMs(const Task& task) const;
   bool ShardBusy(int shard) const;
   std::string RenderStats() const;
@@ -193,9 +198,6 @@ class Supervisor {
   const SupervisorOptions options_;
   Campaign campaign_;  // merge / poison-record access to the checkpoints
   ChaosSchedule chaos_;
-  /// Checkpoint records written under this supervisor; plus
-  /// stats_.workers_spawned, the chaos clock.
-  std::int64_t records_written_ = 0;
   std::deque<Task> queue_;
   std::vector<Worker> live_;
   SupervisorStats stats_;

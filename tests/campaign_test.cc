@@ -1,20 +1,23 @@
 // Tests for the crash-safe campaign engine (src/campaign/): grid
 // indexing and shard partitioning, the checkpoint record codec and its
-// torn-tail handling, the group-commit writer and its durability reports,
+// torn-tail handling, the group-commit writer, a failing checkpoint write,
 // fingerprint guarding, and end-to-end campaigns —
 // byte-identical merges across shard layouts, resume after a torn
 // checkpoint, quarantine of crashing/hanging jobs, and graceful stop
 // with partial results.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -490,57 +493,18 @@ TEST(CheckpointTest, TornTailIsDiscardedAndTruncatedOnReopen) {
 
 // --- Group commit ----------------------------------------------------------
 
-/// Complete record lines in a checkpoint file (its header excluded).
-std::int64_t RecordLinesOnDisk(const std::string& path) {
-  const auto contents = ReadFileToString(path);
-  if (!contents.ok()) return 0;
-  const auto lines = std::count(contents->begin(), contents->end(), '\n');
-  return lines > 0 ? static_cast<std::int64_t>(lines) - 1 : 0;
-}
-
 TEST(CheckpointTest, GroupCommitFromFourThreadsMakesEveryAppendDurable) {
   const fs::path dir = TestDir("group_commit");
   const std::string path = (dir / "shard.ckpt").string();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
 
-  // Only the committer reports with fsync on, one batch at a time; every
-  // line it calls durable must already be in the file.
-  std::atomic<std::int64_t> durable{0};
-  std::atomic<int> in_callback{0};
-  std::atomic<bool> overlapped{false};
-  std::atomic<bool> ahead_of_disk{false};
-  std::mutex appenders_mu;
-  std::set<std::thread::id> appenders;
-  std::atomic<bool> on_appender{false};
   CheckpointWriter writer;
-  ASSERT_TRUE(writer
-                  .Open(path, "fp", 0, /*fsync=*/true,
-                        [&](std::int64_t count) {
-                          if (in_callback.fetch_add(1) != 0) {
-                            overlapped = true;
-                          }
-                          {
-                            std::lock_guard<std::mutex> lock(appenders_mu);
-                            if (appenders.count(std::this_thread::get_id())) {
-                              on_appender = true;
-                            }
-                          }
-                          const std::int64_t total = durable += count;
-                          if (total > RecordLinesOnDisk(path)) {
-                            ahead_of_disk = true;
-                          }
-                          in_callback.fetch_sub(1);
-                        })
-                  .ok());
+  ASSERT_TRUE(writer.Open(path, "fp", 0, /*fsync=*/true).ok());
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      {
-        std::lock_guard<std::mutex> lock(appenders_mu);
-        appenders.insert(std::this_thread::get_id());
-      }
       for (int i = 0; i < kPerThread; ++i) {
         JobRecord record = SampleRecord();
         record.job_id = t * kPerThread + i;
@@ -550,15 +514,6 @@ TEST(CheckpointTest, GroupCommitFromFourThreadsMakesEveryAppendDurable) {
   }
   for (std::thread& thread : threads) thread.join();
   ASSERT_TRUE(writer.Close().ok());
-
-  EXPECT_FALSE(overlapped) << "on_durable calls must not overlap";
-  EXPECT_FALSE(on_appender)
-      << "with fsync on, durability is reported by the committer, never "
-         "inline on an appending thread";
-  EXPECT_FALSE(ahead_of_disk)
-      << "on_durable counted a line that was not yet in the file";
-  EXPECT_EQ(durable.load(), kThreads * kPerThread)
-      << "Close must drain the committer: every append is reported";
 
   const auto loaded = LoadCheckpoint(path, "fp");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -587,34 +542,6 @@ TEST(CheckpointTest, AppendAfterCloseFailsAndCloseIsIdempotent) {
   const auto loaded = LoadCheckpoint(path, "fp");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->records, (std::vector<JobRecord>{SampleRecord()}));
-}
-
-TEST(CheckpointTest, WithoutFsyncDurabilityIsReportedInlinePerAppend) {
-  const fs::path dir = TestDir("inline_durable");
-  const std::string path = (dir / "shard.ckpt").string();
-  std::vector<std::int64_t> counts;
-  bool other_thread = false;
-  const std::thread::id self = std::this_thread::get_id();
-  CheckpointWriter writer;
-  ASSERT_TRUE(writer
-                  .Open(path, "fp", 0, /*fsync=*/false,
-                        [&](std::int64_t count) {
-                          counts.push_back(count);
-                          if (std::this_thread::get_id() != self) {
-                            other_thread = true;
-                          }
-                        })
-                  .ok());
-  for (int i = 0; i < 5; ++i) {
-    JobRecord record = SampleRecord();
-    record.job_id = i;
-    ASSERT_TRUE(writer.Append(record).ok());
-    EXPECT_EQ(counts.size(), static_cast<std::size_t>(i + 1))
-        << "the callback fires before Append returns";
-  }
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_EQ(counts, std::vector<std::int64_t>(5, 1));
-  EXPECT_FALSE(other_thread);
 }
 
 // --- Campaign end-to-end ---------------------------------------------------
@@ -875,22 +802,50 @@ TEST(CampaignTest, FingerprintMismatchedShardFileIsRefusedByRun) {
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// --- ENOSPC injection (failing-writer shim) --------------------------------
+// --- A failing checkpoint write ------------------------------------------
 
-TEST(CampaignTest, AppendFailureAbortsCleanlyAndResumesByteIdentically) {
-  const fs::path dir = TestDir("enospc");
-  // Serial worker: after 5 records land the 6th append hits injected
-  // ENOSPC. The engine must fail loudly (exit-2 path), keep the durable
-  // prefix intact, and resume byte-identically once space is back.
-  SetCheckpointAppendFailureForTest(5);
+/// Byte length of the header plus the first `records` record lines of
+/// the checkpoint a serial single-shard run of SmallSpec() writes.
+std::int64_t SerialCheckpointPrefix(int records) {
+  const fs::path dir =
+      TestDir("serial_prefix_" + std::to_string(::getpid()));
   Campaign campaign(SmallSpec(), DirOptions(dir, /*jobs=*/1));
   const auto report = campaign.Run();
-  SetCheckpointAppendFailureForTest(-1);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  const std::string text = MustRead(Campaign::ShardPath(dir.string(), 0));
+  std::size_t end = 0;
+  for (int line = 0; line <= records; ++line) {
+    end = text.find('\n', end);
+    if (end == std::string::npos) return -1;
+    ++end;
+  }
+  return static_cast<std::int64_t>(end);
+}
+
+TEST(CampaignTest, AppendFailureAbortsCleanlyAndResumesByteIdentically) {
+  const std::int64_t limit = SerialCheckpointPrefix(5);
+  ASSERT_GT(limit, 0);
+  const fs::path dir = TestDir("append_failure");
+  // Serial worker under a file-size limit that ends exactly after the
+  // 5th record: the 6th append's write(2) fails with EFBIG (SIGXFSZ
+  // ignored). The engine must fail loudly (exit-2 path), keep the
+  // durable prefix intact, and resume byte-identically once the limit
+  // is lifted.
+  struct rlimit saved_limit;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  struct rlimit limited = saved_limit;
+  limited.rlim_cur = static_cast<rlim_t>(limit);
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  Campaign campaign(SmallSpec(), DirOptions(dir, /*jobs=*/1));
+  const auto report = campaign.Run();
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  std::signal(SIGXFSZ, saved_handler);
   ASSERT_FALSE(report.ok())
       << "a lost append means lost durability; it must not be reported "
          "as success";
   EXPECT_EQ(report.status().code(), StatusCode::kInternal);
-  EXPECT_NE(report.status().message().find("No space left"),
+  EXPECT_NE(report.status().message().find(std::strerror(EFBIG)),
             std::string::npos)
       << report.status().ToString();
 
@@ -905,72 +860,6 @@ TEST(CampaignTest, AppendFailureAbortsCleanlyAndResumesByteIdentically) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->merged);
   EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
-}
-
-TEST(CampaignTest, HeartbeatsNeverExceedRecordsOnDiskUnderAppendFailure) {
-  const fs::path dir = TestDir("enospc_heartbeats");
-  const std::string path = Campaign::ShardPath(dir.string(), 0);
-  std::atomic<std::int64_t> beats{0};
-  std::atomic<bool> ahead_of_disk{false};
-  CampaignOptions options = DirOptions(dir, /*jobs=*/4);
-  options.fsync = true;
-  options.on_record = [&] {
-    if (++beats > RecordLinesOnDisk(path)) ahead_of_disk = true;
-  };
-  SetCheckpointAppendFailureForTest(5);
-  Campaign campaign(SmallSpec(), options);
-  const auto report = campaign.Run();
-  SetCheckpointAppendFailureForTest(-1);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.status().message().find("No space left"),
-            std::string::npos)
-      << report.status().ToString();
-  EXPECT_FALSE(ahead_of_disk) << "a heartbeat outran its record";
-  EXPECT_EQ(RecordLinesOnDisk(path), 5);
-  EXPECT_EQ(beats.load(), 5)
-      << "every record that reached the file is announced exactly once";
-}
-
-TEST(CampaignTest, OneHeartbeatPerCheckpointRecordAtFourJobs) {
-  const fs::path dir = TestDir("heartbeats_jobs4");
-  std::atomic<std::int64_t> beats{0};
-  CampaignOptions options = DirOptions(dir, /*jobs=*/4);
-  options.fsync = true;
-  options.on_record = [&] { ++beats; };
-  Campaign campaign(SmallSpec(), options);
-  const auto report = campaign.Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->merged);
-  const auto loaded = LoadCheckpoint(Campaign::ShardPath(dir.string(), 0),
-                                     SmallSpec().Fingerprint());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(beats.load(),
-            static_cast<std::int64_t>(loaded->records.size()));
-  EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
-}
-
-TEST(CampaignTest, HeartbeatWaitsForTheCommitterWithFsyncOn) {
-  // At --jobs=1 every job completes on the calling thread. With fsync on
-  // its heartbeat must come from the committer, after the fsync that
-  // covers the record; with fsync off it is sent inline after the write.
-  for (const bool fsync : {true, false}) {
-    const fs::path dir = TestDir(fsync ? "beat_fsync" : "beat_nofsync");
-    const std::thread::id self = std::this_thread::get_id();
-    std::atomic<std::int64_t> beats{0};
-    std::atomic<std::int64_t> inline_beats{0};
-    CampaignOptions options = DirOptions(dir, /*jobs=*/1);
-    options.fsync = fsync;
-    options.on_record = [&] {
-      ++beats;
-      if (std::this_thread::get_id() == self) ++inline_beats;
-    };
-    Campaign campaign(SmallSpec(), options);
-    const auto report = campaign.Run();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(beats.load(), report->total_jobs) << "fsync=" << fsync;
-    EXPECT_EQ(inline_beats.load(), fsync ? 0 : report->total_jobs)
-        << "fsync=" << fsync;
-  }
 }
 
 TEST(CampaignTest, StopAfterCountsCompletionsOnTheWorkerWithFsyncOn) {

@@ -465,19 +465,6 @@ TEST(LintFilterTest, FilterIgnoresWarningsButNotErrors) {
 }
 
 TEST(LintTraitsTest, TraitsOfMatchesProtocolVirtuals) {
-  for (ProtocolKind kind : AllProtocolKinds()) {
-    const ProtocolTraits traits = TraitsOf(kind);
-    const auto protocol = MakeProtocol(kind);
-    EXPECT_EQ(traits.update_model, protocol->update_model())
-        << ToString(kind);
-    EXPECT_EQ(traits.ceiling_rule, protocol->ceiling_rule())
-        << ToString(kind);
-    EXPECT_EQ(traits.priority_inheritance,
-              protocol->uses_priority_inheritance())
-        << ToString(kind);
-    EXPECT_EQ(traits.releases_early, protocol->releases_early())
-        << ToString(kind);
-  }
   // The deadlock-freedom flags the deadlock rule's message relies on:
   // exactly 2PL-PI is vulnerable.
   for (ProtocolKind kind : AllProtocolKinds()) {

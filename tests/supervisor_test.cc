@@ -99,7 +99,7 @@ TEST(ChaosScheduleTest, DueAdvancesPastReturnedEvents) {
   ChaosSchedule schedule = ChaosSchedule::Make(1, 3, 0);
   EXPECT_TRUE(schedule.active());
   EXPECT_EQ(schedule.Due(0), nullptr) << "no event is due before gap 2";
-  // At a heartbeat count past the last event, Due drains one per call.
+  // At a progress count past the last event, Due drains one per call.
   int drained = 0;
   while (schedule.Due(1'000'000) != nullptr) ++drained;
   EXPECT_EQ(drained, 3);
@@ -205,7 +205,8 @@ TEST(SupervisorTest, SupervisedRunMergesByteIdenticallyToInProcess) {
   EXPECT_EQ(stats.workers_spawned, 2) << "one worker per shard";
   EXPECT_EQ(stats.clean_exits, 2);
   EXPECT_EQ(stats.crash_deaths, 0);
-  EXPECT_GE(stats.heartbeats, 12) << "one per record plus startup";
+  EXPECT_EQ(stats.records_seen, 12)
+      << "every checkpoint record counted once, the header never";
   EXPECT_TRUE(fs::exists(dir / "SUPERVISOR.json"));
 }
 
@@ -257,7 +258,7 @@ TEST(SupervisorTest, ChaosKillsCostRetriesNeverResults) {
   const fs::path dir = TestDir("chaos");
   SupervisorOptions options = FastOptions(dir);
   options.chaos_seed = 1234;
-  options.chaos_kills = 4;  // sized to the 12-job grid's heartbeat count
+  options.chaos_kills = 4;  // sized to the 12-job grid's record count
   // One worker at a time, so the second shard's worker spawns only after
   // the first shard's 6 records are counted: the clock then reads 8, at
   // or past the first event (gaps are at most 8), and Spawn hands that
