@@ -246,12 +246,9 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   if (!loaded.ok()) return loaded.status();
   summary.torn_bytes = loaded->torn_bytes;
 
-  // With a bisection range, summaries account the *assigned* jobs only:
-  // ids outside [job_first, job_last) belong to sibling workers.
-  const std::vector<CampaignJob> assigned =
-      spec_.JobsForRange(shard, options_.job_first, options_.job_last);
-  const std::vector<CampaignJob> todo = loaded->Unrecorded(assigned);
-  summary.jobs = static_cast<std::int64_t>(assigned.size());
+  const std::vector<CampaignJob> jobs = spec_.JobsForShard(shard);
+  const std::vector<CampaignJob> todo = loaded->Unrecorded(jobs);
+  summary.jobs = static_cast<std::int64_t>(jobs.size());
   summary.resumed = summary.jobs - static_cast<std::int64_t>(todo.size());
 
   // Open even when nothing is left to run: Open() truncates any torn
@@ -259,8 +256,36 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
   CheckpointWriter writer;
   PCPDA_RETURN_IF_ERROR(writer.Open(path, fingerprint_,
                                     loaded->valid_bytes, options_.fsync));
-  if (todo.empty()) return writer.Close();
 
+  // Resume order. A job with two unresolved intents killed two processes:
+  // it is poison. A job with one was in flight when a process died: it
+  // runs alone, so if it kills this process too, its second intent names
+  // it and no co-runner. The rest run at --jobs.
+  std::vector<CampaignJob> suspects;
+  std::vector<CampaignJob> rest;
+  for (const CampaignJob& job : todo) {
+    const auto intents = loaded->unresolved_intents.find(job.id);
+    const int count =
+        intents == loaded->unresolved_intents.end() ? 0 : intents->second;
+    if (count >= 2) {
+      PCPDA_RETURN_IF_ERROR(RecordPoisonJob(writer, job));
+      ++summary.ran;
+    } else {
+      (count == 1 ? suspects : rest).push_back(job);
+    }
+  }
+  if (!suspects.empty()) {
+    BatchRunner serial(BatchOptions{1});
+    PCPDA_RETURN_IF_ERROR(RunJobs(serial, suspects, writer, summary));
+  }
+  PCPDA_RETURN_IF_ERROR(RunJobs(runner, rest, writer, summary));
+  return writer.Close();
+}
+
+Status Campaign::RunJobs(BatchRunner& runner,
+                         const std::vector<CampaignJob>& jobs,
+                         CheckpointWriter& writer, ShardSummary& summary) {
+  if (jobs.empty()) return Status::Ok();
   JobPolicy policy;
   policy.max_sim_ticks = spec_.effective_max_sim_ticks();
   policy.wall_budget_ms = spec_.wall_budget_ms;
@@ -273,25 +298,37 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
 
   std::mutex io_mu;
   Status io_status;
+  const auto fail = [&](const Status& status) {
+    std::lock_guard<std::mutex> lock(io_mu);
+    if (io_status.ok()) io_status = status;
+    // Durability is gone; stop starting new jobs.
+    internal_stop_.store(true, std::memory_order_relaxed);
+  };
   std::vector<BatchRunner::PolicyTask> tasks;
-  tasks.reserve(todo.size());
-  for (const CampaignJob& job : todo) {
-    tasks.push_back([this, job](const JobContext& context) {
+  tasks.reserve(jobs.size());
+  for (const CampaignJob& job : jobs) {
+    tasks.push_back([this, &writer, &fail, job](const JobContext& context) {
+      if (context.attempt == 0) {
+        const Status status = writer.AppendMark(JobMark::kIntent, job.id);
+        if (!status.ok()) {
+          fail(status);
+          SimResult result;
+          result.status = status;
+          return result;
+        }
+      }
       return RunJob(job, context);
     });
   }
   const BatchRunner::CompletionHook on_complete =
       [&](std::size_t i, const JobResult& result) {
-    const JobRecord record = MakeRecord(todo[i], result);
+    const JobRecord record = MakeRecord(jobs[i], result);
     Status status = writer.Append(record);
     if (status.ok() && record.quarantined()) {
-      status = WriteQuarantine(todo[i], record);
+      status = WriteQuarantine(jobs[i], record);
     }
     if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu);
-      if (io_status.ok()) io_status = status;
-      // Durability is gone; stop starting new jobs.
-      internal_stop_.store(true, std::memory_order_relaxed);
+      fail(status);
       return;
     }
     if (options_.hooks.stop_after >= 0 &&
@@ -303,17 +340,17 @@ Status Campaign::RunShard(BatchRunner& runner, int shard,
 
   const std::vector<JobResult> results =
       runner.RunTasksWithPolicy(tasks, policy, on_complete);
-  for (const JobResult& result : results) {
-    if (result.outcome != JobOutcome::kSkipped &&
-        result.outcome != JobOutcome::kCancelled) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].outcome == JobOutcome::kCancelled) {
+      // The stop, not the job, ended it: resolve its intent.
+      const Status status = writer.AppendMark(JobMark::kCancel, jobs[i].id);
+      if (!status.ok()) fail(status);
+    } else if (results[i].outcome != JobOutcome::kSkipped) {
       ++summary.ran;
     }
   }
-  PCPDA_RETURN_IF_ERROR(writer.Close());
-  {
-    std::lock_guard<std::mutex> lock(io_mu);
-    return io_status;
-  }
+  std::lock_guard<std::mutex> lock(io_mu);
+  return io_status;
 }
 
 Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
@@ -539,10 +576,6 @@ StatusOr<CampaignReport> Campaign::Run() {
         StrFormat("only_shard %d out of range for %d shards",
                   options_.only_shard, spec_.shards));
   }
-  if (options_.worker && options_.only_shard < 0) {
-    return Status::InvalidArgument(
-        "worker mode requires an assigned shard (only_shard)");
-  }
   PCPDA_RETURN_IF_ERROR(MakeDirectories(options_.out_dir));
 
   CampaignReport report;
@@ -559,11 +592,6 @@ StatusOr<CampaignReport> Campaign::Run() {
     report.shards.push_back(summary);
   }
   report.stopped = StopRequested();
-  if (options_.worker) {
-    // The supervisor owns MANIFEST/BENCH: parallel workers must never
-    // race on them, so a worker reports its shard summaries and stops.
-    return report;
-  }
   PCPDA_RETURN_IF_ERROR(Finalize(report, runner.pool()));
   return report;
 }
@@ -581,22 +609,17 @@ StatusOr<CampaignReport> Campaign::Merge(bool stopped) {
   return report;
 }
 
-Status Campaign::RecordPoisonJob(const JobRecord& record) {
-  const CampaignJob job = spec_.JobById(record.job_id);
-  const std::string path =
-      ShardPath(options_.out_dir, spec_.ShardOfJob(job.id));
-  auto loaded = LoadCheckpoint(path, fingerprint_);
-  if (!loaded.ok()) return loaded.status();
-  // Already recorded (e.g. the worker appended before dying on the
-  // fsync): keep the first occurrence, like every other merge path.
-  if (loaded->Unrecorded({job}).empty()) return Status::Ok();
-  CheckpointWriter writer;
-  // Always durable: the supervisor writes this record, and a lost
-  // poison record would send the campaign back into bisection.
-  PCPDA_RETURN_IF_ERROR(
-      writer.Open(path, fingerprint_, loaded->valid_bytes, /*fsync=*/true));
+Status Campaign::RecordPoisonJob(CheckpointWriter& writer,
+                                 const CampaignJob& job) {
+  JobRecord record;
+  record.job_id = job.id;
+  record.outcome = "crash";
+  record.attempts = 2;
+  record.code = "Internal";
+  record.message =
+      "the campaign process died twice while running this job (two "
+      "intent records, no result); quarantined";
   PCPDA_RETURN_IF_ERROR(writer.Append(record));
-  PCPDA_RETURN_IF_ERROR(writer.Close());
   return WriteQuarantine(job, record);
 }
 

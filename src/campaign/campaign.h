@@ -43,17 +43,6 @@ struct CampaignOptions {
   /// is written.
   const std::atomic<bool>* stop = nullptr;
 
-  // --- worker mode (the supervisor's forked processes) -----------------
-  /// Run as a supervised worker: execute the assigned shard (only_shard
-  /// is then required) and skip Finalize entirely — the supervisor owns
-  /// MANIFEST/BENCH, and parallel workers must not race on them.
-  bool worker = false;
-  /// Restrict the shard to global job ids in [job_first, job_last) — the
-  /// supervisor's bisection unit when hunting a poison job. -1/-1 runs
-  /// the whole shard. Already-recorded jobs inside the range still
-  /// resume; jobs outside it are left pending for sibling workers.
-  std::int64_t job_first = -1;
-  std::int64_t job_last = -1;
   /// Lint pre-flight (ROADMAP item 3): run the static analyzer's
   /// error-level filter over every generated scenario before any
   /// protocol simulates it. A scenario with lint errors marks all of its
@@ -62,18 +51,18 @@ struct CampaignOptions {
   bool lint_preflight = true;
 
   /// Deterministic faults for the robustness tests; the defaults (-1)
-  /// turn every hook off. The segv and spin hooks are lethal by design
-  /// in unsupervised runs: only the supervisor can contain them.
+  /// turn every hook off. The segv and spin hooks kill the process by
+  /// design: only resume's intent records can contain them.
   struct TestHooks {
     /// This job throws on every attempt (exhausts retries, quarantined).
     std::int64_t throw_job = -1;
     /// This job sleeps until the watchdog cancels it (quarantined).
     std::int64_t hang_job = -1;
     /// This job raises SIGSEGV, killing the whole process when it starts:
-    /// the supervisor's poison-job case, which no retry can catch.
+    /// the poison-job case, which no retry can catch.
     std::int64_t segv_job = -1;
     /// This job spins without polling cancellation: a hang that only the
-    /// supervisor's SIGTERM→SIGKILL escalation ends.
+    /// watchdog's process kill, one wall budget after the cancel, ends.
     std::int64_t spin_job = -1;
     /// This cell's scenario gets a dangling `expect` reference, which the
     /// lint pre-flight rejects as a generator defect.
@@ -88,10 +77,9 @@ struct CampaignOptions {
 
 /// Applies one pcpda_campaign flag ("--name=value", or "--name" for a
 /// switch) to `spec` or `options`. Every flag that sets a CampaignSpec or
-/// CampaignOptions field is parsed here, from one table, so a supervised
-/// worker re-parses the user's flags exactly as the supervisor did.
-/// NotFound for a flag not in the table; InvalidArgument, naming the
-/// flag, for a malformed or out-of-range value.
+/// CampaignOptions field is parsed here, from one table. NotFound for a
+/// flag not in the table; InvalidArgument, naming the flag, for a
+/// malformed or out-of-range value.
 Status ApplyCampaignFlag(const std::string& arg, CampaignSpec* spec,
                          CampaignOptions* options);
 
@@ -101,7 +89,8 @@ struct ShardSummary {
   std::int64_t jobs = 0;
   /// Records reused from the checkpoint instead of re-running.
   std::int64_t resumed = 0;
-  /// Jobs actually executed (and recorded) by this invocation.
+  /// Jobs recorded by this invocation: the ones it executed, plus poison
+  /// jobs recorded from their intents without running.
   std::int64_t ran = 0;
   /// Torn-tail bytes discarded when the checkpoint was loaded.
   std::int64_t torn_bytes = 0;
@@ -132,36 +121,42 @@ struct CampaignReport {
 /// exactly where the last appended record left off and produces a
 /// BENCH_campaign.json byte-identical to an uninterrupted run
 /// (tests/campaign_test.cc and the campaign-smoke ctest prove both).
+///
+/// Every job's first attempt is preceded by an intent line, so a job
+/// that kills the process is named by the next invocation: resume records
+/// a job with two unresolved intents as a poison "crash", runs the jobs
+/// with one alone, then the rest (DESIGN.md §14).
 class Campaign {
  public:
   Campaign(CampaignSpec spec, CampaignOptions options);
 
   /// Runs (or resumes) the campaign. Non-OK only for spec/IO errors;
   /// job failures are data, reported in the CampaignReport and the
-  /// checkpoint records. In worker mode Finalize is skipped: the report
-  /// carries shard summaries only (total/ok/... stay zero).
+  /// checkpoint records.
   StatusOr<CampaignReport> Run();
 
-  /// Merge-only entry for the supervisor: re-reads every shard
-  /// checkpoint and writes MANIFEST.json (and BENCH_campaign.json when
-  /// complete) without running a single job. `stopped` is recorded in
-  /// the manifest. Must not run concurrently with live workers.
+  /// Merge-only entry: re-reads every shard checkpoint and writes
+  /// MANIFEST.json (and BENCH_campaign.json when complete) without
+  /// running a single job. `stopped` is recorded in the manifest.
   StatusOr<CampaignReport> Merge(bool stopped);
-
-  /// Records a job the supervisor proved poisonous (its worker process
-  /// died on it repeatedly; bisection isolated it): appends `record` to
-  /// the owning shard's checkpoint — unless the id is already recorded —
-  /// and writes the quarantine .json/.scn pair. Must not run while a
-  /// worker owns that shard's checkpoint.
-  Status RecordPoisonJob(const JobRecord& record);
 
   /// The checkpoint path of `shard` under `out_dir`.
   static std::string ShardPath(const std::string& out_dir, int shard);
 
  private:
-  /// Executes the missing jobs of one shard, appending each completion
-  /// to the shard checkpoint, and fills the summary.
+  /// Executes the missing jobs of one shard in resume order (poison
+  /// records, then suspects one at a time, then the rest on `runner`),
+  /// appending each completion to the shard checkpoint, and fills the
+  /// summary.
   Status RunShard(BatchRunner& runner, int shard, ShardSummary& summary);
+  /// Runs `jobs` on `runner` under the spec's policy: an intent line
+  /// before each job's first attempt, a record after its last, a cancel
+  /// line for each job a stop abandoned in flight.
+  Status RunJobs(BatchRunner& runner, const std::vector<CampaignJob>& jobs,
+                 CheckpointWriter& writer, ShardSummary& summary);
+  /// Records `job`, which two campaign processes died running, as outcome
+  /// "crash" and quarantines it.
+  Status RecordPoisonJob(CheckpointWriter& writer, const CampaignJob& job);
   /// Executes one job attempt (or an injected fault).
   SimResult RunJob(const CampaignJob& job, const JobContext& context);
   /// Converts a finished JobResult into its checkpoint record.

@@ -106,9 +106,35 @@ class LineScanner {
   std::size_t pos_ = 0;
 };
 
+/// Version 2 added intent and cancel lines. A version-1 reader refuses
+/// the header instead of taking the first mark for a torn tail.
 std::string HeaderLine(const std::string& fingerprint) {
-  return StrFormat("{\"campaign\":\"%s\",\"v\":1}",
+  return StrFormat("{\"campaign\":\"%s\",\"v\":2}",
                    JsonEscape(fingerprint).c_str());
+}
+
+const char* MarkKey(JobMark mark) {
+  return mark == JobMark::kIntent ? "intent" : "cancel";
+}
+
+std::string EncodeJobMark(JobMark mark, std::int64_t job_id) {
+  return StrFormat("{\"%s\":%lld}", MarkKey(mark),
+                   static_cast<long long>(job_id));
+}
+
+/// Strict inverse of EncodeJobMark; false for any other line.
+bool DecodeJobMark(const std::string& line, JobMark* mark,
+                   std::int64_t* job_id) {
+  for (const JobMark candidate : {JobMark::kIntent, JobMark::kCancel}) {
+    LineScanner scan(line);
+    if (scan.Literal("{\"") && scan.Literal(MarkKey(candidate)) &&
+        scan.Literal("\":") && scan.Int(job_id) && scan.Literal("}") &&
+        scan.Done() && *job_id >= 0) {
+      *mark = candidate;
+      return true;
+    }
+  }
+  return false;
 }
 
 Status Errno(const char* op, const std::string& path) {
@@ -227,7 +253,8 @@ StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& path,
   if (text.substr(0, header_end) != HeaderLine(fingerprint)) {
     return Status::FailedPrecondition(
         StrFormat("%s belongs to a different campaign (spec fingerprint "
-                  "mismatch); move it aside or use a fresh --out dir",
+                  "or checkpoint version mismatch); move it aside or use "
+                  "a fresh --out dir",
                   path.c_str()));
   }
   loaded.valid_bytes = static_cast<std::int64_t>(header_end + 1);
@@ -238,13 +265,27 @@ StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& path,
     if (eol == std::string::npos) break;  // torn tail: no newline
     const std::string line = text.substr(pos, eol - pos);
     auto record = DecodeJobRecord(line);
-    if (!record.ok()) break;  // torn or corrupt: drop this line and after
-    loaded.records.push_back(std::move(record).value());
+    JobMark mark;
+    std::int64_t job_id = 0;
+    if (record.ok()) {
+      loaded.records.push_back(std::move(record).value());
+    } else if (DecodeJobMark(line, &mark, &job_id)) {
+      if (mark == JobMark::kIntent) {
+        ++loaded.unresolved_intents[job_id];
+      } else {
+        loaded.unresolved_intents.erase(job_id);
+      }
+    } else {
+      break;  // torn or corrupt: drop this line and after
+    }
     pos = eol + 1;
     loaded.valid_bytes = static_cast<std::int64_t>(pos);
   }
   loaded.torn_bytes =
       static_cast<std::int64_t>(text.size()) - loaded.valid_bytes;
+  for (const JobRecord& record : loaded.records) {
+    loaded.unresolved_intents.erase(record.job_id);
+  }
   return loaded;
 }
 
@@ -290,7 +331,14 @@ Status CheckpointWriter::Open(const std::string& path,
 }
 
 Status CheckpointWriter::Append(const JobRecord& record) {
-  const std::string line = EncodeJobRecord(record) + "\n";
+  return WriteLine(EncodeJobRecord(record) + "\n", /*durable=*/true);
+}
+
+Status CheckpointWriter::AppendMark(JobMark mark, std::int64_t job_id) {
+  return WriteLine(EncodeJobMark(mark, job_id) + "\n", /*durable=*/false);
+}
+
+Status CheckpointWriter::WriteLine(const std::string& line, bool durable) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!error_.ok()) return error_;
   if (fd_ < 0 || closing_) {
@@ -298,7 +346,7 @@ Status CheckpointWriter::Append(const JobRecord& record) {
   }
   error_ = WriteAll(fd_, line, path_);
   if (!error_.ok()) return error_;
-  if (fsync_) {
+  if (fsync_ && durable) {
     dirty_ = true;
     unsynced_cv_.notify_one();
   }

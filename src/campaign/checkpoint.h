@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -22,9 +23,10 @@ struct JobRecord {
   /// ToString(JobOutcome) for ok/failed/timeout, plus two outcomes that
   /// only the campaign layers emit: "generator_defect" (the generated
   /// scenario failed the lint pre-flight — a generator bug, not a
-  /// protocol failure) and "crash" (the worker *process* died on this
-  /// job; written by the supervisor after bisection isolates it).
-  /// Cancelled and skipped jobs are never recorded — resume re-runs them.
+  /// protocol failure) and "crash" (the campaign *process* died twice
+  /// while running this job; written on resume from its two unresolved
+  /// intent lines). Cancelled and skipped jobs are never recorded —
+  /// resume re-runs them.
   std::string outcome = "ok";
   int attempts = 1;
   /// ToString of the final StatusCode ("Ok" when the job succeeded).
@@ -40,9 +42,8 @@ struct JobRecord {
   std::int64_t deadlocks = 0;
 
   /// Poisoned jobs (captured exception, watchdog timeout, lint-rejected
-  /// generated workload, or a worker-process death isolated by the
-  /// supervisor's bisection) that were quarantined rather than merely
-  /// failed.
+  /// generated workload, or a job the campaign process died on twice)
+  /// that were quarantined rather than merely failed.
   bool quarantined() const {
     return outcome == "timeout" || outcome == "generator_defect" ||
            outcome == "crash" ||
@@ -63,12 +64,23 @@ std::string EncodeJobRecord(const JobRecord& record);
 /// to decode is treated as torn, not skipped.
 StatusOr<JobRecord> DecodeJobRecord(const std::string& line);
 
+/// The two checkpoint lines that are not results. An intent is written
+/// just before a job's first attempt runs; a cancel, when a graceful stop
+/// abandons the job in flight. A job's intents that neither its record nor
+/// a later cancel resolves count the processes that died running it.
+enum class JobMark : std::uint8_t { kIntent, kCancel };
+
 /// A shard checkpoint read back from disk.
 struct LoadedCheckpoint {
   /// Decoded records, in file (= completion) order.
   std::vector<JobRecord> records;
+  /// Per unrecorded job id, its intent lines after its last cancel line
+  /// (jobs with none are absent): how many processes died while running
+  /// it.
+  std::map<std::int64_t, int> unresolved_intents;
   /// Byte length of the valid prefix: header plus every complete record
-  /// line. Anything past it is a torn tail from a crash mid-append.
+  /// or mark line. Anything past it is a torn tail from a crash
+  /// mid-append.
   std::int64_t valid_bytes = 0;
   /// Bytes of torn tail discarded (0 for a clean file).
   std::int64_t torn_bytes = 0;
@@ -79,27 +91,27 @@ struct LoadedCheckpoint {
 };
 
 /// Loads a shard checkpoint. A missing file is an empty checkpoint. The
-/// first line must be a header whose campaign fingerprint equals
-/// `fingerprint` — resuming a different campaign into this checkpoint is
-/// an error. A trailing partial line (crash mid-write) is reported via
-/// torn_bytes and excluded from records; duplicate job ids keep the
-/// first occurrence (a crash between write and index update can at worst
-/// duplicate, never lose).
+/// first line must be a header whose campaign fingerprint and format
+/// version match — resuming a different campaign, or a checkpoint of
+/// another format, into this file is an error. A trailing partial line
+/// (crash mid-write) is reported via torn_bytes and excluded from records
+/// and intents; duplicate job ids keep the first occurrence (a crash
+/// between write and index update can at worst duplicate, never lose).
 StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& path,
                                           const std::string& fingerprint);
 
 /// Append-only, group-commit writer for one shard checkpoint. Open()
 /// creates the file with a header line, or — when resuming — truncates
 /// it to `valid_bytes` first so a torn tail can never corrupt the records
-/// appended after it. Append() is thread-safe (the batch completion hook
-/// runs on worker threads) and returns once write(2) has put the line in
-/// the file, so a process kill never loses a returned record.
+/// appended after it. Append() and AppendMark() are thread-safe (the
+/// batch runs them on worker threads) and return once write(2) has put
+/// the line in the file, so a process kill never loses a returned line.
 ///
-/// With fsync on, one committer thread per writer makes the lines
-/// durable: it waits for unsynced lines and fsyncs all of them in one
-/// call outside the mutex. Lines written while an fsync is in flight ride
-/// the next one, so the batch grows with the disk's fsync latency. A
-/// failed write or fsync is sticky: every later Append and Close
+/// With fsync on, one committer thread per writer makes the records
+/// durable: it waits for unsynced records and fsyncs all of them in one
+/// call outside the mutex. Records written while an fsync is in flight
+/// ride the next one, so the batch grows with the disk's fsync latency.
+/// A failed write or fsync is sticky: every later append and Close
 /// returns it.
 class CheckpointWriter {
  public:
@@ -119,12 +131,18 @@ class CheckpointWriter {
   /// durable.
   Status Append(const JobRecord& record);
 
+  /// Writes one intent or cancel line for `job_id`. It wakes no fsync:
+  /// marks guard against a process death, which keeps the page cache.
+  Status AppendMark(JobMark mark, std::int64_t job_id);
+
   /// Drains and joins the committer (its last fsync covers every line
   /// written) and closes; further Appends fail. Idempotent: every call
   /// returns the same status, including a sticky write/fsync error.
   Status Close();
 
  private:
+  /// Writes `line`; a `durable` line wakes the committer (fsync on).
+  Status WriteLine(const std::string& line, bool durable);
   /// The committer thread's body (fsync on only).
   void CommitLoop();
 
@@ -135,7 +153,7 @@ class CheckpointWriter {
   std::string path_;
   // Guarded by mu_.
   Status error_;               // first write/fsync/close failure, sticky
-  bool dirty_ = false;         // bytes written since the last fsync began
+  bool dirty_ = false;         // records written since the last fsync began
   bool closing_ = false;       // Close() asked the committer to drain
   std::thread committer_;      // last: it uses every member above
 };

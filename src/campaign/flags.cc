@@ -1,8 +1,7 @@
 // The pcpda_campaign flags that set CampaignSpec and CampaignOptions
 // fields: one table row per flag, giving its name, its range and the
-// field it sets. A supervised worker is the same binary run with the
-// same flags, so this table is the only encoding of a campaign on the
-// command line (DESIGN.md §14).
+// field it sets. This table is the only encoding of a campaign on the
+// command line.
 
 #include <limits>
 #include <string>
@@ -158,8 +157,6 @@ const Row kFlags[] = {
     {"--jobs", Number<&CampaignOptions::jobs, 1, 1 << 20>},
     {"--no-fsync", Off<&CampaignOptions::fsync>},
     {"--no-lint-preflight", Off<&CampaignOptions::lint_preflight>},
-    {"--job-first", Number<&CampaignOptions::job_first, -1, kMax>},
-    {"--job-last", Number<&CampaignOptions::job_last, -1, kMax>},
     // CampaignOptions::hooks.
     {"--inject-crash", Number<&Hooks::throw_job, -1, kMax>},
     {"--inject-hang", Number<&Hooks::hang_job, -1, kMax>},

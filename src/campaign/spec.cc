@@ -138,18 +138,12 @@ StatusOr<TransactionSet> CampaignSpec::CellWorkload(
 }
 
 std::vector<CampaignJob> CampaignSpec::JobsForShard(int shard) const {
-  return JobsForRange(shard, -1, -1);
-}
-
-std::vector<CampaignJob> CampaignSpec::JobsForRange(
-    int shard, std::int64_t first, std::int64_t last) const {
   PCPDA_CHECK(shard >= 0 && shard < shards);
-  std::int64_t lo = CellBegin(shard) * num_protocols();
-  std::int64_t hi = CellBegin(shard + 1) * num_protocols();
-  if (first >= 0) lo = std::max(lo, first);
-  if (last >= 0) hi = std::min(hi, last);
   std::vector<CampaignJob> jobs;
-  for (std::int64_t id = lo; id < hi; ++id) jobs.push_back(JobById(id));
+  for (std::int64_t id = CellBegin(shard) * num_protocols();
+       id < CellBegin(shard + 1) * num_protocols(); ++id) {
+    jobs.push_back(JobById(id));
+  }
   return jobs;
 }
 

@@ -95,12 +95,6 @@ struct CampaignSpec {
   /// the contiguous cell range [CellBegin(s), CellBegin(s+1)).
   std::vector<CampaignJob> JobsForShard(int shard) const;
 
-  /// The jobs of `shard` with global ids in [first, last), in id order;
-  /// a negative bound leaves that side open. The unit a supervised
-  /// worker runs when bisection has split its shard.
-  std::vector<CampaignJob> JobsForRange(int shard, std::int64_t first,
-                                        std::int64_t last) const;
-
   /// First cell owned by `shard` (== num_cells() for shard == shards).
   std::int64_t CellBegin(int shard) const;
 

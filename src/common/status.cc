@@ -14,8 +14,6 @@ const char* ToString(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kDeadlineExceeded:

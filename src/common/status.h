@@ -17,7 +17,6 @@ enum class StatusCode {
   kNotFound,
   kFailedPrecondition,
   kOutOfRange,
-  kAlreadyExists,
   kInternal,
   /// A time or tick budget ran out before the operation finished (the
   /// runner's per-job watchdog; a partial result is not trustworthy).
@@ -46,9 +45,6 @@ class Status {
   }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -86,7 +86,9 @@ struct JobPolicy {
   Tick max_sim_ticks = 0;
   /// Wall-clock watchdog: per-attempt budget in milliseconds enforced by
   /// a monitor thread through cooperative cancellation; 0 = unlimited.
-  /// Nondeterministic by nature — the backstop for genuine hangs.
+  /// An attempt still running one more budget after its cancel kills the
+  /// process (see Watchdog). Nondeterministic by nature — the backstop
+  /// for genuine hangs.
   int wall_budget_ms = 0;
   /// Bounded retry for transient failures: a job whose attempt ends in a
   /// captured exception (kInternal) is re-run up to this many extra

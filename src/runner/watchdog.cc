@@ -1,6 +1,9 @@
 #include "runner/watchdog.h"
 
-#include <vector>
+#include <signal.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 namespace pcpda {
 
@@ -39,6 +42,7 @@ std::uint64_t Watchdog::Arm(std::atomic<bool>* flag,
     entry.deadline = budget.count() > 0
                          ? std::chrono::steady_clock::now() + budget
                          : std::chrono::steady_clock::time_point::max();
+    entry.budget = budget;
     armed_.emplace(ticket, entry);
   }
   cv_.notify_all();
@@ -73,8 +77,21 @@ void Watchdog::Loop() {
     }
     const auto now = std::chrono::steady_clock::now();
     for (auto it = armed_.begin(); it != armed_.end();) {
-      if (stop || now >= it->second.deadline) {
-        it->second.flag->store(true, std::memory_order_relaxed);
+      Entry& entry = it->second;
+      if (entry.fired && now >= entry.deadline + entry.budget) {
+        // One more full budget without unwinding: the code is not
+        // polling its flag, and only the process's death ends it.
+        std::fprintf(stderr,
+                     "watchdog: a job ignored its cancel for %lld ms past "
+                     "its wall budget; killing the process\n",
+                     static_cast<long long>(entry.budget.count()));
+        ::kill(::getpid(), SIGKILL);
+      }
+      if (!entry.fired && (stop || now >= entry.deadline)) {
+        entry.flag->store(true, std::memory_order_relaxed);
+        entry.fired = true;
+      }
+      if (entry.fired && entry.budget.count() <= 0) {
         it = armed_.erase(it);
       } else {
         ++it;

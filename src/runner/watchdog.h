@@ -19,6 +19,11 @@ namespace pcpda {
 /// per tick — so nothing is ever killed mid-mutation; a job is
 /// "abandoned" by asking it to stop and letting it unwind.
 ///
+/// Code that ignores its flag is not waited on forever: a flag armed with
+/// a budget that is still armed one more full budget after its deadline
+/// ends the process with SIGKILL. A crash-safe caller (the campaign
+/// engine) then treats the hang as a crash on resume.
+///
 /// Wall-clock timeouts are inherently nondeterministic; the campaign
 /// layer treats them as quarantine-grade outcomes and leans on the
 /// deterministic SimulatorOptions::max_sim_ticks budget wherever
@@ -40,9 +45,11 @@ class Watchdog {
   void SetStopSources(const std::atomic<bool>* stop,
                       const std::atomic<bool>* also_stop = nullptr);
 
-  /// Arms `flag` to be set after `budget` elapses; a zero/negative budget
-  /// means no deadline (the flag then only fires via the stop source).
-  /// `flag` must stay valid until Disarm. Returns a ticket for Disarm.
+  /// Arms `flag` to be set after `budget` elapses, and the process to be
+  /// killed if the ticket is still armed after 2 x `budget`; a
+  /// zero/negative budget means neither (the flag then only fires via
+  /// the stop source). `flag` must stay valid until Disarm. Returns a
+  /// ticket for Disarm.
   std::uint64_t Arm(std::atomic<bool>* flag,
                     std::chrono::milliseconds budget);
 
@@ -54,6 +61,9 @@ class Watchdog {
     std::atomic<bool>* flag = nullptr;
     /// time_point::max() means "no deadline, stop source only".
     std::chrono::steady_clock::time_point deadline;
+    std::chrono::milliseconds budget{0};
+    /// The flag is set; the entry stays until Disarm or the kill.
+    bool fired = false;
   };
 
   void Loop();

@@ -1,8 +1,7 @@
 #include "trace/trace.h"
 
-#include <algorithm>
 #include <cstddef>
-#include <iterator>
+#include <utility>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -137,49 +136,6 @@ std::vector<TraceEvent> Trace::EventsOfKind(TraceKind kind,
     if (e.kind == kind && e.spec == spec) out.push_back(e);
   }
   return out;
-}
-
-std::optional<TraceEvent> Trace::FirstEvent(TraceKind kind,
-                                            JobId job) const {
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind && e.job == job) return e;
-  }
-  return std::nullopt;
-}
-
-SpecId Trace::RunningSpecAt(Tick tick) const {
-  if (tick < first_tick() || tick >= end_tick()) return kInvalidSpec;
-  const auto after = std::upper_bound(
-      spans_.begin(), spans_.end(), tick,
-      [](Tick t, const TickSpan& span) { return t < span.begin; });
-  return std::prev(after)->record.running_spec;
-}
-
-Tick Trace::RunningTicks(SpecId spec) const {
-  Tick total = 0;
-  for (const TickSpan& span : spans_) {
-    if (span.record.running_spec == spec) total += span.length();
-  }
-  return total;
-}
-
-Tick Trace::BlockedTicks(JobId job) const {
-  Tick total = 0;
-  for (const TickSpan& span : spans_) {
-    for (const BlockedSample& b : span.record.blocked) {
-      if (b.job == job) {
-        total += span.length();
-        break;
-      }
-    }
-  }
-  return total;
-}
-
-Priority Trace::MaxCeiling() const {
-  Priority max = Priority::Dummy();
-  for (const TickSpan& span : spans_) max = Max(max, span.record.ceiling);
-  return max;
 }
 
 std::string Trace::DebugString() const {

@@ -1,7 +1,6 @@
 #ifndef PCPDA_TRACE_TRACE_H_
 #define PCPDA_TRACE_TRACE_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,17 +132,6 @@ class Trace {
   std::vector<TraceEvent> EventsOfKind(TraceKind kind) const;
   /// Events of one kind for one spec.
   std::vector<TraceEvent> EventsOfKind(TraceKind kind, SpecId spec) const;
-  /// The first event of `kind` for `job`, if any.
-  std::optional<TraceEvent> FirstEvent(TraceKind kind, JobId job) const;
-
-  /// The spec running at `tick` (kInvalidSpec if idle or out of range).
-  SpecId RunningSpecAt(Tick tick) const;
-  /// Ticks during which `spec` was running.
-  Tick RunningTicks(SpecId spec) const;
-  /// Ticks during which `job` appears blocked.
-  Tick BlockedTicks(JobId job) const;
-  /// Max ceiling level observed over the run (the paper's Max_Sysceil).
-  Priority MaxCeiling() const;
 
   std::string DebugString() const;
 

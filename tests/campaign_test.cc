@@ -1,23 +1,30 @@
 // Tests for the crash-safe campaign engine (src/campaign/): grid
-// indexing and shard partitioning, the checkpoint record codec and its
-// torn-tail handling, the group-commit writer, a failing checkpoint write,
-// fingerprint guarding, and end-to-end campaigns —
+// indexing and shard partitioning, the checkpoint record and intent
+// codec and its torn-tail handling, the group-commit writer, a failing
+// checkpoint write, fingerprint guarding, and end-to-end campaigns —
 // byte-identical merges across shard layouts, resume after a torn
-// checkpoint, quarantine of crashing/hanging jobs, and graceful stop
-// with partial results.
+// checkpoint or a SIGKILL, quarantine of crashing/hanging jobs, graceful
+// stop with partial results — and, spawning the built pcpda_campaign,
+// the --supervise restart loop: poison and spinning jobs quarantined
+// alone, and its give-up rule.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -42,20 +49,25 @@ fs::path TestDir(const std::string& name) {
   return dir;
 }
 
-/// A 3-scenario x 2-util x 2-protocol grid (12 jobs) that runs in well
-/// under a second — small enough for end-to-end campaigns in unit tests.
-CampaignSpec SmallSpec() {
+/// The campaign flags of a 3-scenario x 2-util x 2-protocol grid (12
+/// jobs) that runs in well under a second — small enough for end-to-end
+/// campaigns in unit tests. The pcpda_campaign runs below take these
+/// flags; SmallSpec() parses them, so the grid is written down once.
+const std::vector<std::string> kSmallSpecFlags = {
+    "--seed=7",      "--scenarios=3",          "--utils=0.3,0.6",
+    "--horizon=300", "--protocols=PCP-DA,PCP", "--retries=1",
+    "--txns=4",      "--items=8"};
+
+CampaignSpec SpecOf(const std::vector<std::string>& flags) {
   CampaignSpec spec;
-  spec.base_seed = 7;
-  spec.scenarios = 3;
-  spec.utilizations = {0.3, 0.6};
-  spec.protocols = {ProtocolKind::kPcpDa, ProtocolKind::kOpcp};
-  spec.horizon = 300;
-  spec.max_retries = 1;
-  spec.workload.num_transactions = 4;
-  spec.workload.num_items = 8;
+  CampaignOptions unused;
+  for (const std::string& flag : flags) {
+    EXPECT_TRUE(ApplyCampaignFlag(flag, &spec, &unused).ok()) << flag;
+  }
   return spec;
 }
+
+CampaignSpec SmallSpec() { return SpecOf(kSmallSpecFlags); }
 
 CampaignOptions DirOptions(const fs::path& dir, int jobs = 2) {
   CampaignOptions options;
@@ -216,17 +228,15 @@ TEST(CampaignSpecTest, FingerprintIgnoresExecutionKnobsOnly) {
   EXPECT_NE(base.Fingerprint(), other_workload.Fingerprint());
 }
 
-TEST(CampaignSpecTest, JobsForRangeClipsTheShardToTheRange) {
+TEST(SpecFlagsTest, ShardOfJobInvertsJobsForShard) {
   CampaignSpec spec = SmallSpec();
-  spec.shards = 2;  // shard 1 holds job ids 6..11
-  std::vector<std::int64_t> ids;
-  for (const CampaignJob& job : spec.JobsForRange(1, 4, 9)) {
-    ids.push_back(job.id);
+  spec.scenarios = 5;
+  spec.shards = 3;
+  for (int shard = 0; shard < spec.shards; ++shard) {
+    for (const CampaignJob& job : spec.JobsForShard(shard)) {
+      EXPECT_EQ(spec.ShardOfJob(job.id), shard) << "job " << job.id;
+    }
   }
-  EXPECT_EQ(ids, (std::vector<std::int64_t>{6, 7, 8}));
-  EXPECT_EQ(spec.JobsForRange(1, -1, -1).size(), 6u);
-  EXPECT_EQ(spec.JobsForRange(1, 8, -1).size(), 4u);
-  EXPECT_TRUE(spec.JobsForRange(0, 9, 12).empty());
 }
 
 // --- ApplyCampaignFlag -------------------------------------------------------
@@ -238,7 +248,8 @@ Status Apply(const std::string& arg, CampaignSpec* spec) {
 
 TEST(CampaignFlagsTest, PrintedDoublesParseBitExactly) {
   // No short decimal form: printed at %.17g they must come back exactly,
-  // or a worker's fingerprint would differ from its supervisor's.
+  // or a campaign written down as flags would not reproduce its
+  // fingerprint.
   const double a = 0.1 + 0.2, b = 1.0 / 3.0, c = 2.0 / 7.0;
   CampaignSpec spec;
   ASSERT_TRUE(Apply(StrFormat("--utils=%.17g,%.17g", a, b), &spec).ok());
@@ -284,8 +295,8 @@ TEST(CampaignFlagsTest, EachFlagSetsTheFieldItNames) {
         "--write-fraction=0.45", "--task-util-min=0.01",
         "--task-util-max=0.7", "--exp-mean=0.2", "--bimodal-split=0.4",
         "--bimodal-light=0.75", "--out=some/dir", "--shard=1", "--jobs=3",
-        "--no-fsync", "--no-lint-preflight", "--job-first=2",
-        "--job-last=9", "--inject-crash=10", "--inject-hang=11",
+        "--no-fsync", "--no-lint-preflight", "--inject-crash=10",
+        "--inject-hang=11",
         "--inject-crash-job=12", "--inject-spin-job=13",
         "--inject-lint-defect-cell=14", "--stop-after=15"}) {
     EXPECT_TRUE(ApplyCampaignFlag(flag, &spec, &options).ok()) << flag;
@@ -296,8 +307,6 @@ TEST(CampaignFlagsTest, EachFlagSetsTheFieldItNames) {
   EXPECT_EQ(options.jobs, 3);
   EXPECT_FALSE(options.fsync);
   EXPECT_FALSE(options.lint_preflight);
-  EXPECT_EQ(options.job_first, 2);
-  EXPECT_EQ(options.job_last, 9);
   EXPECT_EQ(options.hooks.throw_job, 10);
   EXPECT_EQ(options.hooks.hang_job, 11);
   EXPECT_EQ(options.hooks.segv_job, 12);
@@ -333,8 +342,6 @@ TEST(CampaignFlagsTest, EveryFlagRejectsMalformedAndOutOfRangeValues) {
       {"--bimodal-light", {"x", "7"}},
       {"--shard", {"one", "-1"}},
       {"--jobs", {"x", "0"}},
-      {"--job-first", {"x", "-2"}},
-      {"--job-last", {"x", "-2"}},
       {"--inject-crash", {"x", "-2"}},
       {"--inject-hang", {"x", "-2"}},
       {"--inject-crash-job", {"x", "-2"}},
@@ -359,8 +366,11 @@ TEST(CampaignFlagsTest, EveryFlagRejectsMalformedAndOutOfRangeValues) {
 }
 
 TEST(CampaignFlagsTest, UnknownFlagIsNotFound) {
+  // --supervise is the CLI's own switch, not a campaign flag; the rest
+  // name no campaign field.
   for (const char* flag :
-       {"--nope=1", "--seeds=1", "seed=1", "--supervise", "--workers=2"}) {
+       {"--nope=1", "--seeds=1", "seed=1", "--supervise", "--worker",
+        "--workers=2", "--stall-ms=5", "--chaos-seed=1", "--job-first=0"}) {
     CampaignSpec spec;
     EXPECT_EQ(Apply(flag, &spec).code(), StatusCode::kNotFound) << flag;
   }
@@ -780,6 +790,105 @@ TEST(CheckpointTest, ZeroLengthTrailingRecordIsRejectedAsTorn) {
   EXPECT_EQ(reloaded->torn_bytes, 0);
 }
 
+// --- intent and cancel lines ------------------------------------------------
+
+TEST(CheckpointTest, IntentLineRoundTrips) {
+  const fs::path dir = TestDir("intent");
+  const std::string path = (dir / "shard.ckpt").string();
+  CheckpointWriter writer;
+  ASSERT_TRUE(writer.Open(path, "fp", 0, /*fsync=*/true).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, 7).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, 9).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, 7).ok());
+  ASSERT_TRUE(writer.Close().ok());
+
+  const std::string text = MustRead(path);
+  EXPECT_NE(text.find("\n{\"intent\":9}\n"), std::string::npos) << text;
+  const auto loaded = LoadCheckpoint(path, "fp");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->records.empty());
+  EXPECT_EQ(loaded->unresolved_intents,
+            (std::map<std::int64_t, int>{{7, 2}, {9, 1}}));
+  EXPECT_EQ(loaded->valid_bytes, static_cast<std::int64_t>(text.size()));
+  EXPECT_EQ(loaded->torn_bytes, 0);
+}
+
+TEST(CheckpointTest, TornIntentLineIsATornTail) {
+  for (const char* tail : {"{\"intent\":4", "{\"intent\":4x}\n",
+                           "{\"intent\":-4}\n", "{\"cancel\":}\n"}) {
+    SCOPED_TRACE(tail);
+    const fs::path dir = TestDir("torn_intent");
+    const std::string path = (dir / "shard.ckpt").string();
+    CheckpointWriter writer;
+    ASSERT_TRUE(writer.Open(path, "fp", 0, false).ok());
+    ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, 3).ok());
+    ASSERT_TRUE(writer.Append(SampleRecord()).ok());
+    ASSERT_TRUE(writer.Close().ok());
+    {
+      std::ofstream torn(path, std::ios::app | std::ios::binary);
+      torn << tail << "{\"intent\":5}\n";
+    }
+    const auto loaded = LoadCheckpoint(path, "fp");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->records, (std::vector<JobRecord>{SampleRecord()}));
+    EXPECT_EQ(loaded->unresolved_intents,
+              (std::map<std::int64_t, int>{{3, 1}}))
+        << "nothing behind a torn line counts, intents included";
+    EXPECT_GT(loaded->torn_bytes, 0);
+
+    CheckpointWriter resume;
+    ASSERT_TRUE(resume.Open(path, "fp", loaded->valid_bytes, false).ok());
+    ASSERT_TRUE(resume.AppendMark(JobMark::kIntent, 3).ok());
+    ASSERT_TRUE(resume.Close().ok());
+    const auto reloaded = LoadCheckpoint(path, "fp");
+    ASSERT_TRUE(reloaded.ok());
+    EXPECT_EQ(reloaded->torn_bytes, 0);
+    EXPECT_EQ(reloaded->unresolved_intents,
+              (std::map<std::int64_t, int>{{3, 2}}));
+  }
+}
+
+TEST(CheckpointTest, RecordResolvesItsIntents) {
+  const fs::path dir = TestDir("resolve");
+  const std::string path = (dir / "shard.ckpt").string();
+  JobRecord one = SampleRecord();
+  one.job_id = 1;
+  CheckpointWriter writer;
+  ASSERT_TRUE(writer.Open(path, "fp", 0, false).ok());
+  for (const std::int64_t job : {1, 2, 3, 1}) {
+    ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, job).ok());
+  }
+  // A record resolves every intent of its job, earlier or later; a
+  // cancel resolves the intents before it only.
+  ASSERT_TRUE(writer.Append(one).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, 1).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kCancel, 2).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kCancel, 3).ok());
+  ASSERT_TRUE(writer.AppendMark(JobMark::kIntent, 3).ok());
+  ASSERT_TRUE(writer.Close().ok());
+
+  const auto loaded = LoadCheckpoint(path, "fp");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records, (std::vector<JobRecord>{one}));
+  EXPECT_EQ(loaded->unresolved_intents,
+            (std::map<std::int64_t, int>{{3, 1}}));
+  EXPECT_EQ(loaded->torn_bytes, 0);
+}
+
+TEST(CheckpointTest, VersionOneCheckpointIsRefused) {
+  // Written before intent lines existed: its header says "v":1.
+  const fs::path dir = TestDir("version_one");
+  const std::string path = (dir / "shard.ckpt").string();
+  {
+    std::ofstream old(path, std::ios::binary);
+    old << "{\"campaign\":\"fp\",\"v\":1}\n"
+        << EncodeJobRecord(SampleRecord()) << "\n";
+  }
+  const auto loaded = LoadCheckpoint(path, "fp");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(CampaignTest, FingerprintMismatchedShardFileIsRefusedByRun) {
   const fs::path dir = TestDir("fp_mismatch");
   // A checkpoint from a *different* campaign (other seed) in our slot.
@@ -804,8 +913,9 @@ TEST(CampaignTest, FingerprintMismatchedShardFileIsRefusedByRun) {
 
 // --- A failing checkpoint write ------------------------------------------
 
-/// Byte length of the header plus the first `records` record lines of
-/// the checkpoint a serial single-shard run of SmallSpec() writes.
+/// Byte length of the checkpoint a serial single-shard run of
+/// SmallSpec() writes, up to and including its `records`-th record line
+/// (the header and the intent lines before it included).
 std::int64_t SerialCheckpointPrefix(int records) {
   const fs::path dir =
       TestDir("serial_prefix_" + std::to_string(::getpid()));
@@ -814,12 +924,14 @@ std::int64_t SerialCheckpointPrefix(int records) {
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   const std::string text = MustRead(Campaign::ShardPath(dir.string(), 0));
   std::size_t end = 0;
-  for (int line = 0; line <= records; ++line) {
-    end = text.find('\n', end);
+  for (int seen = 0; seen < records;) {
+    const std::size_t line = text.find("\n{\"job\":", end);
+    if (line == std::string::npos) return -1;
+    end = text.find('\n', line + 1);
     if (end == std::string::npos) return -1;
-    ++end;
+    ++seen;
   }
-  return static_cast<std::int64_t>(end);
+  return static_cast<std::int64_t>(end + 1);
 }
 
 TEST(CampaignTest, AppendFailureAbortsCleanlyAndResumesByteIdentically) {
@@ -827,7 +939,7 @@ TEST(CampaignTest, AppendFailureAbortsCleanlyAndResumesByteIdentically) {
   ASSERT_GT(limit, 0);
   const fs::path dir = TestDir("append_failure");
   // Serial worker under a file-size limit that ends exactly after the
-  // 5th record: the 6th append's write(2) fails with EFBIG (SIGXFSZ
+  // 5th record: the 6th job's intent write(2) fails with EFBIG (SIGXFSZ
   // ignored). The engine must fail loudly (exit-2 path), keep the
   // durable prefix intact, and resume byte-identically once the limit
   // is lifted.
@@ -950,6 +1062,357 @@ TEST(CampaignTest, LintPreflightOffRunsTheDefectiveCellAnyway) {
   EXPECT_EQ(report->ok, 12);
   EXPECT_EQ(report->quarantined, 0);
 }
+
+// --- intent records end to end ---------------------------------------------
+
+/// The unresolved intents in shard 0 of `spec` under `dir`.
+std::map<std::int64_t, int> UnresolvedIntents(const fs::path& dir,
+                                              const CampaignSpec& spec) {
+  const auto loaded = LoadCheckpoint(Campaign::ShardPath(dir.string(), 0),
+                                     spec.Fingerprint());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return loaded.ok() ? loaded->unresolved_intents
+                     : std::map<std::int64_t, int>{};
+}
+
+TEST(CampaignTest, StopAfterOneWalksToCompletionLeavingNoIntent) {
+  const fs::path dir = TestDir("stop_walk");
+  const std::string ckpt = Campaign::ShardPath(dir.string(), 0);
+  // First a SIGINT stand-in: job 2 hangs until cancelled, and the stop
+  // flag is raised once its intent is on disk, so the stop certainly
+  // abandons a job in flight.
+  std::atomic<bool> stop{false};
+  CampaignOptions first = DirOptions(dir, /*jobs=*/4);
+  first.hooks.hang_job = 2;
+  first.stop = &stop;
+  StatusOr<CampaignReport> stopped = Status::Internal("not run");
+  std::thread run([&] { stopped = Campaign(SmallSpec(), first).Run(); });
+  while (!fs::exists(ckpt) ||
+         MustRead(ckpt).find("\n{\"intent\":2}\n") == std::string::npos) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  run.join();
+  ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+  EXPECT_TRUE(stopped->stopped);
+  EXPECT_NE(MustRead(ckpt).find("\n{\"cancel\":2}\n"), std::string::npos)
+      << "the hung job was not cancelled in flight";
+  EXPECT_TRUE(UnresolvedIntents(dir, SmallSpec()).empty())
+      << "a cancelled job must resolve its intent";
+
+  // Then --stop-after=1 at four executors per invocation until the grid
+  // is done. No graceful stop may leave an intent behind, or a later
+  // invocation would run that job alone and, stopped again, quarantine
+  // it as a crash.
+  for (int invocation = 1; invocation <= 24; ++invocation) {
+    CampaignOptions options = DirOptions(dir, /*jobs=*/4);
+    options.hooks.stop_after = 1;
+    const auto report = Campaign(SmallSpec(), options).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(UnresolvedIntents(dir, SmallSpec()).empty())
+        << "invocation " << invocation;
+    if (report->merged) break;
+  }
+  EXPECT_FALSE(fs::exists(dir / "quarantine"));
+  EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
+}
+
+TEST(CampaignTest, SeededKillsCostReRunsNeverResults) {
+  // 32 jobs of a few milliseconds each: long enough to be killed mid-run.
+  CampaignSpec spec = SmallSpec();
+  spec.scenarios = 8;
+  spec.horizon = 100000;
+  const fs::path twin = TestDir("kills_twin");
+  const auto undisturbed = Campaign(spec, DirOptions(twin)).Run();
+  ASSERT_TRUE(undisturbed.ok()) << undisturbed.status().ToString();
+  ASSERT_TRUE(undisturbed->merged);
+
+  const fs::path dir = TestDir("kills");
+  const std::string ckpt = Campaign::ShardPath(dir.string(), 0);
+  const auto recorded = [&](std::int64_t* records,
+                            std::map<std::int64_t, int>* intents) {
+    const auto loaded = LoadCheckpoint(ckpt, spec.Fingerprint());
+    if (!loaded.ok()) return;
+    *records = static_cast<std::int64_t>(loaded->records.size());
+    *intents = loaded->unresolved_intents;
+  };
+  Rng rng(20261020);
+  int kills = 0;
+  bool complete = false;
+  for (int run = 0; run < 8 && !complete; ++run) {
+    // The previous kill's suspects: they run first, one at a time.
+    std::int64_t base = 0;
+    std::map<std::int64_t, int> suspects;
+    recorded(&base, &suspects);
+    for (const auto& [job, count] : suspects) {
+      ASSERT_EQ(count, 1) << "job " << job << " was killed twice";
+    }
+    const ::pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      const auto report = Campaign(spec, DirOptions(dir)).Run();
+      ::_exit(report.ok() && report->merged ? 0 : 1);
+    }
+    if (kills < 3) {
+      // Kill once every suspect is recorded and a seeded number of
+      // further records landed, unless the run finishes first.
+      const std::int64_t target = base +
+                                  static_cast<std::int64_t>(suspects.size()) +
+                                  rng.UniformInt(1, 4);
+      for (;;) {
+        if (::waitpid(pid, nullptr, WNOHANG) != 0) break;
+        std::int64_t records = 0;
+        std::map<std::int64_t, int> intents;
+        recorded(&records, &intents);
+        bool suspects_done = true;
+        for (const auto& [job, count] : suspects) {
+          suspects_done = suspects_done && intents.count(job) == 0;
+        }
+        if (suspects_done && records >= target) {
+          ::kill(pid, SIGKILL);
+          ++kills;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    complete = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  }
+  ASSERT_TRUE(complete);
+  EXPECT_GE(kills, 1) << "no kill landed before the campaign finished";
+  EXPECT_FALSE(fs::exists(dir / "quarantine"))
+      << "a kill that lands once per job must quarantine nothing";
+  EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"),
+            MustRead(twin / "BENCH_campaign.json"))
+      << "kills may cost re-runs, never a byte of the merged result";
+  EXPECT_EQ(MustRead(dir / "MANIFEST.json"), MustRead(twin / "MANIFEST.json"));
+}
+
+// --- pcpda_campaign --supervise (spawns the built binary) ------------------
+
+#ifdef PCPDA_BINARY_DIR
+
+/// How a spawned pcpda_campaign ended.
+struct CliExit {
+  bool timed_out = false;
+  int code = -1;  // exit code, -1 after a death by signal or a timeout
+};
+
+/// Runs pcpda_campaign with `flags` in its own process group, stdout and
+/// stderr to `log` (truncated first). ASan and TSan turn an injected
+/// SIGSEGV into a report and an exit code by default, so the run keeps
+/// the signal (handle_segv=0; a no-op without a sanitizer).
+/// `fsize_limit` > 0 caps the files it may write (RLIMIT_FSIZE, SIGXFSZ
+/// at its default action). Past `timeout` the whole group is killed and
+/// the run reports timed_out: a mutated restart loop must fail the test,
+/// not hang it.
+CliExit RunCampaignCli(const std::vector<std::string>& flags,
+                       const fs::path& log, std::int64_t fsize_limit = 0,
+                       std::chrono::seconds timeout =
+                           std::chrono::seconds(120)) {
+  std::vector<std::string> args = {PCPDA_BINARY_DIR
+                                   "/examples/pcpda_campaign"};
+  args.insert(args.end(), flags.begin(), flags.end());
+  std::vector<std::string> env;
+  for (char** var = environ; *var != nullptr; ++var) {
+    const std::string entry = *var;
+    if (entry.rfind("ASAN_OPTIONS=", 0) != 0 &&
+        entry.rfind("TSAN_OPTIONS=", 0) != 0) {
+      env.push_back(entry);
+    }
+  }
+  for (const char* name : {"ASAN_OPTIONS", "TSAN_OPTIONS"}) {
+    const char* value = std::getenv(name);
+    env.push_back(std::string(name) + "=" +
+                  (value != nullptr && *value != '\0'
+                       ? std::string(value) + ":"
+                       : std::string()) +
+                  "handle_segv=0");
+  }
+  std::vector<char*> argv, envp;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  for (std::string& var : env) envp.push_back(var.data());
+  argv.push_back(nullptr);
+  envp.push_back(nullptr);
+  const int log_fd =
+      ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+
+  const ::pid_t pid = ::fork();
+  if (pid == 0) {
+    ::setpgid(0, 0);
+    ::dup2(log_fd, STDOUT_FILENO);
+    ::dup2(log_fd, STDERR_FILENO);
+    ::signal(SIGXFSZ, SIG_DFL);
+    const struct rlimit no_core = {0, 0};
+    ::setrlimit(RLIMIT_CORE, &no_core);
+    if (fsize_limit > 0) {
+      const struct rlimit limit = {static_cast<rlim_t>(fsize_limit),
+                                   static_cast<rlim_t>(fsize_limit)};
+      ::setrlimit(RLIMIT_FSIZE, &limit);
+    }
+    ::execve(argv[0], argv.data(), envp.data());
+    ::_exit(127);
+  }
+  ::close(log_fd);
+  CliExit result;
+  if (pid < 0) return result;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(-pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      result.timed_out = true;
+      return result;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (WIFEXITED(status)) result.code = WEXITSTATUS(status);
+  return result;
+}
+
+std::vector<std::string> Flags(std::vector<std::string> base,
+                               const std::vector<std::string>& more) {
+  base.insert(base.end(), more.begin(), more.end());
+  return base;
+}
+
+/// Checks that exactly `job` of shard 0 is quarantined, as a crash, and
+/// that every other job recorded ok.
+void ExpectOnlyCrashQuarantined(const fs::path& dir,
+                                const CampaignSpec& spec,
+                                std::int64_t job) {
+  const auto loaded = LoadCheckpoint(Campaign::ShardPath(dir.string(), 0),
+                                     spec.Fingerprint());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records.size(),
+            static_cast<std::size_t>(spec.num_jobs()));
+  for (const JobRecord& record : loaded->records) {
+    if (record.job_id == job) {
+      EXPECT_EQ(record.outcome, "crash");
+      EXPECT_EQ(record.attempts, 2);
+      EXPECT_EQ(record.code, "Internal");
+    } else {
+      EXPECT_EQ(record.outcome, "ok") << "job " << record.job_id;
+    }
+  }
+  std::set<std::string> quarantined;
+  for (const auto& entry : fs::directory_iterator(dir / "quarantine")) {
+    quarantined.insert(entry.path().filename().string());
+  }
+  const std::string stem =
+      StrFormat("job_%06lld", static_cast<long long>(job));
+  EXPECT_EQ(quarantined,
+            (std::set<std::string>{stem + ".json", stem + ".scn"}));
+  const std::string manifest = MustRead(dir / "MANIFEST.json");
+  EXPECT_NE(manifest.find("\"quarantined\": 1,"), std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("\"pending\": 0,"), std::string::npos) << manifest;
+}
+
+/// 4 cells x 2 protocols = 8 jobs in one shard, each about 10 ms long,
+/// so co-runners are mid-run when a poison job kills the process.
+const std::vector<std::string> kPoisonGrid = {
+    "--seed=3", "--scenarios=4", "--utils=0.4", "--protocols=PCP-DA,2PL-HP",
+    "--horizon=200000", "--no-fsync"};
+
+TEST(SuperviseTest, PoisonJobIsQuarantinedAloneAtOneJob) {
+  const fs::path dir = TestDir("poison_serial");
+  const CliExit exit = RunCampaignCli(
+      Flags(kPoisonGrid, {"--out=" + dir.string(), "--jobs=1",
+                          "--supervise", "--inject-crash-job=1"}),
+      dir.string() + ".log", 0, std::chrono::seconds(60));
+  ASSERT_FALSE(exit.timed_out) << MustRead(dir.string() + ".log");
+  EXPECT_EQ(exit.code, 1) << MustRead(dir.string() + ".log");
+  ExpectOnlyCrashQuarantined(dir, SpecOf(kPoisonGrid), 1);
+}
+
+TEST(SuperviseTest, PoisonJobIsQuarantinedAloneAtFourJobs) {
+  // Job 6 starts after job 7 on the last executor, with jobs of the
+  // other three executors in flight. Each such co-runner leaves an
+  // intent when the process dies; were suspects re-run together, it
+  // would die with job 6 again and be quarantined too.
+  const fs::path dir = TestDir("poison_parallel");
+  const CliExit exit = RunCampaignCli(
+      Flags(kPoisonGrid, {"--out=" + dir.string(), "--jobs=4",
+                          "--supervise", "--inject-crash-job=6"}),
+      dir.string() + ".log", 0, std::chrono::seconds(60));
+  ASSERT_FALSE(exit.timed_out) << MustRead(dir.string() + ".log");
+  EXPECT_EQ(exit.code, 1) << MustRead(dir.string() + ".log");
+  ExpectOnlyCrashQuarantined(dir, SpecOf(kPoisonGrid), 6);
+}
+
+TEST(SuperviseTest, SpinningJobEndsItsProcessAndIsQuarantinedAsCrash) {
+  // The spin ignores its cancel; one wall budget later the watchdog
+  // kills the process, twice, and the third run records the crash.
+  const fs::path dir = TestDir("spin");
+  const CliExit exit = RunCampaignCli(
+      Flags(kSmallSpecFlags,
+            {"--out=" + dir.string(), "--no-fsync", "--jobs=1",
+             "--supervise", "--inject-spin-job=2", "--wall-budget-ms=200"}),
+      dir.string() + ".log", 0, std::chrono::seconds(60));
+  ASSERT_FALSE(exit.timed_out)
+      << "a job that ignores its cancel must end its process";
+  EXPECT_EQ(exit.code, 1) << MustRead(dir.string() + ".log");
+  ExpectOnlyCrashQuarantined(dir, SmallSpec(), 2);
+}
+
+TEST(SuperviseTest, SignalDeathWithoutCheckpointGrowthStopsWithExit2) {
+  const fs::path dir = TestDir("no_growth");
+  const std::vector<std::string> flags = Flags(
+      kSmallSpecFlags, {"--out=" + dir.string(), "--no-fsync", "--jobs=1"});
+  const CliExit partial = RunCampaignCli(Flags(flags, {"--stop-after=2"}),
+                                         dir.string() + ".log");
+  ASSERT_EQ(partial.code, 1) << MustRead(dir.string() + ".log");
+  const std::string ckpt = Campaign::ShardPath(dir.string(), 0);
+  const auto size = static_cast<std::int64_t>(fs::file_size(ckpt));
+
+  // The checkpoint may not grow: the next job's intent raises SIGXFSZ, a
+  // death by signal that wrote nothing. Restarting could only repeat it.
+  // The output goes to /dev/null, which the file-size limit leaves alone.
+  const CliExit stuck =
+      RunCampaignCli(Flags(flags, {"--supervise"}), "/dev/null",
+                     /*fsize_limit=*/size, std::chrono::seconds(60));
+  ASSERT_FALSE(stuck.timed_out) << "the restart loop must give up";
+  EXPECT_EQ(stuck.code, 2);
+  EXPECT_EQ(static_cast<std::int64_t>(fs::file_size(ckpt)), size);
+}
+
+TEST(SuperviseTest, SupervisedRunMergesByteIdenticallyToInProcess) {
+  // The lint-defect hook quarantines cell 2's jobs 4 and 5; the
+  // supervised merge matches the in-process one only if the child runs
+  // the hooks of the command line.
+  for (const std::int64_t defect_cell : {-1, 2}) {
+    SCOPED_TRACE(defect_cell);
+    const fs::path in_process = TestDir("supervise_ref");
+    CampaignOptions options = DirOptions(in_process);
+    options.hooks.lint_defect_cell = defect_cell;
+    const auto report = Campaign(SmallSpec(), options).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    const fs::path dir = TestDir("supervise");
+    const CliExit exit = RunCampaignCli(
+        Flags(kSmallSpecFlags,
+              {"--out=" + dir.string(), "--no-fsync", "--jobs=2",
+               "--supervise",
+               StrFormat("--inject-lint-defect-cell=%lld",
+                         static_cast<long long>(defect_cell))}),
+        dir.string() + ".log");
+    EXPECT_EQ(exit.code, defect_cell < 0 ? 0 : 1)
+        << MustRead(dir.string() + ".log");
+    EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"),
+              MustRead(in_process / "BENCH_campaign.json"));
+    EXPECT_EQ(MustRead(dir / "MANIFEST.json"),
+              MustRead(in_process / "MANIFEST.json"));
+    if (defect_cell < 0) {
+      EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
+    }
+  }
+}
+
+#endif  // PCPDA_BINARY_DIR
 
 }  // namespace
 }  // namespace pcpda

@@ -130,18 +130,29 @@ TEST(CliRegressionTest, CampaignRejectsGarbageNumerics) {
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --horizon=-5"), 2);
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --scenarios=lots"), 2);
   EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --shard=one"), 2);
-  // Flags a supervised worker would receive on every attempt, or that the
-  // supervisor itself appends per task, cannot be combined with it.
-  for (const char* flag : {"--shard=0", "--stop-after=3", "--job-first=0",
-                           "--job-last=4"}) {
-    EXPECT_EQ(RunCli(std::string("pcpda_campaign --out=/tmp/x --supervise ") +
-                     flag),
-              2)
+  // Flags that name no campaign field are usage errors.
+  for (const char* flag :
+       {"--worker", "--workers=2", "--stall-ms=5", "--chaos-seed=1",
+        "--job-first=0", "--heartbeat-fd=5"}) {
+    EXPECT_EQ(RunCli(std::string("pcpda_campaign --out=/tmp/x ") + flag), 2)
         << flag;
   }
-  // Workers report progress through their checkpoint alone: the flag
-  // that once named a progress pipe is unknown now.
-  EXPECT_EQ(RunCli("pcpda_campaign --out=/tmp/x --heartbeat-fd=5"), 2);
+}
+
+TEST(CliRegressionTest, CampaignSuperviseComposesWithShardAndStopAfter) {
+  // The restart loop runs the command line as given, so --shard and
+  // --stop-after mean what they mean without it.
+  char dir[] = "/tmp/pcpda_cli_supervise_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const std::string grid =
+      std::string("pcpda_campaign --out=") + dir +
+      " --scenarios=2 --utils=0.3 --protocols=PCP-DA,PCP --horizon=200"
+      " --shards=2 --jobs=1 --no-fsync --supervise";
+  EXPECT_EQ(RunCli(grid + " --shard=0"), 1)
+      << "shard 1 still pending: a clean partial run";
+  EXPECT_EQ(RunCli(grid + " --shard=1 --stop-after=1"), 1);
+  EXPECT_EQ(RunCli(grid), 0) << "the resumed campaign completes";
+  std::system((std::string("rm -rf ") + dir).c_str());
 }
 
 // run_scenario's full stdout (per-protocol Gantt, metrics, serializable

@@ -60,7 +60,6 @@ TEST(StatusTest, FactoryCodes) {
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(Status::AlreadyExists("x").code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
 }
 

@@ -154,7 +154,7 @@ TEST(ConsistencyTest, BusyTicksMatchScheduleRows) {
   const PaperExample example = Example4();
   const SimResult result = RunExample(example, ProtocolKind::kRwPcp);
   for (SpecId i = 0; i < example.set.size(); ++i) {
-    EXPECT_EQ(result.trace.RunningTicks(i),
+    EXPECT_EQ(RunningTicks(result.trace, i),
               result.metrics.per_spec[static_cast<std::size_t>(i)]
                   .busy_ticks);
   }

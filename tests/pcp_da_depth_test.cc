@@ -96,7 +96,7 @@ TEST(PcpDaDepthTest, CeilingPreventsChainedBlocking) {
     if (e.kind == TraceKind::kBlock && e.spec == 2) {
       ASSERT_EQ(e.others.size(), 1u);
       const auto arrival =
-          result.trace.FirstEvent(TraceKind::kArrival, e.others[0]);
+          FirstEvent(result.trace, TraceKind::kArrival, e.others[0]);
       ASSERT_TRUE(arrival.has_value());
       EXPECT_EQ(arrival->spec, 3);  // the blocker is L
     }

@@ -58,7 +58,8 @@ TEST(ScenarioTest, ParsedExample4BehavesLikeBuiltin) {
   const SimResult expected = RunExample(builtin, ProtocolKind::kPcpDa);
   ASSERT_EQ(parsed.trace.tick_count(), expected.trace.tick_count());
   for (Tick t = 0; t < parsed.trace.tick_count(); ++t) {
-    EXPECT_EQ(parsed.trace.RunningSpecAt(t), expected.trace.RunningSpecAt(t))
+    EXPECT_EQ(RunningSpecAt(parsed.trace, t),
+              RunningSpecAt(expected.trace, t))
         << "tick " << t;
   }
 }

@@ -1,12 +1,14 @@
 #ifndef PCPDA_TESTS_TEST_UTIL_H_
 #define PCPDA_TESTS_TEST_UTIL_H_
 
+#include <optional>
 #include <string>
 
 #include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
 #include "trace/gantt.h"
+#include "trace/trace.h"
 #include "txn/spec.h"
 #include "workload/paper_examples.h"
 
@@ -46,6 +48,60 @@ inline SimResult RunWith(const TransactionSet& set, Protocol* protocol,
   options.audit = true;
   Simulator sim(PlanOf(set), protocol, options);
   return sim.Run();
+}
+
+// --- Trace queries, over the public events() and spans() ------------------
+
+/// The first event of `kind` for `job`, if any.
+inline std::optional<TraceEvent> FirstEvent(const Trace& trace,
+                                            TraceKind kind, JobId job) {
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == kind && e.job == job) return e;
+  }
+  return std::nullopt;
+}
+
+/// The spec running at `tick` (kInvalidSpec if idle or outside the
+/// retained ticks).
+inline SpecId RunningSpecAt(const Trace& trace, Tick tick) {
+  for (const TickSpan& span : trace.spans()) {
+    if (span.begin <= tick && tick < span.end) {
+      return span.record.running_spec;
+    }
+  }
+  return kInvalidSpec;
+}
+
+/// Ticks during which `spec` was running.
+inline Tick RunningTicks(const Trace& trace, SpecId spec) {
+  Tick total = 0;
+  for (const TickSpan& span : trace.spans()) {
+    if (span.record.running_spec == spec) total += span.length();
+  }
+  return total;
+}
+
+/// Ticks during which `job` appears blocked.
+inline Tick BlockedTicks(const Trace& trace, JobId job) {
+  Tick total = 0;
+  for (const TickSpan& span : trace.spans()) {
+    for (const BlockedSample& b : span.record.blocked) {
+      if (b.job == job) {
+        total += span.length();
+        break;
+      }
+    }
+  }
+  return total;
+}
+
+/// Max ceiling level observed over the run (the paper's Max_Sysceil).
+inline Priority MaxCeiling(const Trace& trace) {
+  Priority max = Priority::Dummy();
+  for (const TickSpan& span : trace.spans()) {
+    max = Max(max, span.record.ceiling);
+  }
+  return max;
 }
 
 inline SimResult RunExample(const PaperExample& example,

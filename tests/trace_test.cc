@@ -27,9 +27,9 @@ TEST(TraceTest, EventQueries) {
   EXPECT_EQ(trace.EventsOfKind(TraceKind::kArrival).size(), 1u);
   EXPECT_EQ(trace.EventsOfKind(TraceKind::kCommit, 0).size(), 1u);
   EXPECT_TRUE(trace.EventsOfKind(TraceKind::kCommit, 1).empty());
-  ASSERT_TRUE(trace.FirstEvent(TraceKind::kCommit, 1).has_value());
-  EXPECT_EQ(trace.FirstEvent(TraceKind::kCommit, 1)->tick, 5);
-  EXPECT_FALSE(trace.FirstEvent(TraceKind::kRestart, 1).has_value());
+  ASSERT_TRUE(FirstEvent(trace, TraceKind::kCommit, 1).has_value());
+  EXPECT_EQ(FirstEvent(trace, TraceKind::kCommit, 1)->tick, 5);
+  EXPECT_FALSE(FirstEvent(trace, TraceKind::kRestart, 1).has_value());
 }
 
 TEST(TraceTest, TickQueries) {
@@ -47,13 +47,13 @@ TEST(TraceTest, TickQueries) {
     }
     trace.AddTicks(t, 1, record);
   }
-  EXPECT_EQ(trace.RunningSpecAt(0), 1);
-  EXPECT_EQ(trace.RunningSpecAt(3), kInvalidSpec);
-  EXPECT_EQ(trace.RunningSpecAt(99), kInvalidSpec);
-  EXPECT_EQ(trace.RunningTicks(1), 2);
-  EXPECT_EQ(trace.BlockedTicks(9), 1);
-  EXPECT_EQ(trace.BlockedTicks(7), 0);
-  EXPECT_EQ(trace.MaxCeiling(), Priority(3));
+  EXPECT_EQ(RunningSpecAt(trace, 0), 1);
+  EXPECT_EQ(RunningSpecAt(trace, 3), kInvalidSpec);
+  EXPECT_EQ(RunningSpecAt(trace, 99), kInvalidSpec);
+  EXPECT_EQ(RunningTicks(trace, 1), 2);
+  EXPECT_EQ(BlockedTicks(trace, 9), 1);
+  EXPECT_EQ(BlockedTicks(trace, 7), 0);
+  EXPECT_EQ(MaxCeiling(trace), Priority(3));
 }
 
 TEST(TraceTest, CapacityBoundsRetainedWindow) {
@@ -81,8 +81,8 @@ TEST(TraceTest, CapacityBoundsRetainedWindow) {
   // Tick lookups answer over the retained window, offset-aware.
   const Tick first = trace.first_tick();
   EXPECT_GT(first, 0);
-  EXPECT_EQ(trace.RunningSpecAt(first - 1), kInvalidSpec);
-  EXPECT_EQ(trace.RunningSpecAt(19), static_cast<SpecId>(19 % 3));
+  EXPECT_EQ(RunningSpecAt(trace, first - 1), kInvalidSpec);
+  EXPECT_EQ(RunningSpecAt(trace, 19), static_cast<SpecId>(19 % 3));
 }
 
 TEST(TraceTest, ZeroCapacityKeepsEverything) {
