@@ -1318,7 +1318,7 @@ const std::vector<std::string> kPoisonGrid = {
     "--seed=3", "--scenarios=4", "--utils=0.4", "--protocols=PCP-DA,2PL-HP",
     "--horizon=200000", "--no-fsync"};
 
-TEST(SuperviseTest, PoisonJobIsQuarantinedAloneAtOneJob) {
+TEST(SupervisorTest, PoisonJobIsQuarantinedAloneAtOneJob) {
   const fs::path dir = TestDir("poison_serial");
   const CliExit exit = RunCampaignCli(
       Flags(kPoisonGrid, {"--out=" + dir.string(), "--jobs=1",
@@ -1329,7 +1329,7 @@ TEST(SuperviseTest, PoisonJobIsQuarantinedAloneAtOneJob) {
   ExpectOnlyCrashQuarantined(dir, SpecOf(kPoisonGrid), 1);
 }
 
-TEST(SuperviseTest, PoisonJobIsQuarantinedAloneAtFourJobs) {
+TEST(SupervisorTest, PoisonJobIsQuarantinedAloneAtFourJobs) {
   // Job 6 starts after job 7 on the last executor, with jobs of the
   // other three executors in flight. Each such co-runner leaves an
   // intent when the process dies; were suspects re-run together, it
@@ -1344,7 +1344,7 @@ TEST(SuperviseTest, PoisonJobIsQuarantinedAloneAtFourJobs) {
   ExpectOnlyCrashQuarantined(dir, SpecOf(kPoisonGrid), 6);
 }
 
-TEST(SuperviseTest, SpinningJobEndsItsProcessAndIsQuarantinedAsCrash) {
+TEST(SupervisorTest, SpinningJobEndsItsProcessAndIsQuarantinedAsCrash) {
   // The spin ignores its cancel; one wall budget later the watchdog
   // kills the process, twice, and the third run records the crash.
   const fs::path dir = TestDir("spin");
@@ -1359,7 +1359,7 @@ TEST(SuperviseTest, SpinningJobEndsItsProcessAndIsQuarantinedAsCrash) {
   ExpectOnlyCrashQuarantined(dir, SmallSpec(), 2);
 }
 
-TEST(SuperviseTest, SignalDeathWithoutCheckpointGrowthStopsWithExit2) {
+TEST(SupervisorTest, SignalDeathWithoutCheckpointGrowthStopsWithExit2) {
   const fs::path dir = TestDir("no_growth");
   const std::vector<std::string> flags = Flags(
       kSmallSpecFlags, {"--out=" + dir.string(), "--no-fsync", "--jobs=1"});
@@ -1380,36 +1380,45 @@ TEST(SuperviseTest, SignalDeathWithoutCheckpointGrowthStopsWithExit2) {
   EXPECT_EQ(static_cast<std::int64_t>(fs::file_size(ckpt)), size);
 }
 
-TEST(SuperviseTest, SupervisedRunMergesByteIdenticallyToInProcess) {
-  // The lint-defect hook quarantines cell 2's jobs 4 and 5; the
-  // supervised merge matches the in-process one only if the child runs
-  // the hooks of the command line.
-  for (const std::int64_t defect_cell : {-1, 2}) {
-    SCOPED_TRACE(defect_cell);
-    const fs::path in_process = TestDir("supervise_ref");
-    CampaignOptions options = DirOptions(in_process);
-    options.hooks.lint_defect_cell = defect_cell;
-    const auto report = Campaign(SmallSpec(), options).Run();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
+/// Runs SmallSpec() in process and under --supervise with the same
+/// lint-defect hook (-1: none) and checks that both merge the same
+/// BENCH_campaign.json and MANIFEST.json. Returns the supervised BENCH.
+/// `name` keeps the directories of concurrently run cases apart.
+std::string ExpectSupervisedMatchesInProcess(const std::string& name,
+                                             std::int64_t defect_cell) {
+  const fs::path in_process = TestDir(name + "_ref");
+  CampaignOptions options = DirOptions(in_process);
+  options.hooks.lint_defect_cell = defect_cell;
+  const auto report = Campaign(SmallSpec(), options).Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
 
-    const fs::path dir = TestDir("supervise");
-    const CliExit exit = RunCampaignCli(
-        Flags(kSmallSpecFlags,
-              {"--out=" + dir.string(), "--no-fsync", "--jobs=2",
-               "--supervise",
-               StrFormat("--inject-lint-defect-cell=%lld",
-                         static_cast<long long>(defect_cell))}),
-        dir.string() + ".log");
-    EXPECT_EQ(exit.code, defect_cell < 0 ? 0 : 1)
-        << MustRead(dir.string() + ".log");
-    EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"),
-              MustRead(in_process / "BENCH_campaign.json"));
-    EXPECT_EQ(MustRead(dir / "MANIFEST.json"),
-              MustRead(in_process / "MANIFEST.json"));
-    if (defect_cell < 0) {
-      EXPECT_EQ(MustRead(dir / "BENCH_campaign.json"), ReferenceBench());
-    }
-  }
+  const fs::path dir = TestDir(name);
+  const CliExit exit = RunCampaignCli(
+      Flags(kSmallSpecFlags,
+            {"--out=" + dir.string(), "--no-fsync", "--jobs=2", "--supervise",
+             StrFormat("--inject-lint-defect-cell=%lld",
+                       static_cast<long long>(defect_cell))}),
+      dir.string() + ".log");
+  EXPECT_EQ(exit.code, defect_cell < 0 ? 0 : 1)
+      << MustRead(dir.string() + ".log");
+  const std::string bench = MustRead(dir / "BENCH_campaign.json");
+  EXPECT_EQ(bench, MustRead(in_process / "BENCH_campaign.json"));
+  EXPECT_EQ(MustRead(dir / "MANIFEST.json"),
+            MustRead(in_process / "MANIFEST.json"));
+  return bench;
+}
+
+TEST(SupervisorTest, SupervisedRunMergesByteIdenticallyToInProcess) {
+  EXPECT_EQ(ExpectSupervisedMatchesInProcess("supervise", -1),
+            ReferenceBench());
+}
+
+TEST(SupervisorTest, WorkersRunTheTestHooksOfTheirCommand) {
+  // The lint-defect hook quarantines cell 2's jobs 4 and 5, so the merge
+  // differs from the reference; the supervised merge matches the
+  // in-process one only if the child runs the hooks of the command line.
+  EXPECT_NE(ExpectSupervisedMatchesInProcess("supervise_hooks", 2),
+            ReferenceBench());
 }
 
 #endif  // PCPDA_BINARY_DIR
