@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "analysis/report.h"
+#include "common/json.h"
 #include "workload/scenario.h"
 
 using namespace pcpda;
@@ -144,7 +145,8 @@ int main(int argc, char** argv) {
 
   bool denied = false;
   bool io_error = false;
-  std::vector<std::string> json_reports;
+  JsonWriter json;
+  json.BeginArray(JsonLayout::kBlock);
   for (const std::string& file : cli.files) {
     const auto scenario = LoadScenarioFile(file);
     if (!scenario.ok()) {
@@ -160,21 +162,14 @@ int main(int argc, char** argv) {
       denied = true;
     }
     if (cli.format == "json") {
-      json_reports.push_back(
-          RenderAnalysisJson(file, scenario->set, report));
+      RenderAnalysisJson(file, scenario->set, report, json);
     } else {
       std::printf("%s",
                   RenderAnalysisText(file, scenario->set, report).c_str());
     }
   }
-  if (cli.format == "json") {
-    std::printf("[\n");
-    for (std::size_t i = 0; i < json_reports.size(); ++i) {
-      std::printf("%s%s\n", json_reports[i].c_str(),
-                  i + 1 < json_reports.size() ? "," : "");
-    }
-    std::printf("]\n");
-  }
+  json.End();
+  if (cli.format == "json") std::printf("%s\n", json.Finish().c_str());
   if (io_error) return 2;
   return denied ? 1 : 0;
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "lint/lint.h"
 
 using namespace pcpda;
@@ -123,7 +124,8 @@ int main(int argc, char** argv) {
 
   bool denied = false;
   bool io_error = false;
-  std::vector<std::string> json_reports;
+  JsonWriter json;
+  json.BeginArray(JsonLayout::kBlock);
   for (const std::string& file : cli.files) {
     const auto report = LintScenarioFile(file, cli.lint);
     if (!report.ok()) {
@@ -133,19 +135,13 @@ int main(int argc, char** argv) {
     }
     if (cli.deny_any && report->CountAtLeast(cli.deny) > 0) denied = true;
     if (cli.format == "json") {
-      json_reports.push_back(report->RenderJson(file));
+      report->RenderJson(file, json);
     } else if (!cli.quiet || !report->diagnostics.empty()) {
       std::printf("%s", report->Render(file).c_str());
     }
   }
-  if (cli.format == "json") {
-    std::printf("[\n");
-    for (std::size_t i = 0; i < json_reports.size(); ++i) {
-      std::printf("%s%s\n", json_reports[i].c_str(),
-                  i + 1 < json_reports.size() ? "," : "");
-    }
-    std::printf("]\n");
-  }
+  json.End();
+  if (cli.format == "json") std::printf("%s\n", json.Finish().c_str());
   if (io_error) return 2;
   return denied ? 1 : 0;
 }

@@ -116,53 +116,41 @@ std::string RenderAnalysisText(const std::string& file,
   return Join(lines, "\n") + "\n";
 }
 
-std::string RenderAnalysisJson(const std::string& file,
-                               const TransactionSet& set,
-                               const AnalysisReport& report) {
-  std::vector<std::string> protocol_entries;
+void RenderAnalysisJson(const std::string& file, const TransactionSet& set,
+                        const AnalysisReport& report, JsonWriter& json) {
+  json.BeginObject(JsonLayout::kBlock).Key("file").String(file);
+  json.Key("protocols").BeginArray(JsonLayout::kBlock);
   for (const ProtocolAnalysis& pa : report.per_protocol) {
-    std::vector<std::string> spec_entries;
+    json.BeginObject(JsonLayout::kBlock)
+        .Key("protocol").String(ToString(pa.protocol))
+        .Key("verdict").String(ToString(pa.sched.verdict))
+        .Key("bounded").Bool(pa.blocking.bounded)
+        .Key("specs").BeginArray(JsonLayout::kBlock);
     for (SpecId i = 0; i < set.size(); ++i) {
       const SpecBlocking& sb = pa.blocking.ForSpec(i);
       const SpecSchedResult& sr =
           pa.sched.per_spec[static_cast<std::size_t>(i)];
-      std::vector<std::string> bts_names;
-      for (SpecId l : sb.bts) {
-        bts_names.push_back(
-            StrFormat("\"%s\"", JsonEscape(set.spec(l).name).c_str()));
-      }
-      std::vector<std::string> restarts;
+      json.BeginObject(JsonLayout::kInline)
+          .Key("name").String(set.spec(i).name);
+      json.Key("B");
+      sb.bounded ? json.Int(sb.worst_blocking) : json.Null();
+      json.Key("response");
+      sr.response == kNoTick ? json.Null() : json.Int(sr.response);
+      json.Key("verdict").String(ToString(sr.verdict));
+      json.Key("bts").BeginArray(JsonLayout::kInline);
+      for (SpecId l : sb.bts) json.String(set.spec(l).name);
+      json.End().Key("restarts").BeginArray(JsonLayout::kInline);
       for (const RestartSource& source : sb.restart_sources) {
-        restarts.push_back(StrFormat(
-            "{\"spec\": \"%s\", \"per_release\": %d}",
-            JsonEscape(set.spec(source.spec).name).c_str(),
-            source.per_release));
+        json.BeginObject(JsonLayout::kInline)
+            .Key("spec").String(set.spec(source.spec).name)
+            .Key("per_release").Int(source.per_release)
+            .End();
       }
-      const std::string b_text =
-          sb.bounded
-              ? StrFormat("%lld", static_cast<long long>(sb.worst_blocking))
-              : std::string("null");
-      const std::string response_text =
-          sr.response == kNoTick
-              ? std::string("null")
-              : StrFormat("%lld", static_cast<long long>(sr.response));
-      spec_entries.push_back(StrFormat(
-          "        {\"name\": \"%s\", \"B\": %s, \"response\": %s, "
-          "\"verdict\": \"%s\", \"bts\": [%s], \"restarts\": [%s]}",
-          JsonEscape(set.spec(i).name).c_str(), b_text.c_str(),
-          response_text.c_str(), ToString(sr.verdict),
-          Join(bts_names, ", ").c_str(), Join(restarts, ", ").c_str()));
+      json.End().End();
     }
-    protocol_entries.push_back(StrFormat(
-        "    {\"protocol\": \"%s\", \"verdict\": \"%s\", "
-        "\"bounded\": %s,\n      \"specs\": [\n%s\n      ]}",
-        ToString(pa.protocol), ToString(pa.sched.verdict),
-        pa.blocking.bounded ? "true" : "false",
-        Join(spec_entries, ",\n").c_str()));
+    json.End().End();
   }
-  return StrFormat("{\n  \"file\": \"%s\",\n  \"protocols\": [\n%s\n  ]\n}",
-                   JsonEscape(file).c_str(),
-                   Join(protocol_entries, ",\n").c_str());
+  json.End().End();
 }
 
 }  // namespace pcpda

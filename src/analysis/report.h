@@ -6,6 +6,7 @@
 
 #include "analysis/blocking.h"
 #include "analysis/response_time.h"
+#include "common/json.h"
 #include "protocols/factory.h"
 #include "txn/spec.h"
 
@@ -48,13 +49,13 @@ std::string RenderAnalysisText(const std::string& file,
                                const TransactionSet& set,
                                const AnalysisReport& report);
 
-/// One JSON object per file:
+/// Writes one JSON object per file to `json`:
 ///   {"file": ..., "protocols": [{"protocol": ..., "verdict": ...,
-///    "specs": [{"name": ..., "B": <int|null>, "response": <int|null>,
-///               "verdict": ..., "bts": [...], "restarts": [...]}]}]}
-std::string RenderAnalysisJson(const std::string& file,
-                               const TransactionSet& set,
-                               const AnalysisReport& report);
+///    "bounded": ..., "specs": [{"name": ..., "B": <int|null>,
+///    "response": <int|null>, "verdict": ..., "bts": [...],
+///    "restarts": [{"spec": ..., "per_release": ...}]}]}]}
+void RenderAnalysisJson(const std::string& file, const TransactionSet& set,
+                        const AnalysisReport& report, JsonWriter& json);
 
 }  // namespace pcpda
 

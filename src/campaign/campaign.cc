@@ -9,6 +9,7 @@
 
 #include "analysis/blocking.h"
 #include "analysis/response_time.h"
+#include "common/json.h"
 #include "common/strings.h"
 #include "lint/lint.h"
 #include "sched/simulator.h"
@@ -35,6 +36,42 @@ constexpr const char kGeneratorDefectPrefix[] = "generator defect: ";
 bool IsGeneratorDefect(const Status& status) {
   return status.code() == StatusCode::kFailedPrecondition &&
          status.message().rfind(kGeneratorDefectPrefix, 0) == 0;
+}
+
+/// One row of MANIFEST.json's shard table.
+struct ShardRow {
+  std::int64_t jobs = 0;
+  std::int64_t recorded = 0;
+};
+
+/// The members MANIFEST.json and BENCH_campaign.json both open with.
+void WriteTotals(JsonWriter& json, const std::string& fingerprint,
+                 const CampaignReport& report) {
+  json.Key("campaign").String(fingerprint)
+      .Key("jobs").Int(report.total_jobs)
+      .Key("ok").Int(report.ok)
+      .Key("failed").Int(report.failed)
+      .Key("quarantined").Int(report.quarantined);
+}
+
+std::string RenderManifest(const std::string& fingerprint,
+                           const CampaignReport& report,
+                           const std::vector<ShardRow>& shards) {
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kBlock);
+  WriteTotals(json, fingerprint, report);
+  json.Key("pending").Int(report.pending)
+      .Key("stopped").Bool(report.stopped)
+      .Key("complete").Bool(report.pending == 0)
+      .Key("shards").BeginArray(JsonLayout::kBlock);
+  for (std::size_t shard = 0; shard < shards.size(); ++shard) {
+    json.BeginObject(JsonLayout::kInline)
+        .Key("shard").Int(static_cast<std::int64_t>(shard))
+        .Key("jobs").Int(shards[shard].jobs)
+        .Key("recorded").Int(shards[shard].recorded).End();
+  }
+  json.End().End();
+  return json.Finish() + "\n";
 }
 
 }  // namespace
@@ -202,28 +239,22 @@ Status Campaign::WriteQuarantine(const CampaignJob& job,
   const std::string stem =
       StrFormat("%s/job_%06lld", dir.c_str(),
                 static_cast<long long>(job.id));
-  const std::string info = StrFormat(
-      "{\n"
-      "  \"job\": %lld,\n"
-      "  \"scenario_index\": %d,\n"
-      "  \"util_index\": %d,\n"
-      "  \"utilization\": %g,\n"
-      "  \"protocol\": \"%s\",\n"
-      "  \"scenario_seed\": %llu,\n"
-      "  \"outcome\": \"%s\",\n"
-      "  \"attempts\": %d,\n"
-      "  \"code\": \"%s\",\n"
-      "  \"message\": \"%s\"\n"
-      "}\n",
-      static_cast<long long>(job.id), job.scenario_index, job.util_index,
-      spec_.utilizations[static_cast<std::size_t>(job.util_index)],
-      JsonEscape(ToString(spec_.protocols[static_cast<std::size_t>(
-                     job.protocol_index)]))
-          .c_str(),
-      static_cast<unsigned long long>(job.scenario_seed),
-      JsonEscape(record.outcome).c_str(), record.attempts,
-      JsonEscape(record.code).c_str(), JsonEscape(record.message).c_str());
-  PCPDA_RETURN_IF_ERROR(WriteFileAtomic(stem + ".json", info));
+  JsonWriter info;
+  info.BeginObject(JsonLayout::kBlock)
+      .Key("job").Int(job.id).Key("scenario_index").Int(job.scenario_index)
+      .Key("util_index").Int(job.util_index)
+      .Key("utilization")
+      .Double(spec_.utilizations[static_cast<std::size_t>(job.util_index)],
+              "%g")
+      .Key("protocol")
+      .String(ToString(
+          spec_.protocols[static_cast<std::size_t>(job.protocol_index)]))
+      .Key("scenario_seed").Uint(job.scenario_seed)
+      .Key("outcome").String(record.outcome)
+      .Key("attempts").Int(record.attempts).Key("code").String(record.code)
+      .Key("message").String(record.message);
+  PCPDA_RETURN_IF_ERROR(
+      WriteFileAtomic(stem + ".json", info.End().Finish() + "\n"));
 
   // Reproduce the poisoned workload as a replayable .scn (deterministic
   // from the seed). Best effort: if generation itself was the failure,
@@ -287,7 +318,6 @@ Status Campaign::RunJobs(BatchRunner& runner,
                          CheckpointWriter& writer, ShardSummary& summary) {
   if (jobs.empty()) return Status::Ok();
   JobPolicy policy;
-  policy.max_sim_ticks = spec_.effective_max_sim_ticks();
   policy.wall_budget_ms = spec_.wall_budget_ms;
   policy.max_retries = spec_.max_retries;
   // The runner watches both the external stop (the CLI's signal flag)
@@ -374,7 +404,7 @@ Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
   }
 
   report.total_jobs = num_jobs;
-  std::vector<std::string> shard_rows;
+  std::vector<ShardRow> shard_rows;
   for (int shard = 0; shard < spec_.shards; ++shard) {
     const std::int64_t first =
         spec_.CellBegin(shard) * spec_.num_protocols();
@@ -394,15 +424,13 @@ Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
       }
     }
     report.pending += pending;
-    shard_rows.push_back(StrFormat(
-        "    {\"shard\": %d, \"jobs\": %lld, \"recorded\": %lld}", shard,
-        static_cast<long long>(last - first),
-        static_cast<long long>(last - first - pending)));
+    shard_rows.push_back({last - first, last - first - pending});
   }
 
   report.manifest_path = options_.out_dir + "/MANIFEST.json";
   PCPDA_RETURN_IF_ERROR(WriteFileAtomic(
-      report.manifest_path, RenderManifest(report, shard_rows)));
+      report.manifest_path,
+      RenderManifest(fingerprint_, report, shard_rows)));
 
   if (report.pending == 0) {
     std::vector<JobRecord> records;
@@ -414,31 +442,6 @@ Status Campaign::Finalize(CampaignReport& report, ExecutorPool& pool) {
     report.merged = true;
   }
   return Status::Ok();
-}
-
-std::string Campaign::RenderManifest(
-    const CampaignReport& report,
-    const std::vector<std::string>& shard_rows) const {
-  return StrFormat(
-      "{\n"
-      "  \"campaign\": \"%s\",\n"
-      "  \"jobs\": %lld,\n"
-      "  \"ok\": %lld,\n"
-      "  \"failed\": %lld,\n"
-      "  \"quarantined\": %lld,\n"
-      "  \"pending\": %lld,\n"
-      "  \"stopped\": %s,\n"
-      "  \"complete\": %s,\n"
-      "  \"shards\": [\n%s\n  ]\n"
-      "}\n",
-      fingerprint_.c_str(), static_cast<long long>(report.total_jobs),
-      static_cast<long long>(report.ok),
-      static_cast<long long>(report.failed),
-      static_cast<long long>(report.quarantined),
-      static_cast<long long>(report.pending),
-      report.stopped ? "true" : "false",
-      report.pending == 0 ? "true" : "false",
-      Join(shard_rows, ",\n").c_str());
 }
 
 std::string Campaign::RenderBench(const CampaignReport& report,
@@ -477,7 +480,10 @@ std::string Campaign::RenderBench(const CampaignReport& report,
   // fields put the static acceptance curve next to the simulated one —
   // analytic_ratio can only undershoot ratio on a sound analysis
   // (schedulable claims are conservative, simulation is one witness).
-  std::vector<std::string> rows;
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kBlock);
+  WriteTotals(json, fingerprint_, report);
+  json.Key("acceptance").BeginArray(JsonLayout::kBlock);
   for (int p = 0; p < spec_.num_protocols(); ++p) {
     for (int u = 0; u < spec_.num_utils(); ++u) {
       std::int64_t accepted = 0, row_failed = 0;
@@ -509,61 +515,41 @@ std::string Campaign::RenderBench(const CampaignReport& report,
           ++row_failed;
         }
       }
-      rows.push_back(StrFormat(
-          "    {\"protocol\": \"%s\", \"utilization\": %g, "
-          "\"scenarios\": %d, \"accepted\": %lld, \"ratio\": %.6f, "
-          "\"analytic_schedulable\": %lld, "
-          "\"analytic_unschedulable\": %lld, "
-          "\"analytic_unknown\": %lld, \"analytic_ratio\": %.6f, "
-          "\"failed\": %lld, \"committed\": %lld, \"misses\": %lld, "
-          "\"blocking_ticks\": %lld, \"restarts\": %lld, "
-          "\"deadlocks\": %lld}",
-          ToString(spec_.protocols[static_cast<std::size_t>(p)]),
-          spec_.utilizations[static_cast<std::size_t>(u)],
-          spec_.scenarios, static_cast<long long>(accepted),
-          static_cast<double>(accepted) /
-              static_cast<double>(spec_.scenarios),
-          static_cast<long long>(sched), static_cast<long long>(unsched),
-          static_cast<long long>(unknown),
-          static_cast<double>(sched) /
-              static_cast<double>(spec_.scenarios),
-          static_cast<long long>(row_failed),
-          static_cast<long long>(committed),
-          static_cast<long long>(misses),
-          static_cast<long long>(blocking),
-          static_cast<long long>(restarts),
-          static_cast<long long>(deadlocks)));
+      const double scenarios = static_cast<double>(spec_.scenarios);
+      json.BeginObject(JsonLayout::kInline)
+          .Key("protocol")
+          .String(ToString(spec_.protocols[static_cast<std::size_t>(p)]))
+          .Key("utilization")
+          .Double(spec_.utilizations[static_cast<std::size_t>(u)], "%g")
+          .Key("scenarios").Int(spec_.scenarios)
+          .Key("accepted").Int(accepted)
+          .Key("ratio").Double(static_cast<double>(accepted) / scenarios,
+                               "%.6f")
+          .Key("analytic_schedulable").Int(sched)
+          .Key("analytic_unschedulable").Int(unsched)
+          .Key("analytic_unknown").Int(unknown)
+          .Key("analytic_ratio")
+          .Double(static_cast<double>(sched) / scenarios, "%.6f")
+          .Key("failed").Int(row_failed).Key("committed").Int(committed)
+          .Key("misses").Int(misses).Key("blocking_ticks").Int(blocking)
+          .Key("restarts").Int(restarts).Key("deadlocks").Int(deadlocks)
+          .End();
     }
   }
+  json.End();
 
   // Explicit failure accounting, by job id (deterministic order).
-  std::vector<std::string> failures;
+  json.Key("failures").BeginArray(JsonLayout::kBlock);
   for (const JobRecord& record : records) {
     if (record.outcome == "ok") continue;
-    failures.push_back(StrFormat(
-        "    {\"job\": %lld, \"outcome\": \"%s\", \"quarantined\": %s, "
-        "\"attempts\": %d, \"code\": \"%s\"}",
-        static_cast<long long>(record.job_id), record.outcome.c_str(),
-        record.quarantined() ? "true" : "false", record.attempts,
-        record.code.c_str()));
+    json.BeginObject(JsonLayout::kInline)
+        .Key("job").Int(record.job_id).Key("outcome").String(record.outcome)
+        .Key("quarantined").Bool(record.quarantined())
+        .Key("attempts").Int(record.attempts).Key("code").String(record.code)
+        .End();
   }
-
-  return StrFormat(
-      "{\n"
-      "  \"campaign\": \"%s\",\n"
-      "  \"jobs\": %lld,\n"
-      "  \"ok\": %lld,\n"
-      "  \"failed\": %lld,\n"
-      "  \"quarantined\": %lld,\n"
-      "  \"acceptance\": [\n%s\n  ],\n"
-      "  \"failures\": [%s%s]\n"
-      "}\n",
-      fingerprint_.c_str(), static_cast<long long>(report.total_jobs),
-      static_cast<long long>(report.ok),
-      static_cast<long long>(report.failed),
-      static_cast<long long>(report.quarantined), Join(rows, ",\n").c_str(),
-      failures.empty() ? "" : ("\n" + Join(failures, ",\n")).c_str(),
-      failures.empty() ? "" : "\n  ");
+  json.End().End();
+  return json.Finish() + "\n";
 }
 
 StatusOr<CampaignReport> Campaign::Run() {

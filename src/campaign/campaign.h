@@ -176,8 +176,6 @@ class Campaign {
   std::string RenderBench(const CampaignReport& report,
                           const std::vector<JobRecord>& records,
                           ExecutorPool& pool) const;
-  std::string RenderManifest(const CampaignReport& report,
-                             const std::vector<std::string>& shard_rows) const;
   bool StopRequested() const;
 
   /// The 8 protocol jobs of a grid cell share one scenario seed, so they

@@ -12,6 +12,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace pcpda {
@@ -109,8 +110,9 @@ class LineScanner {
 /// Version 2 added intent and cancel lines. A version-1 reader refuses
 /// the header instead of taking the first mark for a torn tail.
 std::string HeaderLine(const std::string& fingerprint) {
-  return StrFormat("{\"campaign\":\"%s\",\"v\":2}",
-                   JsonEscape(fingerprint).c_str());
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kCompact).Key("campaign").String(fingerprint);
+  return json.Key("v").Int(2).End().Finish();
 }
 
 const char* MarkKey(JobMark mark) {
@@ -118,8 +120,9 @@ const char* MarkKey(JobMark mark) {
 }
 
 std::string EncodeJobMark(JobMark mark, std::int64_t job_id) {
-  return StrFormat("{\"%s\":%lld}", MarkKey(mark),
-                   static_cast<long long>(job_id));
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kCompact).Key(MarkKey(mark)).Int(job_id);
+  return json.End().Finish();
 }
 
 /// Strict inverse of EncodeJobMark; false for any other line.
@@ -171,19 +174,15 @@ Status WriteAll(int fd, const std::string& data, const std::string& path) {
 }  // namespace
 
 std::string EncodeJobRecord(const JobRecord& r) {
-  return StrFormat(
-      "{\"job\":%lld,\"outcome\":\"%s\",\"attempts\":%d,"
-      "\"code\":\"%s\",\"msg\":\"%s\",\"released\":%lld,"
-      "\"committed\":%lld,\"misses\":%lld,\"blocking\":%lld,"
-      "\"restarts\":%lld,\"deadlocks\":%lld}",
-      static_cast<long long>(r.job_id), JsonEscape(r.outcome).c_str(),
-      r.attempts, JsonEscape(r.code).c_str(),
-      JsonEscape(r.message).c_str(), static_cast<long long>(r.released),
-      static_cast<long long>(r.committed),
-      static_cast<long long>(r.misses),
-      static_cast<long long>(r.blocking_ticks),
-      static_cast<long long>(r.restarts),
-      static_cast<long long>(r.deadlocks));
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kCompact)
+      .Key("job").Int(r.job_id).Key("outcome").String(r.outcome)
+      .Key("attempts").Int(r.attempts).Key("code").String(r.code)
+      .Key("msg").String(r.message).Key("released").Int(r.released)
+      .Key("committed").Int(r.committed).Key("misses").Int(r.misses)
+      .Key("blocking").Int(r.blocking_ticks)
+      .Key("restarts").Int(r.restarts).Key("deadlocks").Int(r.deadlocks);
+  return json.End().Finish();
 }
 
 StatusOr<JobRecord> DecodeJobRecord(const std::string& line) {

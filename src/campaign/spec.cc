@@ -102,18 +102,6 @@ std::int64_t CampaignSpec::CellBegin(int shard) const {
   return s * base + std::min<std::int64_t>(s, extra);
 }
 
-int CampaignSpec::ShardOfJob(std::int64_t id) const {
-  PCPDA_CHECK(id >= 0 && id < num_jobs());
-  const std::int64_t cell = id / num_protocols();
-  // Shards hold contiguous cell ranges; a linear scan over the (small)
-  // shard count keeps the arithmetic in one obviously-correct place.
-  for (int shard = 0; shard < shards; ++shard) {
-    if (cell < CellBegin(shard + 1)) return shard;
-  }
-  PCPDA_CHECK_MSG(false, "unreachable: job id inside num_jobs()");
-  return shards - 1;
-}
-
 CampaignJob CampaignSpec::JobById(std::int64_t id) const {
   PCPDA_CHECK(id >= 0 && id < num_jobs());
   CampaignJob job;

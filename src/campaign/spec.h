@@ -98,9 +98,6 @@ struct CampaignSpec {
   /// First cell owned by `shard` (== num_cells() for shard == shards).
   std::int64_t CellBegin(int shard) const;
 
-  /// The shard owning global job id `id`.
-  int ShardOfJob(std::int64_t id) const;
-
   /// The job descriptor for a global job id.
   CampaignJob JobById(std::int64_t id) const;
 

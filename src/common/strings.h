@@ -21,13 +21,6 @@ std::string PadRight(std::string s, std::size_t width);
 /// Pads `s` with spaces on the left to at least `width` characters.
 std::string PadLeft(std::string s, std::size_t width);
 
-/// The body of a JSON string literal holding `s`: `"`, `\\`, newline,
-/// tab and carriage return get their two-character escapes, every other
-/// control byte becomes \u00XX, and the rest (UTF-8 included) passes
-/// through. The output never holds a newline, so it is safe in a
-/// line-oriented record.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace pcpda
 
 #endif  // PCPDA_COMMON_STRINGS_H_

@@ -45,21 +45,22 @@ std::string LintReport::Render(const std::string& file) const {
   return Join(lines, "\n") + "\n";
 }
 
-std::string LintReport::RenderJson(const std::string& file) const {
-  std::vector<std::string> entries;
+void LintReport::RenderJson(const std::string& file, JsonWriter& json) const {
+  json.BeginObject(JsonLayout::kBlock)
+      .Key("file").String(file)
+      .Key("scenario").String(scenario)
+      .Key("errors").Int(errors())
+      .Key("diagnostics").BeginArray(JsonLayout::kBlock);
   for (const LintDiagnostic& d : diagnostics) {
-    entries.push_back(StrFormat(
-        "    {\"rule\": \"%s\", \"severity\": \"%s\", \"line\": %d, "
-        "\"column\": %d, \"entity\": \"%s\", \"message\": \"%s\"}",
-        JsonEscape(d.rule).c_str(), ToString(d.severity), d.span.line,
-        d.span.column, JsonEscape(d.entity).c_str(),
-        JsonEscape(d.message).c_str()));
+    json.BeginObject(JsonLayout::kInline)
+        .Key("rule").String(d.rule)
+        .Key("severity").String(ToString(d.severity))
+        .Key("line").Int(d.span.line).Key("column").Int(d.span.column)
+        .Key("entity").String(d.entity)
+        .Key("message").String(d.message)
+        .End();
   }
-  return StrFormat(
-      "{\n  \"file\": \"%s\",\n  \"scenario\": \"%s\",\n"
-      "  \"errors\": %d,\n  \"diagnostics\": [\n%s\n  ]\n}",
-      JsonEscape(file).c_str(), JsonEscape(scenario).c_str(), errors(),
-      Join(entries, ",\n").c_str());
+  json.End().End();
 }
 
 }  // namespace pcpda

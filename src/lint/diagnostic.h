@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "workload/scenario.h"
 
 namespace pcpda {
@@ -49,8 +50,9 @@ struct LintReport {
   /// GCC-style text: "<file>:<line>:<col>: <severity>: <message>
   /// [<rule>]" one line per diagnostic, then a one-line summary.
   std::string Render(const std::string& file) const;
-  /// Machine-readable JSON: {"file","scenario","diagnostics":[...]}.
-  std::string RenderJson(const std::string& file) const;
+  /// Writes the machine-readable form to `json`:
+  /// {"file", "scenario", "errors", "diagnostics": [...]}.
+  void RenderJson(const std::string& file, JsonWriter& json) const;
 };
 
 }  // namespace pcpda

@@ -82,7 +82,10 @@ struct JobPolicy {
   /// Deterministic watchdog: per-attempt budget of scheduled simulator
   /// ticks (SimulatorOptions::max_sim_ticks); 0 = unlimited. Outcomes
   /// depend only on the job's inputs, so this is the budget of choice
-  /// when resumed campaigns must merge byte-identically.
+  /// when resumed campaigns must merge byte-identically. Only
+  /// RunWithPolicy applies it; RunTasksWithPolicy ignores it, because a
+  /// task body builds its own SimulatorOptions and sets its own budget
+  /// there (as Campaign::RunJob does).
   Tick max_sim_ticks = 0;
   /// Wall-clock watchdog: per-attempt budget in milliseconds enforced by
   /// a monitor thread through cooperative cancellation; 0 = unlimited.

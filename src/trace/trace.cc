@@ -121,23 +121,6 @@ void Trace::CompactTicks(Tick appended) {
   dropped_ticks_ += retained - keep;
 }
 
-std::vector<TraceEvent> Trace::EventsOfKind(TraceKind kind) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<TraceEvent> Trace::EventsOfKind(TraceKind kind,
-                                            SpecId spec) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind && e.spec == spec) out.push_back(e);
-  }
-  return out;
-}
-
 std::string Trace::DebugString() const {
   std::vector<std::string> lines;
   lines.reserve(events_.size());

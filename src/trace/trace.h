@@ -128,11 +128,6 @@ class Trace {
   std::int64_t dropped_events() const { return dropped_events_; }
   std::int64_t dropped_ticks() const { return dropped_ticks_; }
 
-  /// Events of one kind, in order.
-  std::vector<TraceEvent> EventsOfKind(TraceKind kind) const;
-  /// Events of one kind for one spec.
-  std::vector<TraceEvent> EventsOfKind(TraceKind kind, SpecId spec) const;
-
   std::string DebugString() const;
 
   /// Retained records, capacity and eviction counters all compared.

@@ -740,7 +740,9 @@ TEST(ReportTest, AnalyzeSetCoversRequestedProtocols) {
   EXPECT_TRUE(report.AnyVerdict(SchedVerdict::kUnknown));
   EXPECT_FALSE(report.AnyVerdict(SchedVerdict::kUnschedulable));
 
-  const std::string json = RenderAnalysisJson("x.scn", set, report);
+  JsonWriter writer;
+  RenderAnalysisJson("x.scn", set, report, writer);
+  const std::string json = writer.Finish();
   for (const char* key :
        {"\"file\"", "\"protocols\"", "\"verdict\"", "\"specs\"", "\"B\"",
         "\"response\"", "\"bts\"", "\"restarts\""}) {

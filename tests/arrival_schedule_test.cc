@@ -238,7 +238,7 @@ TEST(ArrivalScheduleTest, SimulatorUsesOverride) {
   // Exactly the two trace arrivals, not the periodic calendar's two at
   // 0 and 10.
   EXPECT_EQ(result.metrics.per_spec[0].released, 2);
-  const auto arrivals = result.trace.EventsOfKind(TraceKind::kArrival);
+  const auto arrivals = EventsOfKind(result.trace, TraceKind::kArrival);
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0].tick, 2);
   EXPECT_EQ(arrivals[1].tick, 7);

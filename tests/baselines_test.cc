@@ -59,7 +59,8 @@ TEST(CcpTest, EarlyReleaseHappens) {
       {.name = "L", .offset = 0, .body = {Read(0), Compute(4)}},
   });
   const SimResult result = RunWith(set, ProtocolKind::kCcp, 14);
-  const auto releases = result.trace.EventsOfKind(TraceKind::kEarlyRelease);
+  const auto releases =
+      EventsOfKind(result.trace, TraceKind::kEarlyRelease);
   ASSERT_EQ(releases.size(), 1u) << FailureContext(set, result);
   EXPECT_EQ(releases[0].item, 0);
   // Released during the tick in which the read step completes.
@@ -92,7 +93,8 @@ TEST(CcpTest, NoEarlyReleaseBeforeLastAcquisition) {
        .body = {Read(0), Compute(2), Read(1), Compute(1)}},
   });
   const SimResult result = RunWith(set, ProtocolKind::kCcp, 24);
-  const auto releases = result.trace.EventsOfKind(TraceKind::kEarlyRelease);
+  const auto releases =
+      EventsOfKind(result.trace, TraceKind::kEarlyRelease);
   // The last acquisition (Read(1)) completes during tick 3: no release of
   // x before that, and both items go at tick 3.
   ASSERT_EQ(releases.size(), 2u) << FailureContext(set, result);

@@ -3,7 +3,8 @@
 // used to be silently std::atoi'd to 0 and the run "succeeded" with a
 // nonsense configuration; now every such flag fails loudly with exit
 // code 2. run_scenario's output on the shipped scenarios is pinned
-// against tests/golden/run_scenario/. The spawned-binary cases use the
+// against tests/golden/run_scenario/, and the JSON of pcpda_lint and
+// pcpda_analyze against tests/golden/json/. The spawned-binary cases use the
 // real executables under PCPDA_BINARY_DIR (set by tests/CMakeLists.txt).
 
 #include "common/parse.h"
@@ -155,6 +156,36 @@ TEST(CliRegressionTest, CampaignSuperviseComposesWithShardAndStopAfter) {
   std::system((std::string("rm -rf ") + dir).c_str());
 }
 
+/// The stdout of `command` (stderr dropped), run from the source tree;
+/// its exit code goes to `exit_code`.
+std::string CaptureCli(const std::string& command, int* exit_code) {
+  const std::string full = std::string("cd " PCPDA_SOURCE_DIR " && "
+                                       PCPDA_BINARY_DIR "/examples/") +
+                           command + " 2>/dev/null";
+  FILE* pipe = popen(full.c_str(), "r");
+  if (pipe == nullptr) {
+    *exit_code = -1;
+    return "";
+  }
+  std::string out;
+  char buffer[4096];
+  std::size_t n;
+  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
+    out.append(buffer, n);
+  }
+  *exit_code = WEXITSTATUS(pclose(pipe));
+  return out;
+}
+
+std::string ReadGolden(const std::string& relative) {
+  std::ifstream golden(std::string(PCPDA_SOURCE_DIR "/tests/golden/") +
+                       relative);
+  EXPECT_TRUE(golden.good()) << relative;
+  std::ostringstream expected;
+  expected << golden.rdbuf();
+  return expected.str();
+}
+
 // run_scenario's full stdout (per-protocol Gantt, metrics, serializable
 // and audit lines) and exit code on every shipped scenario, pinned byte
 // for byte against tests/golden/run_scenario/<name>.txt.
@@ -162,27 +193,36 @@ TEST(CliRegressionTest, RunScenarioMatchesGoldens) {
   for (const char* name : {"avionics", "example1", "example3",
                            "example3_faulty", "example4", "example5"}) {
     SCOPED_TRACE(name);
-    const std::string command =
-        std::string(PCPDA_BINARY_DIR "/examples/run_scenario "
-                    PCPDA_SOURCE_DIR "/scenarios/") +
-        name + ".scn 2>/dev/null";
-    FILE* pipe = popen(command.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
-    char buffer[4096];
-    std::size_t n;
-    while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
-      out.append(buffer, n);
-    }
-    EXPECT_EQ(WEXITSTATUS(pclose(pipe)), 0);
-    std::ifstream golden(std::string(PCPDA_SOURCE_DIR
-                                     "/tests/golden/run_scenario/") +
-                         name + ".txt");
-    ASSERT_TRUE(golden.good());
-    std::ostringstream expected;
-    expected << golden.rdbuf();
-    EXPECT_EQ(out, expected.str());
+    int exit_code = -1;
+    const std::string out = CaptureCli(
+        std::string("run_scenario scenarios/") + name + ".scn", &exit_code);
+    EXPECT_EQ(exit_code, 0);
+    EXPECT_EQ(out, ReadGolden(std::string("run_scenario/") + name + ".txt"));
   }
+}
+
+// The --format=json output of pcpda_lint and pcpda_analyze over the
+// shipped scenarios, pinned byte for byte against tests/golden/json/.
+TEST(CliRegressionTest, LintJsonMatchesGoldens) {
+  int exit_code = -1;
+  EXPECT_EQ(CaptureCli("pcpda_lint --format=json --analysis=all "
+                       "--dir=scenarios",
+                       &exit_code),
+            ReadGolden("json/lint_scenarios.json"));
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(CaptureCli("pcpda_lint --format=json --dir=scenarios/bad",
+                       &exit_code),
+            ReadGolden("json/lint_bad.json"));
+  EXPECT_EQ(exit_code, 1);
+}
+
+TEST(CliRegressionTest, AnalyzeJsonMatchesGolden) {
+  int exit_code = -1;
+  EXPECT_EQ(CaptureCli("pcpda_analyze --format=json --protocols=all "
+                       "--deny=none --dir=scenarios",
+                       &exit_code),
+            ReadGolden("json/analyze_scenarios.json"));
+  EXPECT_EQ(exit_code, 0);
 }
 
 TEST(CliRegressionTest, RunScenarioRejectsGarbageHorizon) {

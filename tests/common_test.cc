@@ -1,8 +1,11 @@
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -250,16 +253,123 @@ TEST(StringsTest, Padding) {
   EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
 }
 
-TEST(StringsTest, JsonEscape) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("l1\nl2\tx\ry"), "l1\\nl2\\tx\\ry");
-  EXPECT_EQ(JsonEscape(std::string("nul\0bell\x07", 9)),
-            "nul\\u0000bell\\u0007");
-  EXPECT_EQ(JsonEscape("\x1f"), "\\u001f");
+// --- JsonWriter -------------------------------------------------------------
+
+/// `value` written as one JSON string.
+std::string Quoted(const std::string& value) {
+  JsonWriter json;
+  json.String(value);
+  return json.Finish();
+}
+
+TEST(JsonWriterTest, EscapesStrings) {
+  EXPECT_EQ(Quoted("plain"), "\"plain\"");
+  EXPECT_EQ(Quoted("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(Quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(Quoted("l1\nl2\tx\ry"), "\"l1\\nl2\\tx\\ry\"");
+  EXPECT_EQ(Quoted(std::string("nul\0bell\x07", 9)),
+            "\"nul\\u0000bell\\u0007\"");
+  EXPECT_EQ(Quoted("\x1f"), "\"\\u001f\"");
   // Bytes >= 0x80 (UTF-8 sequences) pass through unchanged.
-  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x80\xff"), "caf\xc3\xa9 \x80\xff");
+  EXPECT_EQ(Quoted("caf\xc3\xa9 \x80\xff"), "\"caf\xc3\xa9 \x80\xff\"");
+}
+
+TEST(JsonWriterTest, KeysAreEscapedToo) {
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kCompact).Key("a\"b").Int(1).End();
+  EXPECT_EQ(json.Finish(), "{\"a\\\"b\":1}");
+}
+
+TEST(JsonWriterTest, ScalarValues) {
+  JsonWriter json;
+  json.BeginArray(JsonLayout::kInline)
+      .Int(-7)
+      .Int(INT64_MIN)
+      .Uint(UINT64_MAX)
+      .Double(0.6, "%g")
+      .Double(0.5, "%.6f")
+      .Double(1e300, "%.6f")
+      .Double(std::nan(""), "%g")
+      .Double(-HUGE_VAL, "%g")
+      .Bool(true)
+      .Bool(false)
+      .Null()
+      .End();
+  EXPECT_EQ(json.Finish(),
+            "[-7, -9223372036854775808, 18446744073709551615, 0.6, "
+            "0.500000, " +
+                StrFormat("%.6f", 1e300) + ", null, null, true, false, null]");
+}
+
+/// One document with a nested object, an empty array and an array of
+/// objects, opened with `layout` at the top.
+std::string Sample(JsonLayout layout) {
+  JsonWriter json;
+  json.BeginObject(layout)
+      .Key("name").String("x")
+      .Key("empty").BeginArray(layout).End()
+      .Key("rows").BeginArray(layout);
+  for (int i = 0; i < 2; ++i) {
+    json.BeginObject(JsonLayout::kInline).Key("i").Int(i).End();
+  }
+  json.End().End();
+  return json.Finish();
+}
+
+TEST(JsonWriterTest, ThreeLayouts) {
+  EXPECT_EQ(Sample(JsonLayout::kCompact),
+            "{\"name\":\"x\",\"empty\":[],\"rows\":[{\"i\":0},{\"i\":1}]}");
+  EXPECT_EQ(Sample(JsonLayout::kInline),
+            "{\"name\": \"x\", \"empty\": [], "
+            "\"rows\": [{\"i\": 0}, {\"i\": 1}]}");
+  EXPECT_EQ(Sample(JsonLayout::kBlock),
+            "{\n"
+            "  \"name\": \"x\",\n"
+            "  \"empty\": [],\n"
+            "  \"rows\": [\n"
+            "    {\"i\": 0},\n"
+            "    {\"i\": 1}\n"
+            "  ]\n"
+            "}");
+}
+
+TEST(JsonWriterTest, ABlockInsideALineTakesTheLinesLayout) {
+  JsonWriter json;
+  json.BeginArray(JsonLayout::kInline)
+      .BeginObject(JsonLayout::kBlock).Key("k").Int(1).End()
+      .BeginArray(JsonLayout::kCompact).Int(1).Int(2).End()
+      .End();
+  EXPECT_EQ(json.Finish(), "[{\"k\": 1}, [1,2]]");
+}
+
+TEST(JsonWriterTest, FinishLeavesTheWriterEmpty) {
+  JsonWriter json;
+  json.BeginArray(JsonLayout::kBlock).End();
+  EXPECT_EQ(json.Finish(), "[]");
+  json.Int(3);
+  EXPECT_EQ(json.Finish(), "3");
+}
+
+TEST(JsonWriterDeathTest, MisuseIsACheckFailure) {
+  EXPECT_DEATH(
+      {
+        JsonWriter json;
+        json.BeginObject(JsonLayout::kCompact).Int(1);
+      },
+      "needs a Key");
+  EXPECT_DEATH(
+      {
+        JsonWriter json;
+        json.BeginArray(JsonLayout::kCompact).Key("k");
+      },
+      "Key belongs in an object");
+  EXPECT_DEATH(
+      {
+        JsonWriter json;
+        json.BeginArray(JsonLayout::kCompact);
+        json.Finish();
+      },
+      "Finish with a value open");
 }
 
 TEST(StringsTest, PriorityDebugString) {

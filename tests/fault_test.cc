@@ -113,7 +113,7 @@ TEST(FaultTest, RestartInCsWaitsForACriticalSection) {
   EXPECT_EQ(result.metrics.faults.injected_restarts, 1);
   EXPECT_EQ(result.metrics.per_spec[0].restarts, 1);
   EXPECT_EQ(result.metrics.per_spec[0].committed, 1);
-  const auto faults = result.trace.EventsOfKind(TraceKind::kFault);
+  const auto faults = EventsOfKind(result.trace, TraceKind::kFault);
   ASSERT_EQ(faults.size(), 1u);
   EXPECT_EQ(faults[0].tick, 3);
   EXPECT_TRUE(result.audit.ok()) << result.audit.DebugString();
@@ -159,7 +159,7 @@ TEST(FaultTest, DelayFaultDefersTheRelease) {
   EXPECT_EQ(result.metrics.faults.delayed_arrivals, 1);
   EXPECT_GE(result.metrics.faults.delay_ticks, 1);
   EXPECT_LE(result.metrics.faults.delay_ticks, 3);
-  const auto arrivals = result.trace.EventsOfKind(TraceKind::kArrival);
+  const auto arrivals = EventsOfKind(result.trace, TraceKind::kArrival);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0].tick, result.metrics.faults.delay_ticks);
 }
@@ -279,7 +279,7 @@ TEST(AuditorTest, CatchesBrokenCeilingProtocol) {
   ASSERT_FALSE(result.audit.ok());
   EXPECT_EQ(result.audit.violations.front().check, "sysceil");
   EXPECT_FALSE(
-      result.trace.EventsOfKind(TraceKind::kAuditViolation).empty());
+      EventsOfKind(result.trace, TraceKind::kAuditViolation).empty());
 }
 
 // A retired job must leave no wait-for edges behind (the simulator clears

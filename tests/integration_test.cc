@@ -165,7 +165,7 @@ TEST(ConsistencyTest, CommitsMatchHistory) {
   const SimResult result = RunExample(example, ProtocolKind::kPcpDa);
   EXPECT_EQ(result.history.committed().size(),
             static_cast<std::size_t>(result.metrics.TotalCommitted()));
-  EXPECT_EQ(result.trace.EventsOfKind(TraceKind::kCommit).size(),
+  EXPECT_EQ(EventsOfKind(result.trace, TraceKind::kCommit).size(),
             result.history.committed().size());
 }
 

@@ -399,7 +399,9 @@ TEST(LintReportTest, RenderAndJsonCarryRuleAndPosition) {
   EXPECT_NE(text.find("0 error(s), 1 warning(s), 1 note(s)"),
             std::string::npos);
 
-  const std::string json = report.RenderJson("file.scn");
+  JsonWriter writer;
+  report.RenderJson("file.scn", writer);
+  const std::string json = writer.Finish();
   EXPECT_NE(json.find("\"rule\": \"unused-item\""), std::string::npos);
   EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"errors\": 0"), std::string::npos);

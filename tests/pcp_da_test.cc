@@ -149,8 +149,8 @@ TEST(PcpDaLockingTest, DecideAgreesWithTable1) {
     const SimResult result = RunWith(set, ProtocolKind::kPcpDa, 16);
     ASSERT_TRUE(result.status.ok()) << cell.label;
     std::string block_note;
-    for (const TraceEvent& e : result.trace.EventsOfKind(TraceKind::kBlock,
-                                                         0)) {
+    for (const TraceEvent& e :
+         EventsOfKind(result.trace, TraceKind::kBlock, 0)) {
       if (e.item == kX && block_note.empty()) block_note = e.note;
     }
     const std::string grant_note = GrantNote(result, 0, kX, cell.requested);

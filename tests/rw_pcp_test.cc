@@ -120,7 +120,7 @@ TEST(RwPcpExampleTest, Example3MatchesFigure3) {
   EXPECT_EQ(result.metrics.per_spec[0].deadline_misses, 1);
   EXPECT_EQ(CommitTime(result, 1, 0), 5);
   EXPECT_EQ(CommitTime(result, 0, 0), 7);
-  const auto misses = result.trace.EventsOfKind(TraceKind::kDeadlineMiss);
+  const auto misses = EventsOfKind(result.trace, TraceKind::kDeadlineMiss);
   ASSERT_EQ(misses.size(), 1u);
   EXPECT_EQ(misses[0].tick, 6);
   EXPECT_EQ(misses[0].spec, 0);

@@ -80,7 +80,8 @@ TEST(SimulatorTest, DeadlineMissRecordedOnceAndJobContinues) {
   EXPECT_EQ(result.metrics.per_spec[0].deadline_misses, 1);
   EXPECT_EQ(result.metrics.per_spec[0].committed, 1);
   EXPECT_EQ(CommitTime(result, 0, 0), 5);
-  EXPECT_EQ(result.trace.EventsOfKind(TraceKind::kDeadlineMiss).size(), 1u);
+  EXPECT_EQ(EventsOfKind(result.trace, TraceKind::kDeadlineMiss).size(),
+            1u);
 }
 
 TEST(SimulatorTest, DeadlineMissDropPolicy) {
@@ -267,7 +268,7 @@ TEST(SimulatorTest, LockReacquisitionNotNeededWithinJob) {
   TransactionSet set =
       MakeSet({{.name = "T", .body = {Read(0), Compute(1), Read(0)}}});
   const SimResult result = RunWith(set, ProtocolKind::kPcpDa, 10);
-  EXPECT_EQ(result.trace.EventsOfKind(TraceKind::kLockGrant).size(), 1u);
+  EXPECT_EQ(EventsOfKind(result.trace, TraceKind::kLockGrant).size(), 1u);
   EXPECT_EQ(result.metrics.per_spec[0].committed, 1);
 }
 
@@ -426,7 +427,7 @@ SimResult ExpectLeapMatchesPerTick(const TransactionSet& set,
             SimulatedTicks(audited_slow.metrics))
       << label;
   EXPECT_EQ(slow.metrics.faults.injected_aborts, 0) << label;
-  EXPECT_TRUE(slow.trace.EventsOfKind(TraceKind::kFault).empty()) << label;
+  EXPECT_TRUE(EventsOfKind(slow.trace, TraceKind::kFault).empty()) << label;
   return fast;
 }
 
@@ -758,7 +759,7 @@ std::string AuditDigest(const SimResult& result) {
   }
   std::vector<Tick> events;
   for (const TraceEvent& e :
-       result.trace.EventsOfKind(TraceKind::kAuditViolation)) {
+       EventsOfKind(result.trace, TraceKind::kAuditViolation)) {
     events.push_back(e.tick);
   }
   return StrFormat("violations=%s {%s} suppressed=%lld audited=%lld "

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "plan/compiled_plan.h"
 #include "protocols/factory.h"
@@ -51,6 +52,26 @@ inline SimResult RunWith(const TransactionSet& set, Protocol* protocol,
 }
 
 // --- Trace queries, over the public events() and spans() ------------------
+
+/// Events of one kind, in order.
+inline std::vector<TraceEvent> EventsOfKind(const Trace& trace,
+                                            TraceKind kind) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
+
+/// Events of one kind for one spec.
+inline std::vector<TraceEvent> EventsOfKind(const Trace& trace,
+                                            TraceKind kind, SpecId spec) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == kind && e.spec == spec) out.push_back(e);
+  }
+  return out;
+}
 
 /// The first event of `kind` for `job`, if any.
 inline std::optional<TraceEvent> FirstEvent(const Trace& trace,

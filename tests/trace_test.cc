@@ -24,9 +24,9 @@ TEST(TraceTest, EventQueries) {
   commit.kind = TraceKind::kCommit;
   trace.AddEvent(commit);
 
-  EXPECT_EQ(trace.EventsOfKind(TraceKind::kArrival).size(), 1u);
-  EXPECT_EQ(trace.EventsOfKind(TraceKind::kCommit, 0).size(), 1u);
-  EXPECT_TRUE(trace.EventsOfKind(TraceKind::kCommit, 1).empty());
+  EXPECT_EQ(EventsOfKind(trace, TraceKind::kArrival).size(), 1u);
+  EXPECT_EQ(EventsOfKind(trace, TraceKind::kCommit, 0).size(), 1u);
+  EXPECT_TRUE(EventsOfKind(trace, TraceKind::kCommit, 1).empty());
   ASSERT_TRUE(FirstEvent(trace, TraceKind::kCommit, 1).has_value());
   EXPECT_EQ(FirstEvent(trace, TraceKind::kCommit, 1)->tick, 5);
   EXPECT_FALSE(FirstEvent(trace, TraceKind::kRestart, 1).has_value());
